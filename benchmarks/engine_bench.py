@@ -19,12 +19,14 @@ Runs three workloads against :mod:`repro.engine` and writes a single
    ``jobs=4``; the verdicts (found / exhausted) must be identical.
 5. **service** — the same batch-verification workload dispatched
    through a persistent :class:`repro.service.WorkerPool` (fork once,
-   warm incremental verifiers) vs ``run_portfolio`` (fork per batch);
-   the pooled path must be >= 1.3x faster end to end, pool start/stop
-   included, with identical verdicts batch by batch.
+   warm incremental verifiers) vs a cold pool started and stopped per
+   batch (one fresh process per task per batch); the persistent path
+   must be >= 1.3x faster end to end, pool start/stop included, with
+   identical verdicts batch by batch.
 6. **matrix** — the candidates x environments verification grid
    (lossless + finite-buffer lossy) over repeated rounds: pooled
-   dispatch with per-environment warm verifiers vs fork-per-cell;
+   dispatch with per-environment warm verifiers vs a cold pool per
+   round (a fresh process per cell);
    per-cell verdict parity required and the pooled grid must be
    >= 1.3x faster.
 7. **resilience** — the same job set pushed through a real
@@ -293,37 +295,51 @@ def bench_portfolio(cfg: ModelConfig, budget: float) -> dict:
     }
 
 
+#: run_batch arguments that wait for every task (no race)
+_WAIT_ALL = {"accept": lambda _r: False, "wall_time": 300.0}
+
+
+def _cold_pool_rounds(tasks: list, rounds: int, verdicts) -> tuple:
+    """The per-batch baseline: ``rounds`` batches, each on a cold
+    :class:`WorkerPool` with a lane per task that is started and stopped
+    around the batch — one fresh process per task per batch, so no
+    warm state survives.  Returns ``(seconds, per-round verdicts)``."""
+    from repro.service import WorkerPool
+
+    out = []
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        with WorkerPool(size=len(tasks)) as pool:
+            out.append(verdicts(pool.run_batch(tasks, **_WAIT_ALL)))
+    return time.perf_counter() - t0, out
+
+
 def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     """The candidates x environments grid, dispatched the two ways a
     multi-environment synthesis loop can run it.
 
     Each CEGIS round re-verifies a fresh batch of candidates against the
     *same* environment set, so the dispatch question is amortization:
-    fork-per-cell pays a fresh base-network encode for every cell of
-    every round, while the pooled path keys its warm incremental
+    a cold pool per round (``forked_s``: a fresh process per cell) pays
+    a fresh base-network encode for every cell of every round, while
+    the persistent pool keys its warm incremental
     verifiers per environment (`_WORKER_STATE`) and pays each cell's
     encode once per worker for the whole run.  Per-cell verdicts must be
     identical and the pooled grid must be >= 1.3x faster end to end,
     pool start/stop included.
     """
     from repro.ccac import lossless_environment, lossy_environment
-    from repro.engine.portfolio import (
-        _pooled_verify_candidate_task,
-        _verify_candidate_task,
-        run_portfolio,
-    )
+    from repro.engine.portfolio import _pooled_verify_candidate_task
     from repro.service import WorkerPool
 
     environments = [lossless_environment(), lossy_environment(buffer=8)]
     precision = Fraction(1, 8)
     cells = [(cand, env) for cand in candidates for env in environments]
-
-    def _tasks(fn):
-        return [
-            (fn, (cfg, precision, cand, False, None, True, None, False,
-                  [env]))
-            for cand, env in cells
-        ]
+    tasks = [
+        (_pooled_verify_candidate_task,
+         (cfg, precision, cand, False, None, True, None, False, [env]))
+        for cand, env in cells
+    ]
 
     def _verdicts(outcome):
         return [
@@ -331,22 +347,13 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
             for i in range(len(cells))
         ]
 
-    wait_all = {"accept": lambda _r: False, "wall_time": 300.0}
-
-    forked_verdicts = []
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        outcome = run_portfolio(_tasks(_verify_candidate_task), **wait_all)
-        forked_verdicts.append(_verdicts(outcome))
-    forked_s = time.perf_counter() - t0
+    forked_s, forked_verdicts = _cold_pool_rounds(tasks, rounds, _verdicts)
 
     pooled_verdicts = []
     t0 = time.perf_counter()
     with WorkerPool(size=2) as pool:
         for _ in range(rounds):
-            outcome = pool.run_batch(
-                _tasks(_pooled_verify_candidate_task), **wait_all
-            )
+            outcome = pool.run_batch(tasks, **_WAIT_ALL)
             pooled_verdicts.append(_verdicts(outcome))
     pooled_s = time.perf_counter() - t0
 
@@ -366,30 +373,26 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
 
 
 def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
-    """Pooled vs fork-per-batch dispatch on a repeated verification load.
+    """Persistent vs cold-pool dispatch on a repeated verification load.
 
     Both sides run the *same* ``rounds`` batches over the same
     candidates with no query cache, so the only difference is dispatch:
-    ``run_portfolio`` pays a fresh fork + base-network encode per task
-    per batch, the :class:`WorkerPool` pays it once per worker and then
-    serves warm incremental verifiers.  Pool start-up and shutdown are
+    a cold pool started and stopped per batch (``forked_s``) pays a
+    fresh fork + base-network encode per task per batch, the persistent
+    :class:`WorkerPool` pays it once per worker and then serves warm
+    incremental verifiers.  Pool start-up and shutdown are
     inside the pooled timing — the speedup is the amortized one a
     long-lived ``ccmatic serve`` actually delivers.
     """
-    from repro.engine.portfolio import (
-        _pooled_verify_candidate_task,
-        _verify_candidate_task,
-        run_portfolio,
-    )
+    from repro.engine.portfolio import _pooled_verify_candidate_task
     from repro.service import WorkerPool
 
     precision = Fraction(1, 8)
-
-    def _tasks(fn):
-        return [
-            (fn, (cfg, precision, cand, False, None, True, None, False))
-            for cand in candidates
-        ]
+    tasks = [
+        (_pooled_verify_candidate_task,
+         (cfg, precision, cand, False, None, True, None, False))
+        for cand in candidates
+    ]
 
     def _verdicts(outcome):
         return [
@@ -397,22 +400,13 @@ def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
             for i in range(len(candidates))
         ]
 
-    wait_all = {"accept": lambda _r: False, "wall_time": 300.0}
-
-    forked_verdicts = []
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        outcome = run_portfolio(_tasks(_verify_candidate_task), **wait_all)
-        forked_verdicts.append(_verdicts(outcome))
-    forked_s = time.perf_counter() - t0
+    forked_s, forked_verdicts = _cold_pool_rounds(tasks, rounds, _verdicts)
 
     pooled_verdicts = []
     t0 = time.perf_counter()
     with WorkerPool(size=len(candidates)) as pool:
         for _ in range(rounds):
-            outcome = pool.run_batch(
-                _tasks(_pooled_verify_candidate_task), **wait_all
-            )
+            outcome = pool.run_batch(tasks, **_WAIT_ALL)
             pooled_verdicts.append(_verdicts(outcome))
         stats = pool.stats.to_json()
     pooled_s = time.perf_counter() - t0

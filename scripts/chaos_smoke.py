@@ -9,6 +9,8 @@ Four phases, one deterministic seed:
    jittered retries, never crash, never claim "verified".
 2. **calm** — the same call with the injector disarmed must verify the
    candidate and carry an independently checked UNSAT certificate.
+   Each phase gets its own worker pool: a worker forked while the
+   faults are installed inherits them.
 3. **chaos synthesis** — a full certified synthesis run with bitflips on
    cache reads, ENOSPC on cache writes, and stalls on checkpoint writes.
    Corrupt cache entries are quarantined, failed cache writes ignored,
@@ -43,7 +45,8 @@ from repro.runtime import (  # noqa: E402
     resume_synthesis,
     run_synthesis,
 )
-from repro.runtime.workers import IsolatedVerifier, WorkerLimits  # noqa: E402
+from repro.engine import PortfolioVerifier, verifier_pool  # noqa: E402
+from repro.runtime.workers import WorkerLimits  # noqa: E402
 
 
 def fail(msg: str) -> int:
@@ -54,15 +57,18 @@ def fail(msg: str) -> int:
 def phase_storm_and_calm(cfg: ModelConfig, seed: int) -> int:
     """Worker fault storm -> honest unknown; calm -> certified verdict."""
     candidate = rocc(cfg.history)
-    verifier = IsolatedVerifier(
-        cfg,
-        limits=WorkerLimits(wall_time=120.0, retries=2, backoff_cap=0.5),
-        certify=True,
-        retry_seed=seed,
-    )
+    limits = WorkerLimits(wall_time=120.0, retries=2, backoff_cap=0.5)
+
+    def verify_once():
+        with verifier_pool(1, limits) as pool:
+            verifier = PortfolioVerifier(
+                cfg, pool, limits=limits, certify=True, retry_seed=seed
+            )
+            return verifier, verifier.find_counterexample(candidate)
+
     install(ChaosConfig(seed=seed, specs=(FaultSpec("worker.child", "oom"),)))
     try:
-        res = verifier.find_counterexample(candidate)
+        verifier, res = verify_once()
     finally:
         uninstall()
     if not (res.unknown and res.degraded and not res.verified):
@@ -71,7 +77,7 @@ def phase_storm_and_calm(cfg: ModelConfig, seed: int) -> int:
         return fail(f"expected 3 worker kills in the storm, saw {verifier.kills}")
     print(f"[chaos-smoke] storm: {verifier.kills} worker OOMs -> honest unknown")
 
-    res = verifier.find_counterexample(candidate)
+    _, res = verify_once()
     if not (res.verified and res.certified and res.certificate.checked):
         return fail(f"calm run should be certified, got {res}")
     print(

@@ -31,6 +31,7 @@ Run from the repository root (the seed keys the whole storm):
 
 from __future__ import annotations
 
+import http.client
 import os
 import re
 import signal
@@ -297,8 +298,8 @@ def phase_shed(client: ServiceClient, seed: int) -> int:
                 shed = exc
                 break
             # chaos rewrote the response (503) or tore it: try again
-        except OSError:
-            pass  # chaos reset the connection: try again
+        except (OSError, http.client.HTTPException):
+            pass  # chaos reset the connection or tore the body: try again
         else:
             # a slot freed up and the job landed: park it and refill
             parked.append(accepted["job_id"])

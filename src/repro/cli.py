@@ -40,8 +40,8 @@ with a different transport.
 
 ``synthesize`` runs under the fault-tolerant runtime
 (:mod:`repro.runtime`): ``--checkpoint`` persists crash-safe state every
-iteration, ``--isolate`` runs solver calls in resource-capped workers
-(``--solver-timeout``, ``--solver-mem-mb``), and degradations are
+iteration, ``--isolate`` runs solver calls on a one-worker pool under
+resource caps (``--solver-timeout``, ``--solver-mem-mb``), and degradations are
 reported at the end of the run.
 
 Global observability flags (accepted before or after the subcommand):
@@ -138,15 +138,18 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     )
     g.add_argument(
         "--isolate", action="store_true",
-        help="run each solver call in an isolated, resource-capped worker",
+        help="run each solver call out of process on a one-worker pool "
+             "(resource-capped; the warm worker is reused across calls "
+             "and recycled after a task quota)",
     )
     g.add_argument(
         "--solver-timeout", type=_positive_float, default=60.0,
-        metavar="SECONDS", help="per-call wall-clock cap for --isolate workers",
+        metavar="SECONDS",
+        help="per-call wall-clock cap for --isolate/--jobs workers",
     )
     g.add_argument(
         "--solver-mem-mb", type=_positive_int, default=None,
-        metavar="MIB", help="per-worker memory cap for --isolate workers",
+        metavar="MIB", help="per-worker memory cap for --isolate/--jobs workers",
     )
     g.add_argument(
         "--cross-check", action="store_true",
@@ -171,9 +174,9 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("performance")
     g.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
-        help="portfolio width: verify N candidates concurrently in "
-             "isolated workers; the first conclusive verdict wins the "
-             "round (default: 1, sequential)",
+        help="portfolio width: verify N candidates concurrently on a "
+             "pool of N resource-capped workers; the first conclusive "
+             "verdict wins the round (default: 1, sequential)",
     )
     g.add_argument(
         "--cache-dir", metavar="PATH", default=None,
@@ -183,7 +186,8 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--incremental", action="store_true",
         help="keep one incremental solver session across verifier calls "
-             "(in-process verifier only; implied off under --isolate/--jobs)",
+             "(in-process verifier only; --isolate/--jobs workers keep "
+             "their own warm session)",
     )
     _add_pipeline_arg(g)
 

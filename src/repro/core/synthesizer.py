@@ -126,24 +126,32 @@ def synthesize(
     """Run the CEGIS loop for a query.
 
     ``verifier`` substitutes the default (any
-    :class:`repro.cegis.Verifier`; the fault-tolerant runtime passes an
-    isolated and/or resilient wrapper); ``checkpoint`` enables
+    :class:`repro.cegis.Verifier`; the fault-tolerant runtime passes a
+    pooled and/or resilient wrapper); ``checkpoint`` enables
     per-iteration crash-safe state persistence (see
     :mod:`repro.runtime.checkpoint`).  With ``query.jobs > 1`` and no
     explicit verifier, a :class:`repro.engine.PortfolioVerifier` races
-    batches of candidates across worker processes.
+    batches of candidates on a worker pool of ``jobs`` lanes, started
+    here and stopped before returning.
     """
+    if verifier is None and query.jobs > 1:
+        from ..engine import PortfolioVerifier, verifier_pool
+        from ..runtime.workers import WorkerLimits
+
+        limits = WorkerLimits()
+        with verifier_pool(query.jobs, limits) as pool:
+            return synthesize(
+                query,
+                verifier=PortfolioVerifier(
+                    query.cfg, pool, limits=limits,
+                    environments=query.environments,
+                ),
+                checkpoint=checkpoint,
+            )
     start = time.perf_counter()
     generator = make_generator(query)
     if verifier is None:
-        if query.jobs > 1:
-            from ..engine import PortfolioVerifier
-
-            verifier = PortfolioVerifier(
-                query.cfg, jobs=query.jobs, environments=query.environments
-            )
-        else:
-            verifier = CcacVerifier(query.cfg, environments=query.environments)
+        verifier = CcacVerifier(query.cfg, environments=query.environments)
     options = CegisOptions(
         worst_case_cex=query.worst_case_cex,
         find_all=query.find_all,

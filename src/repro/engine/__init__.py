@@ -4,8 +4,8 @@ This package is the "runs as fast as the hardware allows" layer on top
 of the CEGIS + SMT stack.  Three independent multipliers compose:
 
 * **Portfolio parallelism** (:mod:`~repro.engine.portfolio`) — a batch
-  of candidate CCAs is verified concurrently in isolated worker
-  processes; the first conclusive verdict (counterexample or proof)
+  of candidate CCAs is verified concurrently on a persistent worker
+  pool; the first conclusive verdict (counterexample or proof)
   wins the round and the losers are cancelled.  Enabled with
   ``SynthesisQuery(jobs=N)`` / ``ccmatic synthesize --jobs N``.
 * **Incremental sessions** (:class:`repro.smt.SolverSession`) — the
@@ -26,7 +26,7 @@ portfolio activity as ``engine.portfolio.*`` counters and
 
 from ..smt.session import SessionStats, SolverSession
 from .cache import CACHE_VERSION, QueryCache
-from .portfolio import PortfolioOutcome, PortfolioVerifier, run_portfolio
+from .portfolio import PortfolioOutcome, PortfolioVerifier, verifier_pool
 
 __all__ = [
     "CACHE_VERSION",
@@ -35,5 +35,5 @@ __all__ = [
     "QueryCache",
     "SessionStats",
     "SolverSession",
-    "run_portfolio",
+    "verifier_pool",
 ]

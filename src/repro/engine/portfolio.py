@@ -2,13 +2,20 @@
 
 The CEGIS loop spends nearly all wall-clock time inside verifier SMT
 checks, and a single check pins one core.  A *portfolio* round evaluates
-several candidate CCAs concurrently in isolated worker processes
-(reusing the :mod:`repro.runtime.workers` spawn/cap machinery) and
-cancels the losers the moment one worker returns a *conclusive* result —
-a counterexample to feed the generator, or a verified candidate.  This
-is the CC-Fuzz observation (Ray & Seshan 2022) applied to synthesis:
-stress-search over CCA behaviours scales near-linearly with workers
-because any one discovered trace advances the loop.
+several candidate CCAs concurrently on a persistent
+:class:`repro.service.pool.WorkerPool` and cancels the losers the moment
+one worker returns a *conclusive* result — a counterexample to feed the
+generator, or a verified candidate.  This is the CC-Fuzz observation
+(Ray & Seshan 2022) applied to synthesis: stress-search over CCA
+behaviours scales near-linearly with workers because any one discovered
+trace advances the loop.
+
+:class:`PortfolioVerifier` is the one out-of-process verifier: a pool of
+one is ``--isolate`` (every call out of process, under the
+:class:`~repro.runtime.workers.WorkerLimits` caps), a pool of ``jobs``
+lanes is the ``--jobs N`` race.  Killed workers walk an escalation
+ladder — retried with a grown budget after a seeded full-jitter backoff
+— and finally degrade to an honest ``unknown``.
 
 Cancellation is safe for soundness: a cancelled worker's verdict is
 simply never used, and candidates whose verification was cancelled stay
@@ -19,19 +26,22 @@ cancelled — aborts the whole round and propagates.
 
 from __future__ import annotations
 
+import contextlib
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing.connection import wait as _wait_connections
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional
 
-from ..obs import DEBUG, metrics, tracer
+from ..chaos.supervisor import full_jitter_backoff
+from ..obs import DEBUG, WARN, metrics, tracer
 from ..obs.flight import dump_flight
-from ..obs.relay import TraceContext, drain_telemetry, merge_frame
-from ..runtime.errors import SoundnessError, WorkerError
-from ..runtime.workers import WorkerLimits, WorkerReport, reap_worker, spawn_worker
+from ..runtime.workers import WorkerLimits, WorkerReport
 
-__all__ = ["PortfolioOutcome", "PortfolioVerifier", "run_portfolio"]
+__all__ = ["PortfolioOutcome", "PortfolioVerifier", "verifier_pool"]
+
+#: report statuses that mean the worker was killed (not a verdict)
+_KILLED = ("timeout", "oom", "crash")
 
 
 @dataclass
@@ -47,173 +57,32 @@ class PortfolioOutcome:
     #: per-index reports for tasks that finished on their own
     reports: dict[int, WorkerReport] = field(default_factory=dict)
     wall_time: float = 0.0
-    #: telemetry frames received per task index (merged by run_portfolio;
+    #: telemetry frames received per task index (merged by the pool;
     #: kept for callers that want per-worker attribution)
     telemetry: dict[int, list] = field(default_factory=dict)
 
 
-def run_portfolio(
-    tasks: Sequence[tuple],
-    *,
-    accept: Optional[Callable[[Any], bool]] = None,
-    wall_time: Optional[float] = None,
-    memory_mb: Optional[int] = None,
-    kill_grace: float = 1.0,
-) -> PortfolioOutcome:
-    """Race ``tasks`` (``(fn, args)`` or ``(fn, args, kwargs)`` tuples)
-    in parallel isolated workers; first accepted result wins.
+def verifier_pool(size: int, limits: WorkerLimits, pool=None):
+    """Context manager yielding the pool a :class:`PortfolioVerifier`
+    runs on.
 
-    ``accept(result)`` decides whether a completed result ends the race
-    (default: any ok result does).  Losers are terminated immediately —
-    SIGTERM, then SIGKILL after ``kill_grace`` — and *joined* before
-    returning, so no zombie workers outlive the call.  ``wall_time``
-    bounds the whole race; on expiry every still-running worker is
-    killed and reported with status ``timeout``.
-
-    Raises :class:`SoundnessError` if any worker reports one (soundness
-    is never racy), and :class:`WorkerError` if every task errored.
+    An injected ``pool`` (the service's) is yielded as is and left
+    running.  Otherwise a fresh :class:`~repro.service.pool.WorkerPool`
+    of ``size`` lanes is started, capped by ``limits``, and shut down on
+    exit.  Its crash re-queue is off: the verifier's escalation ladder
+    already retries killed calls, and the two must not multiply.
     """
-    accept = accept or (lambda _result: True)
-    tr = tracer()
-    start = time.perf_counter()
-    deadline = None if wall_time is None else start + wall_time
-    workers: dict[int, tuple] = {}  # index -> (proc, conn)
-    outcome = PortfolioOutcome(winner=None, result=None, cancelled=[])
-    with tr.span("engine.portfolio.race", size=len(tasks)) as race:
-        anchor = getattr(race, "span_id", None)
-        anchor_depth = getattr(race, "depth", 0)
-        try:
-            for i, task in enumerate(tasks):
-                fn, args = task[0], task[1]
-                kwargs = task[2] if len(task) > 2 else None
-                workers[i] = spawn_worker(
-                    fn, args, kwargs, memory_mb,
-                    trace_ctx=TraceContext(
-                        trace_id=tr.trace_id,
-                        parent_span=anchor,
-                        worker_id=f"w{i}",
-                    ),
-                )
-            pending = dict(workers)
-            while pending and outcome.winner is None:
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - time.perf_counter()
-                    if timeout <= 0:
-                        break
-                conns = {conn: i for i, (_p, conn) in pending.items()}
-                ready = _wait_connections(list(conns), timeout=timeout)
-                if not ready:
-                    break  # race-level timeout
-                for conn in ready:
-                    i = conns[conn]
-                    proc, _ = pending[i]
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        msg = ("crash", f"worker died with exit code {proc.exitcode}")
-                    if (
-                        isinstance(msg, tuple) and len(msg) == 2
-                        and msg[0] == "telemetry"
-                    ):
-                        # the final status message follows on this pipe;
-                        # leave the worker pending until it arrives
-                        outcome.telemetry.setdefault(i, []).append(msg[1])
-                        continue
-                    pending.pop(i)
-                    status, payload = msg
-                    if status == "soundness":
-                        # merge what already arrived so the black box
-                        # carries the offending worker's final spans
-                        for frames in outcome.telemetry.values():
-                            for frame in frames:
-                                merge_frame(
-                                    frame, anchor_span=anchor,
-                                    anchor_depth=anchor_depth,
-                                )
-                        outcome.telemetry.clear()
-                        dump_flight("soundness")
-                        raise SoundnessError(payload)
-                    if status == "ok":
-                        report = WorkerReport(
-                            status="ok", result=payload,
-                            wall_time=time.perf_counter() - start,
-                        )
-                        outcome.reports[i] = report
-                        if accept(payload):
-                            outcome.winner = i
-                            outcome.result = payload
-                            break
-                    else:
-                        outcome.reports[i] = WorkerReport(
-                            status=status, detail=str(payload),
-                            wall_time=time.perf_counter() - start,
-                        )
-            # anything still pending lost the race (or hit the deadline);
-            # a loser that finished just after the winner may have its
-            # telemetry sitting in the pipe — keep it, drop its verdict
-            for i, (proc, conn) in pending.items():
-                drain_telemetry(conn, outcome.telemetry.setdefault(i, []))
-                if not outcome.telemetry[i]:
-                    del outcome.telemetry[i]
-                if outcome.winner is not None:
-                    outcome.cancelled.append(i)
-                else:
-                    outcome.reports[i] = WorkerReport(
-                        status="timeout",
-                        detail=f"portfolio race exceeded {wall_time:.1f}s" if wall_time else "timeout",
-                    )
-        finally:
-            for proc, conn in workers.values():
-                reap_worker(proc, conn, kill_grace)
-        for i, frames in sorted(outcome.telemetry.items()):
-            for frame in frames:
-                merge_frame(frame, anchor_span=anchor, anchor_depth=anchor_depth)
-        race.set(
-            winner=outcome.winner,
-            relayed=sum(len(f) for f in outcome.telemetry.values()),
-        )
-    outcome.cancelled.sort()
-    outcome.wall_time = time.perf_counter() - start
-    if outcome.winner is None and outcome.reports and all(
-        r.status == "error" for r in outcome.reports.values()
-    ):
-        raise WorkerError(
-            "; ".join(r.detail for r in outcome.reports.values())
-        )
-    return outcome
+    if pool is not None:
+        return contextlib.nullcontext(pool)
+    from ..service.pool import WorkerPool
+
+    return WorkerPool(
+        size, memory_mb=limits.memory_mb, kill_grace=limits.kill_grace,
+        retries=0,
+    )
 
 
 # -- the portfolio CCAC verifier ---------------------------------------------
-
-
-def _verify_candidate_task(
-    cfg, precision, candidate, worst_case, time_limit, validate, cache_dir,
-    certify=False, environments=None,
-):
-    """Runs inside a worker: one fresh verifier, one candidate.
-
-    ``cache_dir`` (when set) plugs a shared on-disk
-    :class:`~repro.engine.cache.QueryCache` into the verifier, so
-    concurrent workers pool their conclusive subquery verdicts.
-    ``certify`` makes the worker's verifier proof-producing; the result
-    carries a picklable certificate summary back across the pipe.
-    ``environments`` restricts the worker to one cell of the environment
-    matrix (the parent races the full candidates × environments grid and
-    aggregates per-environment verdicts).
-    """
-    from ..core.verifier import CcacVerifier
-    from .cache import QueryCache
-
-    cache = QueryCache(cache_dir) if cache_dir else None
-    verifier = CcacVerifier(
-        cfg, wce_precision=precision, validate=validate, cache=cache,
-        certify=certify, environments=environments,
-    )
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
-    return verifier.find_counterexample(
-        candidate, worst_case=worst_case, deadline=deadline
-    )
 
 
 #: per-process warm state for pooled workers: one incremental verifier,
@@ -230,8 +99,7 @@ def _pooled_verify_candidate_task(
 ):
     """Runs inside a *persistent* pool worker: warm verifier, one candidate.
 
-    Unlike :func:`_verify_candidate_task` (fresh process, fresh verifier)
-    this keeps one incremental :class:`~repro.core.verifier.CcacVerifier`
+    Keeps one incremental :class:`~repro.core.verifier.CcacVerifier`
     alive in ``_WORKER_STATE`` across tasks — the base CCAC encoding is
     asserted once and candidates come and go in push/pop scopes, learned
     clauses carrying over.  Soundness: any abnormal exit (cancellation
@@ -278,19 +146,11 @@ def _pooled_verify_candidate_task(
         raise
 
 
-def _conclusive(result) -> bool:
-    """Does this verification result advance the CEGIS loop?"""
-    return bool(
-        getattr(result, "verified", False)
-        or getattr(result, "counterexample", None) is not None
-    )
-
-
 class PortfolioVerifier:
-    """Batch-capable verifier racing candidates across worker processes.
+    """Batch-capable verifier racing candidates across pool workers.
 
     Implements both :class:`repro.cegis.interfaces.Verifier` (single
-    candidate, one isolated worker) and
+    candidate: a batch of one) and
     :class:`repro.cegis.interfaces.BatchVerifier`
     (:meth:`verify_batch`: race a batch, first conclusive verdict wins,
     losers cancelled).  ``cache_dir`` gives every worker a shared
@@ -299,51 +159,58 @@ class PortfolioVerifier:
     ``pool`` (duck-typed: anything with
     ``run_batch(tasks, accept=, wall_time=)`` returning a
     :class:`PortfolioOutcome`, normally a
-    :class:`repro.service.pool.WorkerPool`) switches dispatch from
-    fork-per-batch to the persistent pool: tasks use
-    :func:`_pooled_verify_candidate_task`, whose warm incremental
-    verifier amortizes encoding/compile/learned-clause work across
-    batches.  The pool's lifecycle belongs to the caller — this class
-    never starts or shuts it down.
+    :class:`repro.service.pool.WorkerPool`; see :func:`verifier_pool`)
+    runs every task as :func:`_pooled_verify_candidate_task`, whose warm
+    incremental verifier amortizes encoding/compile/learned-clause work
+    across batches.  The pool's lifecycle belongs to the caller — this
+    class never starts or shuts it down.
+
+    A round in which workers were killed (watchdog timeout, OOM, crash)
+    and nobody was conclusive is retried under ``limits``: the budget
+    grows by :meth:`WorkerLimits.budget`, attempts are spaced by a
+    full-jitter backoff seeded by ``retry_seed`` (chaos runs replay the
+    same schedule), and every kill emits a ``runtime.degrade`` event of
+    kind ``worker_killed``.  Once the retries are spent the flight
+    recorder is dumped (``worker-escalation``) and the call returns a
+    degraded unknown.
     """
+
+    #: hard watchdog headroom over the in-worker soft deadline
+    WATCHDOG_SLACK = 1.25
 
     def __init__(
         self,
         cfg,
-        jobs: int = 2,
+        pool,
         wce_precision: Fraction = Fraction(1, 8),
         limits: WorkerLimits = WorkerLimits(),
         validate: bool = True,
         cache_dir: Optional[str] = None,
         certify: bool = False,
-        pool=None,
         environments=None,
+        retry_seed: Optional[int] = None,
     ):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1 (got {jobs})")
         self.cfg = cfg
-        self.jobs = jobs
+        self.pool = pool
         self.wce_precision = Fraction(wce_precision)
         self.limits = limits
         self.validate = validate
         self.cache_dir = cache_dir
         self.certify = certify
-        self.pool = pool
         self.environments = (
             tuple(environments) if environments is not None else None
         )
         self.calls = 0
         self.rounds = 0
         self.cancelled = 0
+        self.kills = 0
         self.total_time = 0.0
         self.degradations: list[dict] = []
+        self._retry_rng = random.Random(retry_seed)
 
-    def _task(
-        self, candidate, worst_case: bool, budget: Optional[float], env=None
-    ):
+    def _task(self, candidate, worst_case: bool, budget: float, env):
         return (
-            _pooled_verify_candidate_task if self.pool is not None
-            else _verify_candidate_task,
+            _pooled_verify_candidate_task,
             (
                 self.cfg,
                 self.wce_precision,
@@ -357,17 +224,6 @@ class PortfolioVerifier:
             ),
         )
 
-    def _budget(self, deadline: Optional[float]) -> tuple[Optional[float], Optional[float]]:
-        """(soft in-worker budget, hard watchdog) for one round."""
-        budget = self.limits.wall_time
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return None, None
-            budget = min(budget, remaining)
-        watchdog = budget * 1.25 + self.limits.kill_grace
-        return budget, watchdog
-
     def verify_batch(self, candidates, worst_case: bool = False, deadline=None):
         """Race ``candidates``; returns a
         :class:`repro.cegis.interfaces.BatchVerdict`.
@@ -375,8 +231,9 @@ class PortfolioVerifier:
         The verdict's winner is the first worker to return a conclusive
         result (counterexample found or candidate verified); the rest
         are cancelled and their candidates stay un-judged.  When no
-        worker is conclusive (all unknown / killed / expired) the
-        verdict has ``winner=None`` and a degraded unknown result.
+        worker is conclusive the verdict has ``winner=None`` and an
+        unknown result — degraded when workers were killed, or when the
+        deadline left no time to run at all.
 
         With an environment matrix the race runs over the
         candidates × environments grid (one single-environment worker
@@ -393,20 +250,23 @@ class PortfolioVerifier:
 
         start = time.perf_counter()
         candidates = list(candidates)
-        self.rounds += 1
         self.calls += len(candidates)
-        budget, watchdog = self._budget(deadline)
-        tr = tracer()
-        envs = self.environments
-        n_envs = len(envs) if envs else 1
-        if envs:
-            tasks = [
-                self._task(c, worst_case, budget, env)
-                for c in candidates
-                for env in envs
-            ]
-            # aggregation state lives in the parent (accept runs there):
-            # candidate key -> per-environment verified results seen so far
+        envs = self.environments or (None,)
+        cells = [(c, env) for c in candidates for env in envs]
+        limits = self.limits
+        attempts = max(0, limits.retries) + 1
+        outcome = None
+        killed: list[WorkerReport] = []
+        for attempt in range(attempts):
+            budget = limits.budget(attempt)
+            if deadline is not None:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    break
+                budget = min(budget, remaining)
+            # per round: a candidate is verified only by n_envs UNSAT
+            # cells of the *same* round, never pieced together across
+            # retries
             verified_runs: dict = {}
 
             def accept(result):
@@ -417,104 +277,143 @@ class PortfolioVerifier:
                         result.candidate.key(), []
                     )
                     bucket.append(result)
-                    return len(bucket) == n_envs
+                    return len(bucket) == len(envs)
                 return False
-        else:
-            tasks = [self._task(c, worst_case, budget) for c in candidates]
-            accept = _conclusive
-        if budget is None:
-            outcome = PortfolioOutcome(winner=None, result=None, cancelled=[])
-        elif self.pool is not None:
+
             outcome = self.pool.run_batch(
-                tasks, accept=accept, wall_time=watchdog,
-            )
-        else:
-            outcome = run_portfolio(
-                tasks,
+                [self._task(c, worst_case, budget, env) for c, env in cells],
                 accept=accept,
-                wall_time=watchdog,
-                memory_mb=self.limits.memory_mb,
-                kill_grace=self.limits.kill_grace,
+                wall_time=budget * self.WATCHDOG_SLACK + limits.kill_grace,
             )
-        self.cancelled += len(outcome.cancelled)
-        self.total_time += time.perf_counter() - start
-        reg = metrics()
-        reg.counter("engine.portfolio.rounds").inc()
-        reg.counter("engine.portfolio.launched").inc(len(candidates))
-        reg.counter("engine.portfolio.cancelled").inc(len(outcome.cancelled))
-        for report in outcome.reports.values():
-            if report.status not in ("ok",):
-                self.degradations.append(
-                    {
-                        "kind": "portfolio_worker_lost",
-                        "status": report.status,
-                        "detail": report.detail,
-                    }
+            self._record_round(len(candidates), outcome)
+            killed = [
+                r for r in outcome.reports.values() if r.status in _KILLED
+            ]
+            if outcome.winner is not None:
+                next_step = "race won elsewhere"
+            else:
+                next_step = "retrying" if attempt + 1 < attempts else "unknown"
+            for report in killed:
+                self._record_kill(report, attempt, attempts, budget, next_step)
+            if outcome.winner is not None:
+                self.total_time += time.perf_counter() - start
+                return BatchVerdict(
+                    winner=outcome.winner // len(envs),
+                    result=self._winning_result(
+                        outcome.result, verified_runs, len(envs)
+                    ),
+                    launched=len(candidates),
+                    cancelled=len(outcome.cancelled),
                 )
-                reg.counter("runtime.worker_kills").inc()
-        if tr.enabled:
-            tr.event(
-                "engine.portfolio.round",
-                level=DEBUG,
-                size=len(candidates),
-                winner=outcome.winner,
-                cancelled=len(outcome.cancelled),
-                wall_time=round(outcome.wall_time, 4),
+            if not killed:
+                break
+            if attempt + 1 < attempts:
+                # full-jitter backoff: a fanned-out bad query must not
+                # stampede back in lockstep; never sleeps past the
+                # caller's deadline
+                delay = full_jitter_backoff(
+                    limits.backoff_base, attempt, cap=limits.backoff_cap,
+                    rng=self._retry_rng,
+                )
+                if deadline is not None:
+                    delay = min(delay, max(0.0, deadline - time.perf_counter()))
+                if delay > 0:
+                    time.sleep(delay)
+        elapsed = time.perf_counter() - start
+        self.total_time += elapsed
+        if killed:
+            # every retry was killed: the escalation ladder is exhausted
+            # and the run degrades — preserve the black box
+            dump_flight("worker-escalation")
+        single = outcome is not None and len(cells) == 1
+        report = outcome.reports.get(0) if single else None
+        if report is not None and report.ok:
+            # an in-worker soft-deadline expiry is a plain unknown, not a
+            # kill: return it as-is and let the caller's policy decide
+            result = report.result
+        else:
+            result = VerificationResult(
+                candidate=candidates[0],
+                verified=False,
+                counterexample=None,
+                wall_time=elapsed,
+                solver_checks=0,
+                unknown=True,
+                degraded=outcome is None or bool(killed),
             )
-        if outcome.winner is not None:
-            result = outcome.result
-            winner = outcome.winner
-            if envs:
-                # grid indices are candidate-major; translate back to the
-                # batch index the CEGIS loop addresses candidates by
-                winner = outcome.winner // n_envs
-                if getattr(result, "verified", False):
-                    runs = verified_runs.get(
-                        result.candidate.key(), [result]
-                    )
-                    certified = len(runs) == n_envs and all(
-                        r.certified for r in runs
-                    )
-                    result = VerificationResult(
-                        candidate=result.candidate,
-                        verified=True,
-                        counterexample=None,
-                        wall_time=max(r.wall_time for r in runs),
-                        solver_checks=sum(r.solver_checks for r in runs),
-                        certified=certified,
-                        certificate=(
-                            tuple(r.certificate for r in runs)
-                            if certified else None
-                        ),
-                    )
-            return BatchVerdict(
-                winner=winner,
-                result=result,
-                launched=len(candidates),
-                cancelled=len(outcome.cancelled),
-            )
-        # nobody conclusive: honest degraded unknown for the first candidate
-        if outcome.reports and all(
-            r.status in ("timeout", "oom", "crash")
-            for r in outcome.reports.values()
-        ):
-            # the entire round was killed — preserve the black box
-            dump_flight("portfolio-lost")
-        result = VerificationResult(
-            candidate=candidates[0],
-            verified=False,
-            counterexample=None,
-            wall_time=outcome.wall_time,
-            solver_checks=0,
-            unknown=True,
-            degraded=True,
-        )
         return BatchVerdict(
             winner=None,
             result=result,
             launched=len(candidates),
-            cancelled=len(outcome.cancelled),
+            cancelled=0 if outcome is None else len(outcome.cancelled),
         )
+
+    def _winning_result(self, result, verified_runs: dict, n_envs: int):
+        """The winner as the CEGIS loop sees it: a counterexample as is,
+        a verified candidate aggregated over every environment cell."""
+        if n_envs == 1 or not getattr(result, "verified", False):
+            return result
+        from ..core.verifier import VerificationResult
+
+        runs = verified_runs[result.candidate.key()]
+        certified = all(r.certified for r in runs)
+        return VerificationResult(
+            candidate=result.candidate,
+            verified=True,
+            counterexample=None,
+            wall_time=max(r.wall_time for r in runs),
+            solver_checks=sum(r.solver_checks for r in runs),
+            certified=certified,
+            certificate=(
+                tuple(r.certificate for r in runs) if certified else None
+            ),
+        )
+
+    def _record_round(self, size: int, outcome: PortfolioOutcome) -> None:
+        self.rounds += 1
+        self.cancelled += len(outcome.cancelled)
+        reg = metrics()
+        reg.counter("engine.portfolio.rounds").inc()
+        reg.counter("engine.portfolio.launched").inc(size)
+        reg.counter("engine.portfolio.cancelled").inc(len(outcome.cancelled))
+        tr = tracer()
+        if tr.enabled:
+            tr.event(
+                "engine.portfolio.round",
+                level=DEBUG,
+                size=size,
+                winner=outcome.winner,
+                cancelled=len(outcome.cancelled),
+                wall_time=round(outcome.wall_time, 4),
+            )
+
+    def _record_kill(
+        self, report: WorkerReport, attempt: int, attempts: int,
+        budget: float, next_step: str,
+    ) -> None:
+        self.kills += 1
+        event = {
+            "kind": "worker_killed",
+            "status": report.status,
+            "attempt": attempt + 1,
+            "attempts": attempts,
+            "budget": round(budget, 3),
+            "detail": report.detail,
+        }
+        self.degradations.append(event)
+        metrics().counter("runtime.worker_kills").inc()
+        tr = tracer()
+        if tr.enabled:
+            tr.event(
+                "runtime.degrade",
+                level=WARN,
+                msg=(
+                    f"[runtime] solver worker {report.status} "
+                    f"(attempt {attempt + 1}/{attempts}, "
+                    f"budget {budget:.1f}s) -> {next_step}"
+                ),
+                **event,
+            )
 
     def find_counterexample(self, candidate, worst_case: bool = False, deadline=None):
         """Single-candidate path (a batch of one, same isolation)."""

@@ -1,21 +1,22 @@
 """Cross-process telemetry relay: worker spans and metric deltas, merged.
 
-The portfolio and isolation layers fork workers whose tracer records and
-metric increments used to die with the child: the parent saw only the
-``("ok", result)`` verdict, so ``ccmatic report`` on a ``--jobs N`` run
-could not attribute most of the wall clock.  This module closes the gap:
+Pool workers (:mod:`repro.service.pool`) are forked processes whose
+tracer records and metric increments would otherwise die with the
+child: the parent would see only the ``("ok", result)`` verdict, so
+``ccmatic report`` on a ``--jobs N`` run could not attribute most of the
+wall clock.  This module closes the gap:
 
-* **Child side** — :func:`start_capture` (called from the worker
-  bootstrap) detaches every sink inherited across ``fork`` (see
-  :func:`detach_inherited_sinks` — a forked child shares the parent's
-  open trace *file description*, so writing or even exit-flushing from
-  both interleaves records mid-line), attaches an in-memory
-  :class:`BufferSink`, and snapshots the metrics registry.  When the
-  task finishes, :meth:`TelemetryCapture.finish` produces one structured
-  *telemetry frame*: the buffered span/event records plus the counter
-  and histogram *deltas* accrued while the task ran.  The worker ships
-  the frame over the existing result pipe as a ``("telemetry", frame)``
-  message just before its final status message.
+* **Child side** — at boot, :func:`reset_child_tracing` detaches every
+  sink inherited across ``fork`` (see :func:`detach_inherited_sinks` —
+  a forked child shares the parent's open trace *file description*, so
+  writing or even exit-flushing from both interleaves records
+  mid-line).  Each task then runs under a :class:`TelemetryCapture`: an
+  in-memory :class:`BufferSink` plus a snapshot of the metrics registry.
+  When the task finishes, :meth:`TelemetryCapture.finish` produces one
+  structured *telemetry frame*: the buffered span/event records plus the
+  counter and histogram *deltas* accrued while the task ran.  The worker
+  ships the frame over its pipe as a ``("telemetry", frame)`` message
+  just before the task's final status message.
 
 * **Parent side** — :func:`merge_frame` folds a received frame back into
   the parent's tracer and registry: span ids are re-numbered through
@@ -47,7 +48,6 @@ __all__ = [
     "detach_inherited_sinks",
     "merge_frame",
     "reset_child_tracing",
-    "start_capture",
 ]
 
 #: bump when the frame layout changes; a frame with an unknown version
@@ -170,29 +170,14 @@ class TelemetryCapture:
         return frame
 
 
-def start_capture(ctx: Optional[TraceContext]) -> TelemetryCapture:
-    """Worker-child bootstrap: detach inherited sinks, start buffering."""
-    tr = tracer()
-    detach_inherited_sinks(tr)
-    # the fork duplicated the parent's open-span stack into the child;
-    # drop it so the worker's own spans start at depth 0 (the relay
-    # re-anchors them under the launching span when it merges the frame)
-    try:
-        tr._local.stack = []
-    except AttributeError:
-        pass
-    return TelemetryCapture(ctx, tr=tr)
-
-
 def reset_child_tracing(ctx: Optional[TraceContext] = None) -> None:
-    """Pool-worker boot: detach inherited sinks without starting a capture.
+    """Pool-worker boot: neutralize inherited sinks and span stack.
 
     A persistent pool child (see ``runtime.workers._pool_child``) serves
-    many tasks and builds one :class:`TelemetryCapture` *per task*;
-    arming a 20k-record buffer at boot would only ever collect records
-    that belong to no task.  This does the fork-hygiene half of
-    :func:`start_capture` — neutralize inherited sinks, drop the
-    inherited open-span stack — and nothing else.
+    many tasks and builds one :class:`TelemetryCapture` *per task*.  The
+    fork duplicated the parent's open-span stack into the child; it is
+    dropped so the worker's own spans start at depth 0 (the relay
+    re-anchors them under the launching span when it merges the frame).
     """
     tr = tracer()
     detach_inherited_sinks(tr)
@@ -332,19 +317,3 @@ def _reemit_records(
             rec["span"] = remap.get(rec.get("span"), anchor_span)
         tr._emit(rec)
 
-
-def drain_telemetry(conn, frames: list) -> None:
-    """Best-effort: pull any already-sent telemetry frames off a pipe.
-
-    Used for portfolio losers about to be cancelled — a worker that
-    finished just after the winner may have its frame (and unused
-    verdict) sitting in the pipe; the frame is kept, the verdict is
-    discarded.  Never raises, never blocks.
-    """
-    try:
-        while conn.poll(0):
-            msg = conn.recv()
-            if isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "telemetry":
-                frames.append(msg[1])
-    except (EOFError, OSError):
-        pass

@@ -136,7 +136,8 @@ def _aggregate(summary: TraceSummary, rec: dict) -> None:
                 lane.runs += 1
                 lane.busy += dur
             elif name == "runtime.worker":
-                # parent-side lifetime span (isolated verifier attempts)
+                # parent-side lifetime span of a one-shot worker (traces
+                # from before every worker ran on the pool)
                 lane.wall += dur
                 if attrs.get("status") in _KILL_STATUSES:
                     lane.kills += 1

@@ -7,9 +7,12 @@ answer.  This package handles both classes explicitly:
 
 - :mod:`~repro.runtime.checkpoint` — atomic JSON checkpoints of CEGIS
   state; a SIGKILL'd run resumes deterministically (``ccmatic resume``).
-- :mod:`~repro.runtime.workers` — verifier calls in isolated
-  ``multiprocessing`` workers with hard wall-clock and memory caps; a
-  killed worker is an honest ``unknown``, retried with escalated budgets.
+- :mod:`~repro.runtime.workers` — the worker process primitive and its
+  caps (:class:`~repro.runtime.workers.WorkerLimits`): verifier calls
+  run on a :class:`~repro.service.pool.WorkerPool` with hard wall-clock
+  and memory caps; a killed worker is an honest ``unknown``, retried
+  with escalated budgets by
+  :class:`~repro.engine.portfolio.PortfolioVerifier`.
 - :mod:`~repro.runtime.degrade` — the degradation ladder: recorded,
   structured weakenings (worst-case fallback, precision step-down) so a
   stuck run still terminates with a verdict.
@@ -54,7 +57,7 @@ from .validate import (
     validate_counterexample,
     validate_model,
 )
-from .workers import IsolatedVerifier, WorkerLimits, WorkerReport, run_isolated
+from .workers import WorkerLimits, WorkerReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -63,7 +66,6 @@ __all__ = [
     "CheckpointState",
     "CheckpointStore",
     "CrossValidation",
-    "IsolatedVerifier",
     "ResilientVerifier",
     "RuntimeFault",
     "RuntimeOptions",
@@ -82,7 +84,6 @@ __all__ = [
     "evaluate_term",
     "query_fingerprint",
     "resume_synthesis",
-    "run_isolated",
     "run_synthesis",
     "validate_assignment",
     "validate_counterexample",

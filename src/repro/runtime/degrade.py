@@ -59,7 +59,7 @@ class ResilientVerifier:
     shape whose results carry ``unknown``; ``wce_precision`` is stepped on
     the base when it exposes that attribute (both
     :class:`repro.core.CcacVerifier` and
-    :class:`repro.runtime.workers.IsolatedVerifier` do).
+    :class:`repro.engine.portfolio.PortfolioVerifier` do).
     """
 
     def __init__(

@@ -4,7 +4,10 @@
 :func:`repro.core.synthesize` according to :class:`RuntimeOptions`:
 
     CcacVerifier                    (validation always innermost)
-      -> IsolatedVerifier           (optional: worker isolation + caps)
+      -> PortfolioVerifier on a WorkerPool
+                                    (optional: --isolate is a pool of
+                                     one, --jobs N a pool of N; caps,
+                                     kill/retry escalation)
         -> ResilientVerifier        (optional: degradation ladder)
           -> CegisLoop + CheckpointStore (optional: crash-safe state)
 
@@ -36,7 +39,7 @@ from .serialize import (
     encode_trace,
     query_fingerprint,
 )
-from .workers import IsolatedVerifier, WorkerLimits
+from .workers import WorkerLimits
 
 __all__ = [
     "RuntimeOptions",
@@ -52,9 +55,10 @@ class RuntimeOptions:
 
     #: checkpoint file; None disables crash-safe persistence
     checkpoint_path: Optional[str] = None
-    #: run verifier calls in isolated, resource-capped workers
+    #: run verifier calls out of process on a one-worker pool under the
+    #: caps below (the warm worker is reused, recycled after a quota)
     isolate: bool = False
-    #: per-call wall-clock cap for isolated workers, seconds
+    #: per-call wall-clock cap for out-of-process workers, seconds
     solver_timeout: float = 60.0
     #: per-worker address-space cap in MiB (None = unlimited)
     solver_mem_mb: Optional[int] = None
@@ -80,19 +84,20 @@ class RuntimeOptions:
     #: portfolio workers and successive runs pool conclusive verdicts
     cache_dir: Optional[str] = None
     #: keep one incremental solver session across verifier calls
-    #: (in-process verifier only; isolated/portfolio workers are fresh
-    #: per call by design)
+    #: (in-process verifier only; pool workers under isolate/jobs keep
+    #: their own warm incremental verifier regardless)
     incremental: bool = False
     #: produce and independently check an UNSAT proof for every verified
     #: verdict (see :mod:`repro.trust`); a proof that fails to check
     #: raises :class:`~repro.runtime.errors.SoundnessError`
     certify: bool = False
     #: runtime-injected persistent worker pool
-    #: (:class:`repro.service.pool.WorkerPool`); portfolio rounds
-    #: (``jobs > 1``) dispatch to it instead of forking per batch.  Never
-    #: serialized — a pool belongs to the process that started it, and
-    #: its lifecycle stays with that owner (this module never shuts one
-    #: down)
+    #: (:class:`repro.service.pool.WorkerPool`); isolated and portfolio
+    #: calls (``isolate`` or ``jobs > 1``) run on it.  When None, such a
+    #: run starts a pool of its own (one lane, or ``jobs`` lanes) and
+    #: stops it before returning.  Never serialized — a pool belongs to
+    #: the process that started it, and an injected one stays with that
+    #: owner (this module never shuts it down)
     worker_pool: Optional[object] = None
 
 
@@ -112,42 +117,32 @@ def make_checkpoint_store(query, path: str) -> CheckpointStore:
     )
 
 
-def _build_verifier(query, options: RuntimeOptions):
+def _limits(options: RuntimeOptions) -> WorkerLimits:
+    return WorkerLimits(
+        wall_time=options.solver_timeout,
+        memory_mb=options.solver_mem_mb,
+        retries=options.retries,
+    )
+
+
+def _build_verifier(query, options: RuntimeOptions, pool=None):
     """The verifier stack for a run; returns (verifier, parts) where
-    ``parts`` are the layers whose ``degradations`` should be merged."""
+    ``parts`` are the layers whose ``degradations`` should be merged.
+    ``pool`` is set exactly when verifier calls run out of process."""
     from ..core.verifier import CcacVerifier
 
     parts = []
-    jobs = int(getattr(query, "jobs", 1))
     environments = getattr(query, "environments", None)
-    if jobs > 1:
+    if pool is not None:
         from ..engine import PortfolioVerifier
 
         base = PortfolioVerifier(
             query.cfg,
-            jobs=jobs,
+            pool,
             wce_precision=options.wce_precision,
-            limits=WorkerLimits(
-                wall_time=options.solver_timeout,
-                memory_mb=options.solver_mem_mb,
-                retries=options.retries,
-            ),
+            limits=_limits(options),
             validate=options.validate,
             cache_dir=options.cache_dir,
-            certify=options.certify,
-            pool=options.worker_pool,
-            environments=environments,
-        )
-    elif options.isolate:
-        base = IsolatedVerifier(
-            query.cfg,
-            wce_precision=options.wce_precision,
-            limits=WorkerLimits(
-                wall_time=options.solver_timeout,
-                memory_mb=options.solver_mem_mb,
-                retries=options.retries,
-            ),
-            validate=options.validate,
             certify=options.certify,
             environments=environments,
         )
@@ -174,13 +169,29 @@ def _build_verifier(query, options: RuntimeOptions):
     return verifier, parts
 
 
+def _run_pool(query, options: RuntimeOptions):
+    """The pool context of a run: the injected pool, a fresh pool of one
+    (``isolate``) or of ``jobs`` lanes, or None for in-process calls."""
+    from contextlib import nullcontext
+
+    jobs = int(getattr(query, "jobs", 1))
+    if jobs <= 1 and not options.isolate:
+        return nullcontext(None)
+    from ..engine.portfolio import verifier_pool
+
+    return verifier_pool(
+        max(jobs, 1), _limits(options), pool=options.worker_pool
+    )
+
+
 def run_synthesis(query, options: Optional[RuntimeOptions] = None):
     """Run a synthesis query under the fault-tolerant runtime.
 
     Returns a :class:`repro.core.synthesizer.SynthesisResult` whose
     ``degradations`` aggregates every recorded weakening (worker kills,
     worst-case fallbacks, precision step-downs) across the verifier
-    stack.
+    stack.  A worker pool this call starts is stopped before it returns
+    or raises; an injected ``options.worker_pool`` is left running.
     """
     from ..core.synthesizer import synthesize
     from ..obs import ensure_flight_recorder, set_dump_dir
@@ -193,13 +204,14 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
             os.path.dirname(os.path.abspath(options.checkpoint_path)) or "."
         )
     ensure_flight_recorder()
-    verifier, parts = _build_verifier(query, options)
     checkpoint = (
         make_checkpoint_store(query, options.checkpoint_path)
         if options.checkpoint_path
         else None
     )
-    result = synthesize(query, verifier=verifier, checkpoint=checkpoint)
+    with _run_pool(query, options) as pool:
+        verifier, parts = _build_verifier(query, options, pool)
+        result = synthesize(query, verifier=verifier, checkpoint=checkpoint)
     merged: list = []
     for part in parts:
         merged.extend(getattr(part, "degradations", ()))

@@ -1,48 +1,37 @@
-"""Isolated solver workers: hard wall-clock and memory caps around checks.
+"""Process primitives for solver workers: caps, spawn, heartbeat, reap.
 
 The from-scratch DPLL(T) solver runs exact-Fraction arithmetic in pure
 Python: a single pathological query can pin a core for hours or swallow
 all RAM, and the in-band ``deadline`` check only fires *between*
-conflicts.  This module provides the out-of-band guarantee: the verifier
-call runs in a forked ``multiprocessing`` worker whose parent enforces a
-hard watchdog (SIGTERM, then SIGKILL) and whose child self-limits memory
-via ``resource.setrlimit(RLIMIT_AS, ...)``.
+conflicts.  Verifier calls therefore run out of process, in persistent
+workers started by :func:`spawn_pool_worker` — the one place that forks
+a worker.  :class:`repro.service.pool.WorkerPool` owns their lifecycle
+(hard watchdog, cancel-then-kill, respawn on death) and each child
+self-limits memory via ``resource.setrlimit(RLIMIT_AS, ...)``.
 
-A killed or OOM'd worker is an *honest* ``unknown`` — never a crash of
-the synthesis run and never a silent "verified".  Failures are retried a
-bounded number of times in a fresh worker with an escalated wall-clock
-budget, each kill emitting a ``runtime.degrade`` event.
-
-The one exception: a :class:`SoundnessError` raised inside the worker
-(independent validation refuting a solver result) is re-raised in the
-parent verbatim.  Soundness failures must never be degraded to
-``unknown``.
+:class:`WorkerLimits` is the per-call budget and retry policy that
+:class:`repro.engine.portfolio.PortfolioVerifier` applies on top: a
+killed or OOM'd worker is an *honest* ``unknown`` — never a crash of the
+synthesis run and never a silent "verified" — after a bounded number of
+retries with escalated budgets.  A :class:`SoundnessError` raised inside
+a worker is re-raised in the parent verbatim and never degraded.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Optional
 
 from ..chaos.faults import chaos_point, maybe_install_from_env
-from ..chaos.supervisor import full_jitter_backoff
-from ..obs import WARN, metrics, tracer
-from ..obs.flight import dump_flight
-from ..obs.relay import TraceContext, merge_frame, start_capture
-from ..smt.terms import interned_scope
-from .errors import SoundnessError, WorkerError
+from ..obs import tracer
+from ..obs.relay import TraceContext
 
 __all__ = [
-    "IsolatedVerifier",
     "WorkerLimits",
     "WorkerReport",
     "probe_worker",
-    "run_isolated",
-    "spawn_worker",
     "spawn_pool_worker",
     "reap_worker",
 ]
@@ -50,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkerLimits:
-    """Resource caps for one isolated call (and its retry policy)."""
+    """Resource caps for one out-of-process call (and its retry policy)."""
 
     wall_time: float = 60.0          # soft in-child deadline, seconds
     memory_mb: Optional[int] = None  # RLIMIT_AS cap; None = unlimited
@@ -67,9 +56,9 @@ class WorkerLimits:
 
 @dataclass
 class WorkerReport:
-    """Outcome of one isolated call."""
+    """Outcome of one worker task."""
 
-    status: str  # ok | timeout | oom | crash | error | soundness
+    status: str  # ok | timeout | oom | crash | error | cancelled
     result: Any = None
     detail: str = ""
     wall_time: float = 0.0
@@ -82,98 +71,6 @@ class WorkerReport:
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _child_entry(
-    conn, fn, args, kwargs, memory_mb: Optional[int],
-    trace_ctx: Optional[TraceContext] = None,
-) -> None:
-    """Worker bootstrap: neutralize inherited sinks (the relay supersedes
-    them — writing to the parent's shared trace fd would interleave
-    records mid-line), start telemetry capture, cap memory, run, then
-    ship the telemetry frame followed by the final status message."""
-    capture = start_capture(trace_ctx)
-    if memory_mb is not None:
-        try:
-            import resource
-
-            limit = memory_mb * 1024 * 1024
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        except (ImportError, ValueError, OSError):
-            pass  # platform without rlimits: watchdog still applies
-    maybe_install_from_env()
-
-    def _ship_telemetry() -> None:
-        # advisory by design: a frame that cannot be built or sent is
-        # simply absent; the status message that follows must still go out
-        try:
-            conn.send(("telemetry", capture.finish()))
-        except Exception:  # noqa: BLE001 - never mask the real outcome
-            pass
-
-    try:
-        # inside the try: an injected MemoryError reports as "oom", an
-        # injected RuntimeError as "error"; a kill is a hard death the
-        # parent sees as "crash" — exactly like the real faults
-        chaos_point("worker.child")
-        # Scope the term intern table: a forked child inherits the
-        # parent's interned terms, and verification builds large per-task
-        # DAGs on top.  The scope releases the task's term churn as soon
-        # as the work is done (results crossing the pipe are plain data,
-        # never Term objects, so nothing escapes the scope).
-        with interned_scope():
-            with tracer().span(
-                "worker.run", task=getattr(fn, "__name__", "?"),
-            ):
-                result = fn(*args, **(kwargs or {}))
-        _ship_telemetry()
-        conn.send(("ok", result))
-    except SoundnessError as exc:
-        _ship_telemetry()
-        conn.send(("soundness", str(exc)))
-    except MemoryError:
-        _ship_telemetry()
-        conn.send(("oom", f"worker exceeded {memory_mb} MiB"))
-    except BaseException as exc:  # noqa: BLE001 - report, parent decides
-        _ship_telemetry()
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
-
-
-def spawn_worker(
-    fn,
-    args: tuple = (),
-    kwargs: Optional[dict] = None,
-    memory_mb: Optional[int] = None,
-    trace_ctx: Optional[TraceContext] = None,
-):
-    """Start one capped worker; returns ``(process, connection)``.
-
-    The caller owns the lifecycle: poll/recv on the connection, then
-    :func:`reap_worker`.  This is the spawn primitive shared by
-    :func:`run_isolated` (one worker, blocking) and the parallel
-    portfolio (:mod:`repro.engine.portfolio`: many workers, first
-    conclusive result wins).
-
-    ``trace_ctx`` threads the parent's trace id, anchor span, and the
-    worker's lane tag into the child; the child answers with a
-    ``("telemetry", frame)`` message before its final status message
-    (see :mod:`repro.obs.relay`).  When None, a default context is built
-    from the calling thread's innermost open span.
-    """
-    if trace_ctx is None:
-        trace_ctx = TraceContext.current()
-    ctx = _mp_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_child_entry,
-        args=(child_conn, fn, args, kwargs, memory_mb, trace_ctx),
-        daemon=True,
-    )
-    proc.start()
-    child_conn.close()
-    return proc, parent_conn
 
 
 def reap_worker(proc, conn, kill_grace: float = 1.0) -> None:
@@ -220,8 +117,7 @@ def _pool_child(conn, memory_mb: Optional[int], trace_ctx: Optional[TraceContext
 
     Cancellation: the parent sends ``SIGUSR1``; the handler raises
     :class:`TaskCancelled` *only while a task is executing*, so a signal
-    that lands between tasks is ignored.  Unlike the one-shot
-    :func:`_child_entry`, tasks here run *without* an
+    that lands between tasks is ignored.  Tasks run *without* an
     ``interned_scope`` — keeping interned terms (and any process-global
     state the tasks build, e.g. incremental verifier sessions) warm
     across tasks is the point of pooling; the pool bounds the resulting
@@ -377,250 +273,3 @@ def probe_worker(proc, conn, timeout: float = 1.0) -> str:
         # stale telemetry/result from a cancelled task: drop and keep
         # waiting for the pong
         continue
-
-
-def run_isolated(
-    fn,
-    args: tuple = (),
-    kwargs: Optional[dict] = None,
-    wall_time: Optional[float] = None,
-    memory_mb: Optional[int] = None,
-    kill_grace: float = 1.0,
-    worker_id: str = "w0",
-) -> WorkerReport:
-    """One attempt: run ``fn(*args, **kwargs)`` in a fresh capped worker.
-
-    ``wall_time`` is the hard watchdog; callers that also thread a soft
-    deadline into ``fn`` should leave a little headroom so the in-band
-    abort usually wins and the watchdog is the backstop.  Raises
-    :class:`SoundnessError` if the worker reported one.
-
-    The worker's lifetime appears in the parent trace as a
-    ``runtime.worker`` span tagged ``worker_id``; spans and metric
-    deltas recorded inside the child are relayed back and merged under
-    it (a killed worker simply has no relayed telemetry — the parent
-    span still marks the lane and the loss).
-    """
-    tr = tracer()
-    start = time.perf_counter()
-    frames: list = []
-    status, payload = "crash", ""
-    got_message = False
-    with tr.span("runtime.worker", worker=worker_id) as wspan:
-        trace_ctx = TraceContext(
-            trace_id=tr.trace_id,
-            parent_span=tr.current_span_id(),
-            worker_id=worker_id,
-        )
-        proc, parent_conn = spawn_worker(
-            fn, args, kwargs, memory_mb, trace_ctx=trace_ctx
-        )
-        deadline = None if wall_time is None else time.monotonic() + wall_time
-        try:
-            while True:
-                remaining = (
-                    None if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                )
-                if not parent_conn.poll(remaining):
-                    status = "timeout"
-                    payload = f"worker exceeded {wall_time:.1f}s wall clock"
-                    break
-                try:
-                    msg = parent_conn.recv()
-                except (EOFError, OSError):
-                    break  # child died before completing the send
-                if (
-                    isinstance(msg, tuple) and len(msg) == 2
-                    and msg[0] == "telemetry"
-                ):
-                    frames.append(msg[1])
-                    continue  # the final status message follows
-                status, payload = msg
-                got_message = True
-                break
-        finally:
-            reap_worker(proc, parent_conn, kill_grace)
-        wspan.set(status=status)
-        anchor = getattr(wspan, "span_id", None)
-        depth = getattr(wspan, "depth", 0)
-        for frame in frames:
-            merge_frame(frame, anchor_span=anchor, anchor_depth=depth)
-    elapsed = time.perf_counter() - start
-    if not got_message and status != "timeout":
-        # hard death without a report: OOM-killer or native abort
-        code = proc.exitcode
-        status = "crash"
-        payload = f"worker died with exit code {code}"
-    if status == "soundness":
-        dump_flight("soundness")
-        raise SoundnessError(payload)
-    if status == "ok":
-        return WorkerReport(status="ok", result=payload, wall_time=elapsed)
-    return WorkerReport(status=status, detail=str(payload), wall_time=elapsed)
-
-
-# -- the isolated CCAC verifier ----------------------------------------------
-
-
-def _verify_task(
-    cfg, precision, candidate, worst_case, time_limit, validate,
-    certify=False, environments=None,
-):
-    """Runs inside the worker: one fresh verifier, one call."""
-    from ..core.verifier import CcacVerifier
-
-    verifier = CcacVerifier(
-        cfg, wce_precision=precision, validate=validate, certify=certify,
-        environments=environments,
-    )
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
-    return verifier.find_counterexample(
-        candidate, worst_case=worst_case, deadline=deadline
-    )
-
-
-class IsolatedVerifier:
-    """Drop-in for :class:`repro.core.CcacVerifier` with process isolation.
-
-    Each ``find_counterexample`` call runs in a fresh worker under
-    ``limits``; a killed worker yields ``unknown`` (with ``degraded=True``
-    so the CEGIS loop reports an honest stop reason) after bounded
-    retries with escalated budgets.
-    """
-
-    #: hard watchdog headroom over the in-child soft deadline
-    WATCHDOG_SLACK = 1.25
-
-    def __init__(
-        self,
-        cfg,
-        wce_precision: Fraction = Fraction(1, 8),
-        limits: WorkerLimits = WorkerLimits(),
-        validate: bool = True,
-        retry_seed: Optional[int] = None,
-        certify: bool = False,
-        environments=None,
-    ):
-        self.cfg = cfg
-        self.wce_precision = Fraction(wce_precision)
-        self.limits = limits
-        self.validate = validate
-        self.certify = certify
-        self.environments = (
-            tuple(environments) if environments is not None else None
-        )
-        self.calls = 0
-        self.total_time = 0.0
-        self.kills = 0
-        self.degradations: list[dict] = []
-        # seedable so chaos experiments replay the same retry schedule
-        self._retry_rng = random.Random(retry_seed)
-
-    def find_counterexample(
-        self,
-        candidate,
-        worst_case: bool = False,
-        deadline: Optional[float] = None,
-    ):
-        from ..core.verifier import VerificationResult
-
-        self.calls += 1
-        tr = tracer()
-        start = time.perf_counter()
-        limits = self.limits
-        attempts = max(0, limits.retries) + 1
-        last_report: Optional[WorkerReport] = None
-        for attempt in range(attempts):
-            budget = limits.budget(attempt)
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                budget = min(budget, remaining)
-            watchdog = budget * self.WATCHDOG_SLACK + limits.kill_grace
-            report = run_isolated(
-                _verify_task,
-                args=(
-                    self.cfg,
-                    self.wce_precision,
-                    candidate,
-                    worst_case,
-                    budget,
-                    self.validate,
-                    self.certify,
-                    self.environments,
-                ),
-                wall_time=watchdog,
-                memory_mb=limits.memory_mb,
-                kill_grace=limits.kill_grace,
-                worker_id=f"w{attempt}",
-            )
-            last_report = report
-            self.total_time += report.wall_time
-            if report.ok:
-                result = report.result
-                # in-child soft-deadline expiry is a plain unknown, not a
-                # kill: return it as-is and let the caller's policy decide
-                return result
-            if report.status == "error":
-                raise WorkerError(report.detail)
-            # killed (timeout / oom / crash): record, notify, retry fresh
-            self.kills += 1
-            event = {
-                "kind": "worker_killed",
-                "status": report.status,
-                "attempt": attempt + 1,
-                "attempts": attempts,
-                "budget": round(budget, 3),
-                "detail": report.detail,
-            }
-            self.degradations.append(event)
-            metrics().counter("runtime.worker_kills").inc()
-            if tr.enabled:
-                tr.event(
-                    "runtime.degrade",
-                    level=WARN,
-                    msg=(
-                        f"[runtime] solver worker {report.status} "
-                        f"(attempt {attempt + 1}/{attempts}, "
-                        f"budget {budget:.1f}s) -> "
-                        + ("retrying" if attempt + 1 < attempts else "unknown")
-                    ),
-                    **event,
-                )
-            if attempt + 1 < attempts:
-                # full-jitter backoff between attempts: a fanned-out bad
-                # query must not stampede back in lockstep.  Deadline-aware:
-                # never sleep past the caller's remaining time budget.
-                delay = full_jitter_backoff(
-                    limits.backoff_base,
-                    attempt,
-                    cap=limits.backoff_cap,
-                    rng=self._retry_rng,
-                )
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline - time.perf_counter()))
-                if delay > 0:
-                    time.sleep(delay)
-        elapsed = time.perf_counter() - start
-        detail = last_report.detail if last_report else "deadline already expired"
-        if last_report is not None and last_report.status in (
-            "timeout", "oom", "crash",
-        ):
-            # every retry was killed: the escalation ladder is exhausted
-            # and the run degrades — preserve the black box
-            dump_flight("worker-escalation")
-        return VerificationResult(
-            candidate=candidate,
-            verified=False,
-            counterexample=None,
-            wall_time=elapsed,
-            solver_checks=0,
-            unknown=True,
-            degraded=True,
-        )
-
-    def verify(self, candidate) -> bool:
-        """Convenience wrapper mirroring :meth:`CcacVerifier.verify`."""
-        return self.find_counterexample(candidate).verified

@@ -411,8 +411,10 @@ def execute_job(
     This is the single execution path: the CLI calls it in-process, the
     HTTP server calls it per queued job.  The keyword arguments are
     *executor policy*, not part of the spec: ``pool`` (a
-    :class:`~repro.service.pool.WorkerPool`) makes portfolio rounds use
-    persistent workers; ``cache_dir`` overrides the spec's cache
+    :class:`~repro.service.pool.WorkerPool`) is where out-of-process
+    work runs — verify and falsify bodies as one pool task each, and a
+    synthesize job's isolated or portfolio verifier calls (``isolate``
+    or ``jobs > 1``) as pool batches; ``cache_dir`` overrides the spec's cache
     directory with the executor's shared store; ``checkpoint_path``
     gives synthesis jobs crash-safe state under the executor's state
     dir; ``corpus_dir``/``write_corpus`` let a *local* falsify run
@@ -421,9 +423,11 @@ def execute_job(
     every tracer record emitted while the job runs (the server's NDJSON
     stream); ``cancel`` (a
     :class:`~repro.service.resilience.CancelScope`) cooperatively
-    aborts the run — with a pool, every kind routes its solver work
-    through pool batches, so cancellation lands within one poll tick
-    and raises :class:`~repro.service.resilience.JobCancelled` here.
+    aborts the run: work routed through pool batches is cancelled
+    within one poll tick and raises
+    :class:`~repro.service.resilience.JobCancelled` here.  A synthesize
+    job with ``jobs=1`` and no ``isolate`` runs its verifier in the
+    calling (executor) thread, so it is not reachable by that path.
     """
     sink = _ProgressSink(progress) if progress is not None else None
     tr = None

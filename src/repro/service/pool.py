@@ -1,20 +1,24 @@
 """Persistent worker pool: fork once, serve many verification batches.
 
-`run_portfolio` forks a fresh worker per candidate per batch.  The fork
-itself is cheap on Linux, but everything a fresh child must rebuild is
-not: the intern table is re-primed per task, every verifier re-encodes
-the base CCAC network, and every solver starts with an empty learned
-clause store.  A :class:`WorkerPool` keeps ``size`` long-lived workers
-(:func:`repro.runtime.workers.spawn_pool_worker`) that boot once, run an
-optional *prime* call (warm the intern table, import the heavy modules),
-and then serve ``("task", ...)`` messages over their duplex pipes — so
-per-candidate state like an incremental verifier session survives from
-one batch to the next.
+This is the one process primitive: every out-of-process verifier call
+(``--isolate``, ``--jobs N``, the service's jobs) and every falsification
+grid chunk runs as a task on a :class:`WorkerPool`.  A fresh child per
+call would pay for everything it must rebuild: the intern table is
+re-primed per task, every verifier re-encodes the base CCAC network,
+and every solver starts with an empty learned clause store.  A pool
+keeps ``size`` long-lived workers
+(:func:`repro.runtime.workers.spawn_pool_worker`, the only code that
+forks a worker) that boot once, run an optional *prime* call (warm the
+intern table, import the heavy modules), and then serve
+``("task", ...)`` messages over their duplex pipes — so per-candidate
+state like an incremental verifier session survives from one batch to
+the next.
 
-The pool mirrors :func:`repro.engine.portfolio.run_portfolio` semantics
-batch-for-batch (same :class:`PortfolioOutcome`, same first-accepted
-winner, same ``SoundnessError``/``WorkerError`` discipline), with three
-pool-specific behaviours layered on top:
+A batch is a race (:meth:`WorkerPool.run_batch`, returning a
+:class:`~repro.engine.portfolio.PortfolioOutcome`): the first accepted
+result wins, a ``SoundnessError`` in any worker propagates, and a batch
+in which every task errored raises ``WorkerError``.  Three
+pool-specific behaviours sit on top:
 
 * **keep vs respawn** — a worker that dies mid-task (OOM-killed,
   SIGKILLed by an operator, crashed) is detected by its broken pipe,
@@ -50,8 +54,8 @@ the SIGUSR1 treatment and the batch raises
 reason.
 
 Soundness note (see DESIGN "The control plane"): pooled tasks
-deliberately skip the per-task ``interned_scope`` reset that one-shot
-workers use, because warm state *is* the speedup.  A task that is
+deliberately skip a per-task ``interned_scope`` reset, because warm
+state *is* the speedup.  A task that is
 cancelled or errors clears its process-global verifier cache before the
 worker serves the next task, so a half-popped solver session is never
 reused — and the independent model validator still checks every verdict
@@ -276,8 +280,10 @@ class WorkerPool:
         cancel: Optional[CancelScope] = None,
     ) -> PortfolioOutcome:
         """Run ``tasks`` (``(fn, args)`` / ``(fn, args, kwargs)``) across
-        the pool; first accepted result wins, mirroring
-        :func:`~repro.engine.portfolio.run_portfolio`.
+        the pool; first accepted result wins (default: any ok result).
+        Losers are cancelled; ``wall_time`` bounds the whole batch, and
+        every task still queued or running on expiry is reported with
+        status ``timeout``.
 
         Pass ``accept=lambda r: False`` to wait for *every* task (no
         winner, all results in ``outcome.reports``).  Raises

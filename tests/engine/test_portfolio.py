@@ -1,12 +1,15 @@
-"""Portfolio races: first conclusive verdict wins, losers die, no zombies."""
+"""Portfolio races on the worker pool: first conclusive verdict wins,
+losers are cancelled, no zombies."""
 
 import multiprocessing
 import time
 
 import pytest
 
-from repro.engine import PortfolioOutcome, PortfolioVerifier, run_portfolio
+from repro.engine import PortfolioVerifier, verifier_pool
 from repro.runtime.errors import SoundnessError, WorkerError
+from repro.runtime.workers import WorkerLimits
+from repro.service import WorkerPool
 
 pytestmark = [pytest.mark.engine, pytest.mark.runtime]
 
@@ -38,11 +41,17 @@ def _no_zombies():
     return False
 
 
+def _race(tasks, **kwargs):
+    """One race on a fresh pool with a lane per task."""
+    with WorkerPool(size=len(tasks)) as pool:
+        return pool.run_batch(tasks, **kwargs)
+
+
 def test_fast_task_beats_sleepers():
     """The race returns as soon as one worker is conclusive; the sleepers
     are cancelled rather than awaited (30s sleeps, sub-30s wall)."""
     start = time.perf_counter()
-    outcome = run_portfolio(
+    outcome = _race(
         [(_slow, ("a",)), (_fast, ("b",)), (_slow, ("c",))],
         wall_time=25.0,
     )
@@ -56,7 +65,7 @@ def test_fast_task_beats_sleepers():
 
 def test_accept_filters_results():
     """A result the acceptor rejects does not win the race."""
-    outcome = run_portfolio(
+    outcome = _race(
         [(_fast, ("reject",)), (_fast, ("take",))],
         accept=lambda r: r == "take",
         wall_time=25.0,
@@ -67,7 +76,7 @@ def test_accept_filters_results():
 
 def test_all_errors_raises_worker_error():
     with pytest.raises(WorkerError):
-        run_portfolio([(_boom, ()), (_boom, ())], wall_time=25.0)
+        _race([(_boom, ()), (_boom, ())], wall_time=25.0)
     assert _no_zombies()
 
 
@@ -75,7 +84,7 @@ def test_soundness_error_propagates():
     """Soundness is never racy: a SoundnessError in any worker aborts
     the whole round even if another worker would have won."""
     with pytest.raises(SoundnessError):
-        run_portfolio(
+        _race(
             [(_soundness, ()), (_slow, ("x",))],
             wall_time=25.0,
         )
@@ -83,7 +92,7 @@ def test_soundness_error_propagates():
 
 
 def test_race_timeout_reports_all_workers():
-    outcome = run_portfolio([(_slow, ("a", 30.0))], wall_time=1.0)
+    outcome = _race([(_slow, ("a", 30.0))], wall_time=1.0)
     assert outcome.winner is None
     assert outcome.reports[0].status == "timeout"
     assert _no_zombies()
@@ -99,7 +108,7 @@ def _traced(value):
 
 def test_race_merges_worker_telemetry():
     """Every finishing worker's spans come back tagged with its lane and
-    anchored under the race span — winner and losers alike."""
+    task and anchored under the batch span — winner and losers alike."""
     from repro.obs import Sink, metrics, tracer
 
     class Rec(Sink):
@@ -113,7 +122,7 @@ def test_race_merges_worker_telemetry():
     sink = tr.add_sink(Rec())
     before = metrics().counter("test.portfolio.relay").value
     try:
-        outcome = run_portfolio(
+        outcome = _race(
             [(_traced, ("a",)), (_traced, ("b",))], wall_time=25.0
         )
     finally:
@@ -123,13 +132,14 @@ def test_race_merges_worker_telemetry():
     # cancel may add its own
     assert metrics().counter("test.portfolio.relay").value > before
     race = [r for r in sink.records
-            if r.get("type") == "span" and r["name"] == "engine.portfolio.race"]
+            if r.get("type") == "span" and r["name"] == "service.pool.batch"]
     assert len(race) == 1 and race[0]["attrs"]["relayed"] >= 1
-    winner_tag = f"w{outcome.winner}"
+    # task tokens are "b<batch>:<index>:a<attempt>"
     runs = [r for r in sink.records
             if r.get("type") == "span" and r["name"] == "worker.run"
-            and r["attrs"].get("worker") == winner_tag]
+            and r["attrs"]["task"].split(":")[1] == str(outcome.winner)]
     assert len(runs) == 1
+    assert runs[0]["attrs"]["worker"] in ("p0", "p1")
     assert runs[0]["parent"] == race[0]["id"]
     assert _no_zombies()
 
@@ -141,8 +151,8 @@ def test_verifier_batch_verdicts_match_sequential(fast_cfg):
     from repro.core.verifier import CcacVerifier
 
     candidates = [constant_cwnd(1, 3), rocc(3)]
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2)
-    verdict = portfolio.verify_batch(candidates)
+    with verifier_pool(2, WorkerLimits()) as pool:
+        verdict = PortfolioVerifier(fast_cfg, pool).verify_batch(candidates)
     assert verdict.winner is not None
     assert verdict.launched == 2
 
@@ -159,15 +169,16 @@ def test_verifier_batch_verdicts_match_sequential(fast_cfg):
 def test_single_candidate_path(fast_cfg):
     from repro.core import rocc
 
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2)
-    result = portfolio.find_counterexample(rocc(3))
+    with verifier_pool(2, WorkerLimits()) as pool:
+        result = PortfolioVerifier(fast_cfg, pool).find_counterexample(rocc(3))
     assert result.verified
     assert _no_zombies()
 
 
-def test_jobs_validation(fast_cfg):
+def test_jobs_validation():
+    """The portfolio width is the pool size, validated there."""
     with pytest.raises(ValueError):
-        PortfolioVerifier(fast_cfg, jobs=0)
+        verifier_pool(0, WorkerLimits())
 
 
 def test_environment_grid_requires_every_cell_unsat(fast_cfg):
@@ -178,16 +189,18 @@ def test_environment_grid_requires_every_cell_unsat(fast_cfg):
     from repro.core import rocc
 
     envs = [lossless_environment(), lossy_environment(buffer=8)]
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2, environments=envs)
-    verdict = portfolio.verify_batch([rocc(3)])
+    with verifier_pool(2, WorkerLimits()) as pool:
+        portfolio = PortfolioVerifier(fast_cfg, pool, environments=envs)
+        verdict = portfolio.verify_batch([rocc(3)])
     assert verdict.winner == 0
     assert verdict.result.verified
     assert verdict.result.counterexample is None
     assert _no_zombies()
 
     tiny = [lossless_environment(), lossy_environment(buffer=1)]
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2, environments=tiny)
-    verdict = portfolio.verify_batch([rocc(3)])
+    with verifier_pool(2, WorkerLimits()) as pool:
+        portfolio = PortfolioVerifier(fast_cfg, pool, environments=tiny)
+        verdict = portfolio.verify_batch([rocc(3)])
     assert verdict.winner == 0
     assert not verdict.result.verified
     cex = verdict.result.counterexample

@@ -1,11 +1,9 @@
 """Cross-process telemetry relay: capture, frame, merge (in-process).
 
 These tests exercise the relay machinery without forking; the real
-fork-path integration lives in ``tests/runtime/test_workers.py`` and
+pool-worker integration lives in ``tests/runtime/test_workers.py`` and
 ``tests/engine/test_portfolio.py`` (runtime-marked).
 """
-
-import multiprocessing as mp
 
 from repro.obs import MetricsRegistry, Sink, Tracer
 from repro.obs.relay import (
@@ -13,7 +11,6 @@ from repro.obs.relay import (
     BufferSink,
     TelemetryCapture,
     TraceContext,
-    drain_telemetry,
     merge_frame,
 )
 
@@ -136,20 +133,3 @@ class TestMerge:
         assert not tr.enabled
         assert merge_frame(frame, tr=tr, registry=registry)
         assert registry.counter("smt.checks").value == 3
-
-
-class TestDrain:
-    def test_drain_keeps_frames_discards_verdicts(self):
-        parent, child = mp.Pipe(duplex=False)
-        child.send(("telemetry", {"v": FRAME_VERSION}))
-        child.send(("ok", 42))
-        child.close()
-        frames = []
-        drain_telemetry(parent, frames)
-        assert frames == [{"v": FRAME_VERSION}]
-
-    def test_drain_never_raises_on_closed_pipe(self):
-        parent, child = mp.Pipe(duplex=False)
-        child.close()
-        parent.close()
-        drain_telemetry(parent, [])  # must not raise

@@ -12,13 +12,15 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.cegis import CegisLoop, CegisOptions, StopReason
 from repro.core import synthesize
 from repro.core.synthesizer import make_generator
-from repro.runtime import IsolatedVerifier, RuntimeOptions, WorkerLimits, run_synthesis
+from repro.engine import PortfolioVerifier, verifier_pool
+from repro.runtime import RuntimeOptions, WorkerLimits, run_synthesis
 
 pytestmark = pytest.mark.runtime
 
@@ -118,6 +120,10 @@ class TestSigkillResume:
         assert "stop=solution" in capsys.readouterr().out
 
 
+def _hang(*args):
+    time.sleep(3600)
+
+
 class TestKilledWorkerStillTerminates:
     def test_loop_survives_killed_verifier_and_reports_verdict(
         self, tiny_query, recording_sink, monkeypatch
@@ -125,22 +131,22 @@ class TestKilledWorkerStillTerminates:
         """Acceptance: a verifier worker that is killed mid-call yields
         unknown, emits runtime.degrade, and the CEGIS run still
         terminates with an explicit verdict."""
-        import time as time_mod
+        import repro.engine.portfolio as portfolio_mod
 
-        import repro.runtime.workers as workers_mod
-
+        # the pool pickles the task by reference: a module-level function
         monkeypatch.setattr(
-            workers_mod, "_verify_task", lambda *a: time_mod.sleep(3600)
+            portfolio_mod, "_pooled_verify_candidate_task", _hang
         )
-        monkeypatch.setattr(IsolatedVerifier, "WATCHDOG_SLACK", 1.0)
-        verifier = IsolatedVerifier(
-            tiny_query.cfg,
-            limits=WorkerLimits(
-                wall_time=0.2, retries=1, escalation=1.0, kill_grace=0.3
-            ),
+        monkeypatch.setattr(PortfolioVerifier, "WATCHDOG_SLACK", 1.0)
+        limits = WorkerLimits(
+            wall_time=0.2, retries=1, escalation=1.0, kill_grace=0.3
         )
         generator = make_generator(tiny_query)
-        outcome = CegisLoop(generator, verifier, CegisOptions(time_budget=60)).run()
+        with verifier_pool(1, limits) as pool:
+            verifier = PortfolioVerifier(tiny_query.cfg, pool, limits=limits)
+            outcome = CegisLoop(
+                generator, verifier, CegisOptions(time_budget=60)
+            ).run()
         assert outcome.stop_reason is StopReason.DEGRADED
         assert not outcome.found
         kills = recording_sink.events("runtime.degrade")
