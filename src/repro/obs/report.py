@@ -25,8 +25,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
-#: worker statuses that mean the lane's process was killed
+#: statuses of a task the pool lost mid-run (the lane's ``kills``),
+#: whether or not the worker process itself was killed: a worker that
+#: acknowledges a timeout's cancel, or catches its own MemoryError, is
+#: kept alive
 _KILL_STATUSES = ("timeout", "oom", "crash")
+#: event a ``WorkerPool`` emits when it loses a lane's task mid-run
+_POOL_KILL_EVENT = "service.pool.kill"
 
 
 @dataclass
@@ -53,7 +58,7 @@ class WorkerLane:
     runs: int = 0           # completed child executions (worker.run spans)
     busy: float = 0.0       # total seconds inside worker.run spans
     wall: float = 0.0       # parent-side runtime.worker span total
-    kills: int = 0          # parent-side worker spans that ended killed
+    kills: int = 0          # tasks the pool lost mid-run (timeout/oom/crash)
 
 
 @dataclass
@@ -145,7 +150,10 @@ def _aggregate(summary: TraceSummary, rec: dict) -> None:
         name = rec.get("name", "?")
         summary.events[name] = summary.events.get(name, 0) + 1
         if worker is not None:
-            _lane(summary, worker).records += 1
+            lane = _lane(summary, worker)
+            lane.records += 1
+            if name == _POOL_KILL_EVENT and attrs.get("status") in _KILL_STATUSES:
+                lane.kills += 1
         if name == "cegis.done":
             summary.cegis_done = rec.get("attrs", {})
         elif name == "runtime.degrade":

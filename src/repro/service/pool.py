@@ -561,6 +561,7 @@ class WorkerPool:
                 status="oom", detail=str(payload),
                 wall_time=time.perf_counter() - start,
             )
+            self._task_lost(lane, "oom", token)
             self._retire(lane, leased)
             return False
         outcome.reports[idx] = WorkerReport(
@@ -578,6 +579,7 @@ class WorkerPool:
         leased[leased.index(lane)] = self._replace_lane(lane)
         if idx is None:
             return
+        self._task_lost(lane, "crash", token)
         attempts[idx] += 1
         if attempts[idx] <= self.retries:
             self.stats.retries += 1
@@ -609,6 +611,7 @@ class WorkerPool:
             acked = self._await_ack(lane, outcome, idx, deadline)
             if idx is not None:
                 if as_timeout is not None:
+                    self._task_lost(lane, "timeout", lane.busy)
                     outcome.reports[idx] = WorkerReport(
                         status="timeout",
                         detail=f"pool batch exceeded {as_timeout:.1f}s"
@@ -645,6 +648,15 @@ class WorkerPool:
             if len(msg) == 3 and msg[1] == lane.busy:
                 return True  # final status (cancelled/ok/error), discarded
             # anything else: stale, keep draining
+
+    def _task_lost(self, lane, status: str, token) -> None:
+        """Trace a task the pool lost mid-run on ``lane`` (``timeout``,
+        ``oom`` or ``crash``); ``ccmatic report`` counts these events as
+        the lane's kills."""
+        tracer().event(
+            "service.pool.kill", worker=f"p{lane.lane}", status=status,
+            task=token,
+        )
 
     def _retire(self, lane, leased) -> None:
         leased[leased.index(lane)] = self._replace_lane(lane)

@@ -3,9 +3,22 @@
 This is the theory core behind the DPLL(T) solver: it maintains a tableau
 of linear equalities ``basic = sum(coeff * nonbasic)`` plus per-variable
 bounds, supports asserting/retracting bounds along the SAT trail, and
-decides feasibility by Bland-rule pivoting.  All arithmetic is exact
-(:class:`fractions.Fraction`); strict inequalities are handled with
-δ-rationals (:class:`DRat`), pairs ``r + d·δ`` for an infinitesimal δ.
+decides feasibility by Bland-rule pivoting.
+
+All arithmetic is exact and runs on Python ints:
+
+* A row is a positive denominator ``den[b]`` and a map ``rows[b]`` of
+  nonzero integer numerators; it means ``b = sum(num/den * x)``.  Rows
+  stay gcd-normalised, ``gcd(den, *nums) == 1``, so each coefficient
+  ``num/den`` is the same rational whichever way the row was reached.
+* A value is a δ-rational ``r + d·δ`` for an infinitesimal positive δ
+  (strict bounds: ``x < c`` is ``x <= c - δ``), held as an int triple
+  ``(rn, dn, q)`` meaning ``(rn + dn·δ)/q``, with ``q > 0`` and
+  ``gcd(rn, dn, q) == 1``.  Assignments are plain triples; bounds are
+  :class:`DRat`, a tuple of the same shape.  Comparisons cross-multiply.
+
+Conflicts carry Farkas multipliers ``num/den`` read off the stuck row
+(see :class:`Conflict`), as exact :class:`~fractions.Fraction` values.
 
 The design follows "A Fast Linear-Arithmetic Solver for DPLL(T)"
 (Dutertre & de Moura, CAV 2006): backtracking only restores bounds — the
@@ -15,58 +28,66 @@ tableau and the current assignment are kept, so pops are O(#bounds).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 
-class DRat:
+def _lt(a: tuple, b: tuple) -> bool:
+    """``a < b`` for value triples: lexicographic on ``(r, d)``."""
+    ar, ad, aq = a
+    br, bd, bq = b
+    x, y = ar * bq, br * aq
+    return x < y or (x == y and ad * bq < bd * aq)
+
+
+def _axpy(val: tuple, n: int, m: int, x: tuple) -> tuple:
+    """The value triple ``val + (n/m)·x``, for ``m > 0``."""
+    r, d, q = val
+    xr, xd, xq = x
+    s = m * xq
+    n *= q
+    r, d, q = r * s + n * xr, d * s + n * xd, q * s
+    g = gcd(r, d, q)
+    return (r // g, d // g, q // g) if g != 1 else (r, d, q)
+
+
+class DRat(tuple):
     """δ-rational ``r + d·δ`` for an infinitesimal positive δ.
 
-    Ordering is lexicographic on ``(r, d)``, which matches the semantics
-    of strict bounds: ``x < c`` is ``x <= c - δ``.
+    The tuple is ``(rn, dn, q)``, meaning ``(rn + dn·δ)/q`` in lowest
+    terms, so tuple equality and hashing are exact.  Ordering is
+    lexicographic on ``(r, d)``, which matches the semantics of strict
+    bounds: ``x < c`` is ``x <= c - δ``.
     """
 
-    __slots__ = ("r", "d")
+    __slots__ = ()
 
-    def __init__(self, r, d=0):
-        self.r = Fraction(r)
-        self.d = Fraction(d)
-
-    def __add__(self, other: "DRat") -> "DRat":
-        return DRat(self.r + other.r, self.d + other.d)
-
-    def __sub__(self, other: "DRat") -> "DRat":
-        return DRat(self.r - other.r, self.d - other.d)
-
-    def scale(self, k: Fraction) -> "DRat":
-        return DRat(self.r * k, self.d * k)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DRat) and self.r == other.r and self.d == other.d
+    def __new__(cls, r, d=0):
+        r, d = Fraction(r), Fraction(d)
+        q = lcm(r.denominator, d.denominator)
+        return tuple.__new__(
+            cls, (r.numerator * (q // r.denominator), d.numerator * (q // d.denominator), q)
+        )
 
     def __lt__(self, other: "DRat") -> bool:
-        return (self.r, self.d) < (other.r, other.d)
+        return _lt(self, other)
 
     def __le__(self, other: "DRat") -> bool:
-        return (self.r, self.d) <= (other.r, other.d)
+        return not _lt(other, self)
 
     def __gt__(self, other: "DRat") -> bool:
-        return (self.r, self.d) > (other.r, other.d)
+        return _lt(other, self)
 
     def __ge__(self, other: "DRat") -> bool:
-        return (self.r, self.d) >= (other.r, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.d))
-
-    def concretize(self, delta: Fraction) -> Fraction:
-        """Substitute a concrete positive rational for δ."""
-        return self.r + self.d * delta
+        return not _lt(self, other)
 
     def __repr__(self) -> str:
-        if self.d == 0:
-            return str(self.r)
-        sign = "+" if self.d > 0 else "-"
-        return f"{self.r} {sign} {abs(self.d)}δ"
+        rn, dn, q = self
+        r = Fraction(rn, q)
+        if dn == 0:
+            return str(r)
+        sign = "+" if dn > 0 else "-"
+        return f"{r} {sign} {Fraction(abs(dn), q)}δ"
 
 
 ZERO = DRat(0)
@@ -103,9 +124,11 @@ class Simplex:
         self.upper: list[Optional[DRat]] = []
         self.lower_tag: list = []
         self.upper_tag: list = []
-        self.assign: list[DRat] = []
-        # rows: basic var -> {nonbasic var: Fraction}
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        # value triples (rn, dn, q), see the module docstring
+        self.assign: list[tuple] = []
+        # rows: basic var -> {nonbasic var: int numerator}, over den[basic]
+        self.rows: dict[int, dict[int, int]] = {}
+        self.den: dict[int, int] = {}
         # cols: nonbasic var -> set of basic vars whose row mentions it
         self.cols: dict[int, set[int]] = {}
         self.basic: set[int] = set()
@@ -137,26 +160,27 @@ class Simplex:
         mentions nonbasic variables.
         """
         s = self.new_var()
-        row: dict[int, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for var, coeff in expr.items():
             if var in self.basic:
-                for v2, c2 in self.rows[var].items():
-                    row[v2] = row.get(v2, Fraction(0)) + coeff * c2
+                den = self.den[var]
+                for v2, n2 in self.rows[var].items():
+                    acc[v2] = acc.get(v2, 0) + coeff * Fraction(n2, den)
             else:
-                row[var] = row.get(var, Fraction(0)) + coeff
-        row = {v: c for v, c in row.items() if c != 0}
+                acc[var] = acc.get(var, 0) + coeff
+        acc = {v: c for v, c in acc.items() if c != 0}
+        # lcm of reduced denominators: the integer row is already normalised
+        den = lcm(*(c.denominator for c in acc.values()))
+        row = {v: c.numerator * (den // c.denominator) for v, c in acc.items()}
         self.rows[s] = row
+        self.den[s] = den
         self.basic.add(s)
-        for var in row:
+        value = ZERO
+        for var, n in row.items():
             self.cols[var].add(s)
-        self.assign[s] = self._row_value(row)
+            value = _axpy(value, n, den, self.assign[var])
+        self.assign[s] = value
         return s
-
-    def _row_value(self, row: dict[int, Fraction]) -> DRat:
-        total = ZERO
-        for var, coeff in row.items():
-            total = total + self.assign[var].scale(coeff)
-        return total
 
     # ------------------------------------------------------------------
     # Bound assertion / retraction
@@ -204,7 +228,7 @@ class Simplex:
         self._trail.append((var, "U", current, self.upper_tag[var]))
         self.upper[var] = bound
         self.upper_tag[var] = tag
-        if var not in self.basic and self.assign[var] > bound:
+        if var not in self.basic and _lt(bound, self.assign[var]):
             self._update(var, bound)
         return None
 
@@ -221,17 +245,16 @@ class Simplex:
         self._trail.append((var, "L", current, self.lower_tag[var]))
         self.lower[var] = bound
         self.lower_tag[var] = tag
-        if var not in self.basic and self.assign[var] < bound:
+        if var not in self.basic and _lt(self.assign[var], bound):
             self._update(var, bound)
         return None
 
     def _update(self, var: int, value: DRat) -> None:
-        delta = value - self.assign[var]
+        assign, rows, den = self.assign, self.rows, self.den
+        delta = _axpy(value, -1, 1, assign[var])
         for b in self.cols[var]:
-            coeff = self.rows[b].get(var)
-            if coeff:
-                self.assign[b] = self.assign[b] + delta.scale(coeff)
-        self.assign[var] = value
+            assign[b] = _axpy(assign[b], rows[b][var], den[b], delta)
+        assign[var] = value
 
     # ------------------------------------------------------------------
     # Feasibility check
@@ -239,17 +262,18 @@ class Simplex:
 
     def check(self) -> Optional[Conflict]:
         """Pivot until all bounds hold; returns a conflict or None."""
+        assign, lower, upper = self.assign, self.lower, self.upper
         while True:
             violated = -1
             below = False
             for b in sorted(self.basic):  # Bland's rule: smallest index
-                val = self.assign[b]
-                lo = self.lower[b]
-                if lo is not None and val < lo:
+                val = assign[b]
+                lo = lower[b]
+                if lo is not None and _lt(val, lo):
                     violated, below = b, True
                     break
-                up = self.upper[b]
-                if up is not None and val > up:
+                up = upper[b]
+                if up is not None and _lt(up, val):
                     violated, below = b, False
                     break
             if violated < 0:
@@ -258,21 +282,19 @@ class Simplex:
             row = self.rows[b]
             pivot_var = -1
             for j in sorted(row):
-                coeff = row[j]
-                if below:
-                    can = (coeff > 0 and (self.upper[j] is None or self.assign[j] < self.upper[j])) or (
-                        coeff < 0 and (self.lower[j] is None or self.assign[j] > self.lower[j])
-                    )
+                # raise j when that moves b towards its violated bound
+                if (row[j] > 0) == below:
+                    bound = upper[j]
+                    can = bound is None or _lt(assign[j], bound)
                 else:
-                    can = (coeff < 0 and (self.upper[j] is None or self.assign[j] < self.upper[j])) or (
-                        coeff > 0 and (self.lower[j] is None or self.assign[j] > self.lower[j])
-                    )
+                    bound = lower[j]
+                    can = bound is None or _lt(bound, assign[j])
                 if can:
                     pivot_var = j
                     break
             if pivot_var < 0:
                 return self._explain(b, below)
-            target = self.lower[b] if below else self.upper[b]
+            target = lower[b] if below else upper[b]
             assert target is not None
             self._pivot_and_update(b, pivot_var, target)
 
@@ -281,71 +303,82 @@ class Simplex:
         # stuck below its lower bound, 1*(b >= l) plus |a_j| times each
         # blocking bound on x_j sums to a contradiction (and symmetrically
         # above).  Multipliers are over the tagged source inequalities.
-        row = self.rows[b]
-        pairs = []
-        if below:
-            pairs.append((self.lower_tag[b], Fraction(1)))
-            for j, coeff in row.items():
-                tag = self.upper_tag[j] if coeff > 0 else self.lower_tag[j]
-                pairs.append((tag, abs(coeff)))
-        else:
-            pairs.append((self.upper_tag[b], Fraction(1)))
-            for j, coeff in row.items():
-                tag = self.lower_tag[j] if coeff > 0 else self.upper_tag[j]
-                pairs.append((tag, abs(coeff)))
+        row, den = self.rows[b], self.den[b]
+        pairs = [(self.lower_tag[b] if below else self.upper_tag[b], Fraction(1))]
+        for j, n in row.items():
+            tag = self.upper_tag[j] if (n > 0) == below else self.lower_tag[j]
+            pairs.append((tag, Fraction(abs(n), den)))
         conflict = Conflict([t for t, _ in pairs if t is not None])
         conflict.farkas = tuple((t, c) for t, c in pairs if t is not None)
         return conflict
 
     def _pivot_and_update(self, b: int, j: int, v: DRat) -> None:
         self.pivots += 1
-        a_bj = self.rows[b][j]
-        theta = (v - self.assign[b]).scale(Fraction(1) / a_bj)
-        self.assign[b] = v
-        self.assign[j] = self.assign[j] + theta
+        assign, rows, den = self.assign, self.rows, self.den
+        # theta = (v - assign[b]) / a_bj with a_bj = n_bj / den[b]
+        n_bj, d_b = rows[b][j], den[b]
+        diff = _axpy(v, -1, 1, assign[b])
+        theta = _axpy(ZERO, d_b, n_bj, diff) if n_bj > 0 else _axpy(ZERO, -d_b, -n_bj, diff)
+        assign[b] = v
+        assign[j] = _axpy(assign[j], 1, 1, theta)
         for b2 in self.cols[j]:
             if b2 != b:
-                coeff = self.rows[b2].get(j)
-                if coeff:
-                    self.assign[b2] = self.assign[b2] + theta.scale(coeff)
+                assign[b2] = _axpy(assign[b2], rows[b2][j], den[b2], theta)
         self._pivot(b, j)
 
     def _pivot(self, b: int, j: int) -> None:
         """Swap basic ``b`` with nonbasic ``j``."""
+        cols = self.cols
         row = self.rows.pop(b)
+        d_b = self.den.pop(b)
         self.basic.discard(b)
-        a_bj = row.pop(j)
-        self.cols[j].discard(b)
-        # j = (b - sum_{k != j} a_k x_k) / a_bj
-        new_row: dict[int, Fraction] = {b: Fraction(1) / a_bj}
-        for k, a_k in row.items():
-            new_row[k] = -a_k / a_bj
-            self.cols[k].discard(b)
+        n_bj = row.pop(j)
+        cols[j].discard(b)
+        # j = (d_b*b - sum_{k != j} n_k x_k) / n_bj, over the positive
+        # denominator |n_bj|; gcd-normalised because the old row was
+        sign = 1 if n_bj > 0 else -1
+        p = sign * n_bj
+        new_row: dict[int, int] = {b: sign * d_b}
+        for k, n_k in row.items():
+            new_row[k] = -sign * n_k
+            cols[k].discard(b)
+            cols[k].add(j)
         self.rows[j] = new_row
+        self.den[j] = p
         self.basic.add(j)
-        self.cols.setdefault(b, set()).add(j)
-        for k in new_row:
-            if k != b:
-                self.cols[k].add(j)
-        # substitute j in every other row that mentions it
-        for b2 in list(self.cols[j]):
-            if b2 == j:
-                continue
+        cols[b].add(j)
+        # substitute j in every other row that mentions it: with
+        # b2 = (rest + c*j)/e and j = new_row/p, scale rest by m = p/gcd(c, p)
+        for b2 in cols[j]:
             row2 = self.rows[b2]
-            c = row2.pop(j, None)
-            if c is None:
-                continue
+            c = row2.pop(j)
+            g = gcd(c, p)
+            c //= g
+            m = p // g
+            if m != 1:
+                for k in row2:
+                    row2[k] *= m
+            get = row2.get
             for k, a_k in new_row.items():
-                nv = row2.get(k, Fraction(0)) + c * a_k
-                if nv == 0:
-                    if k in row2:
-                        del row2[k]
-                        self.cols[k].discard(b2)
-                else:
-                    if k not in row2:
-                        self.cols[k].add(b2)
+                old = get(k)
+                if old is None:
+                    row2[k] = c * a_k
+                    cols[k].add(b2)
+                    continue
+                nv = old + c * a_k
+                if nv:
                     row2[k] = nv
-        self.cols[j] = set()
+                else:
+                    del row2[k]
+                    cols[k].discard(b2)
+            e = self.den[b2] * m
+            g = gcd(e, *row2.values())
+            if g != 1:
+                for k in row2:
+                    row2[k] //= g
+                e //= g
+            self.den[b2] = e
+        cols[j] = set()
 
     # ------------------------------------------------------------------
     # Models
@@ -357,16 +390,19 @@ class Simplex:
         delta = Fraction(1)
         for v in range(self.nvars):
             val = self.assign[v]
-            lo = self.lower[v]
-            if lo is not None and lo.r < val.r and lo.d > val.d:
-                delta = min(delta, (val.r - lo.r) / (lo.d - val.d))
-            up = self.upper[v]
-            if up is not None and val.r < up.r and val.d > up.d:
-                delta = min(delta, (up.r - val.r) / (val.d - up.d))
+            for lo, hi in ((self.lower[v], val), (val, self.upper[v])):
+                if lo is None or hi is None:
+                    continue
+                # lo <= hi holds lexicographically; concretely it needs
+                # δ <= (hi.r - lo.r) / (lo.d - hi.d) when both are positive
+                (lr, ld, lq), (hr, hd, hq) = lo, hi
+                num, dnm = hr * lq - lr * hq, ld * hq - hd * lq
+                if num > 0 and dnm > 0:
+                    delta = min(delta, Fraction(num, dnm))
         return delta / 2
 
     def model(self) -> list[Fraction]:
         """Concrete rational values for all variables (call after a
         successful :meth:`check`)."""
         delta = self.concrete_delta()
-        return [self.assign[v].concretize(delta) for v in range(self.nvars)]
+        return [(r + d * delta) / q for r, d, q in self.assign]

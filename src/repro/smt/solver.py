@@ -200,8 +200,11 @@ class Solver:
         produce_proofs: bool = False,
     ):
         self.theory = LraTheory()
-        self.sat_core = SatSolver(self.theory)
-        self.encoder = TseitinEncoder(self.sat_core, self.theory)
+        self._core = SatSolver(self.theory)
+        self.encoder = TseitinEncoder(self._core, self.theory)
+        #: ``(formula, frame guard)`` pairs added but not yet encoded;
+        #: see :attr:`sat_core`
+        self._unencoded: list[tuple[Term, Optional[int]]] = []
         self._frames: list[int] = []  # guard SAT vars, one per push
         self._assertions: list[list[Term]] = [[]]
         self._last_result: Optional[Result] = None
@@ -231,6 +234,22 @@ class Solver:
         if produce_proofs:
             self._arm_proofs()
 
+    @property
+    def sat_core(self) -> SatSolver:
+        """The CDCL core, with every added formula encoded into it.
+
+        :meth:`add` compiles at once but defers the Tseitin encoding to
+        the first use of the core (``check``, ``push``, ``pop`` or a
+        reader of this attribute), so a query a cache answers from its
+        compiled form is never encoded.  The encoding order, and with it
+        every SAT variable number, is the order of the ``add`` calls.
+        """
+        if self._unencoded:
+            pending, self._unencoded = self._unencoded, []
+            for f, guard in pending:
+                self.encoder.assert_formula(f, guard)
+        return self._core
+
     def _arm_proofs(self) -> None:
         self._proof = ProofLog()
         self.sat_core.proof = self._proof
@@ -247,7 +266,7 @@ class Solver:
                 self._assertions[-1].append(f)
                 p = preprocess(f)
                 self._encoded[-1].append(p)
-                self.encoder.assert_formula(p, guard)
+                self._unencoded.append((p, guard))
             return
         # Delta compile: earlier eliminations are substituted into the
         # incoming formulas first, so a query never mentions a variable
@@ -262,7 +281,7 @@ class Solver:
         self._compiled[-1].extend(compiled.formulas)
         self._encoded[-1].extend(compiled.formulas)
         for f in compiled.formulas:
-            self.encoder.assert_formula(f, guard)
+            self._unencoded.append((f, guard))
             for node in f.iter_dag():
                 if node.kind is Kind.VAR:
                     self._frozen.add(node)

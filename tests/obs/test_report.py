@@ -150,6 +150,18 @@ class TestWorkerLanes:
         assert w0.runs == 1 and w0.busy == 1.5 and w0.kills == 0
         assert summary.workers["w1"].kills == 1
 
+    def test_pool_kill_event_counts_on_its_lane(self):
+        lines = self.make_lane_trace() + [json.dumps({
+            "type": "event", "name": "service.pool.kill", "span": 1,
+            "ts": 0.0, "lvl": 20,
+            "attrs": {"worker": "p1", "status": "oom", "task": "b1:0:a0"},
+        })]
+        summary = parse_trace(lines)
+        assert summary.workers["p1"].kills == 1
+        assert summary.workers["p1"].records == 1
+        out = render_report(summary)
+        assert "p1" in out
+
     def test_lanes_rendered_with_occupancy(self):
         out = render_report(parse_trace(self.make_lane_trace()))
         assert "workers (2 lanes" in out

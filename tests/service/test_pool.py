@@ -142,6 +142,31 @@ def test_repeated_crashes_exhaust_retries():
     assert _no_zombies()
 
 
+def test_timed_out_task_counts_as_a_lane_kill():
+    """A task that overruns the batch's wall time is traced as a kill
+    on its lane, and ``ccmatic report`` shows it in the lane table."""
+    import io
+
+    from repro.obs import JsonlSink, tracer
+    from repro.obs.report import parse_trace
+
+    buf = io.StringIO()
+    sink = tracer().add_sink(JsonlSink(buf))
+    try:
+        with WorkerPool(size=1, kill_grace=2.0) as pool:
+            outcome = pool.run_batch(
+                [(_slow_add, (1, 1), {"delay": 30.0})],
+                accept=lambda _r: False,
+                wall_time=0.5,
+            )
+    finally:
+        tracer().remove_sink(sink)
+    assert outcome.reports[0].status == "timeout"
+    summary = parse_trace(buf.getvalue().splitlines())
+    assert summary.workers["p0"].kills == 1
+    assert _no_zombies()
+
+
 def test_all_errors_raise_worker_error():
     with WorkerPool(size=2) as pool:
         with pytest.raises(WorkerError, match="worker exploded"):
