@@ -3,7 +3,8 @@
 Runs three workloads against :mod:`repro.engine` and writes a single
 ``BENCH_engine.json`` with the numbers:
 
-1. **compile** — the staged compile pipeline vs the raw encode path on
+1. **compile** — the staged compile pipeline vs the raw encode path
+   (``Solver(compile_pipeline=False)``, the differential reference) on
    the per-candidate verification queries: clause/atom counts before and
    after, solve-time deltas, and verdict parity.  Gates on a >= 25%
    median clause-count reduction, a wall-clock win, and zero verdict
@@ -11,7 +12,7 @@ Runs three workloads against :mod:`repro.engine` and writes a single
 2. **cache** — a repeated-query workload (the same verification queries
    issued twice through a content-addressed :class:`QueryCache`); the
    warm pass must be at least 2x faster than the cold pass.
-3. **incremental** — the same candidate set verified by a fresh-solver
+3. **incremental** — the same candidate set verified by a fresh-session
    verifier and an incremental-session verifier
    (``CcacVerifier(incremental=True)``); the verdicts must be identical
    candidate by candidate.
@@ -39,15 +40,13 @@ Runs three workloads against :mod:`repro.engine` and writes a single
 Usage::
 
     PYTHONPATH=src python benchmarks/engine_bench.py [--quick] [--out PATH]
-                                                     [--no-compile-pipeline]
                                                      [--append-history PATH]
 
 ``--quick`` scales the workloads down for CI smoke runs (~1 minute);
-the default is laptop scale.  ``--no-compile-pipeline`` runs the cache /
-incremental / portfolio workloads over the raw encode path (CI uploads
-both reports side by side); the compile workload always measures both
-paths explicitly.  Exit status is non-zero when any equivalence or
-speedup assertion fails, so CI can gate on it.
+the default is laptop scale.  Every workload encodes through the compile
+pipeline; only the compile workload also runs the raw reference.  Exit
+status is non-zero when any equivalence or speedup assertion fails, so
+CI can gate on it.
 
 ``--out`` refuses to overwrite a committed *trajectory* file (a
 ``{"history": [...]}`` document; see :mod:`repro.obs.trajectory`) —
@@ -80,9 +79,9 @@ from repro.core import (  # noqa: E402
 from repro.core.verifier import CcacVerifier  # noqa: E402
 from repro.engine import QueryCache  # noqa: E402
 from repro.runtime import RuntimeOptions, run_synthesis  # noqa: E402
-from repro.smt import Solver, compile_query, set_pipeline_enabled  # noqa: E402
+from repro.smt import Solver, compile_query  # noqa: E402
 from repro.smt.cnf import TseitinEncoder  # noqa: E402
-from repro.smt.compile import ENV_FLAG, _SatSink, _TheorySink  # noqa: E402
+from repro.smt.compile import _SatSink, _TheorySink  # noqa: E402
 from repro.smt.preprocess import preprocess  # noqa: E402
 
 
@@ -531,11 +530,6 @@ def main(argv=None) -> int:
         help="where to write the JSON report (default: %(default)s)",
     )
     parser.add_argument(
-        "--no-compile-pipeline", action="store_true",
-        help="run the cache/incremental/portfolio workloads over the raw "
-             "encode path (for before/after comparison in CI)",
-    )
-    parser.add_argument(
         "--append-history", metavar="PATH", default=None,
         help="additionally append a git-sha-stamped summary of this run "
              "to the trajectory file at PATH (e.g. BENCH_engine.json)",
@@ -554,10 +548,6 @@ def main(argv=None) -> int:
         )
         return 2
 
-    if args.no_compile_pipeline:
-        os.environ[ENV_FLAG] = "1"  # portfolio workers inherit the flag
-        set_pipeline_enabled(False)
-
     if args.quick:
         cfg = ModelConfig(T=5, history=3)
         history, n_cands, budget, rounds = 3, 4, 60.0, 3
@@ -571,11 +561,9 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "T": cfg.T,
         "candidates": n_cands,
-        "compile_pipeline": not args.no_compile_pipeline,
     }
     print(f"engine bench (T={cfg.T}, {n_cands} candidates, "
-          f"{'quick' if args.quick else 'full'} scale, "
-          f"pipeline={'off' if args.no_compile_pipeline else 'on'})")
+          f"{'quick' if args.quick else 'full'} scale)")
 
     report["compile"] = bench_compile(cfg, candidates)
     k = report["compile"]

@@ -189,7 +189,6 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
              "(in-process verifier only; --isolate/--jobs workers keep "
              "their own warm session)",
     )
-    _add_pipeline_arg(g)
 
 
 def _environment_arg(text: str):
@@ -212,14 +211,6 @@ def _add_env_arg(p) -> None:
              "thresholds:util_thresh=<frac>.  With several, a candidate "
              "counts as verified only when every environment agrees "
              "(default: lossless)",
-    )
-
-
-def _add_pipeline_arg(p) -> None:
-    p.add_argument(
-        "--no-compile-pipeline", action="store_true",
-        help="escape hatch: skip the staged compile pipeline and encode "
-             "raw preprocessed terms (slower; for debugging/benchmarks)",
     )
 
 
@@ -261,7 +252,6 @@ def _add_verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--falsify-seed", type=int, default=0, metavar="SEED")
     _add_cfg_args(p)
     _add_env_arg(p)
-    _add_pipeline_arg(p)
 
 
 def _add_falsify_job_args(p: argparse.ArgumentParser) -> None:
@@ -982,7 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", metavar="PATH", default=None,
                    help="write the grid's experiment manifest JSON to PATH")
     _add_cfg_args(p)
-    _add_pipeline_arg(p)
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser(
@@ -996,7 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wce", action="store_true",
                    help="certify under worst-case counterexample search")
     _add_cfg_args(p)
-    _add_pipeline_arg(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="solution counts vs thresholds", parents=[obs])
@@ -1005,7 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=list(table1_spaces()), default="no_cwnd_small")
     p.add_argument("--T", type=int, default=7)
     p.add_argument("--time-budget", type=float, default=None)
-    _add_pipeline_arg(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="run CCAs on the simulator", parents=[obs])
@@ -1015,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assumption", help="weakest sufficient assumption", parents=[obs])
     p.add_argument("cca", help="rocc | eq3 | const:<gamma>")
     _add_cfg_args(p)
-    _add_pipeline_arg(p)
     p.set_defaults(func=cmd_assumption)
 
     p = sub.add_parser("report", help="per-phase breakdown of a JSONL trace")
@@ -1196,15 +1182,6 @@ def _configure_flight_recorder(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_compile_pipeline", False):
-        # set both the process override and the environment flag, so
-        # forked/spawned portfolio workers inherit the escape hatch
-        import os
-
-        from .smt.compile import ENV_FLAG, set_pipeline_enabled
-
-        os.environ[ENV_FLAG] = "1"
-        set_pipeline_enabled(False)
     tr = tracer()
     _configure_flight_recorder(args)
     sinks = _configure_observability(args, argv)

@@ -48,7 +48,7 @@ from ..ccac import ModelConfig
 from ..ccac.environments import EnvironmentSpec, lossless_environment
 from ..obs import DEBUG, tracer
 from ..runtime.validate import validate_counterexample, validate_model
-from ..smt import CheckOptions, Or, Real, RealVal, Solver, SolverSession, Term, sat, unknown
+from ..smt import CheckOptions, Or, Real, RealVal, SolverSession, Term, sat, unknown
 from ..smt.optimize import maximize
 from .template import CandidateCCA
 
@@ -95,11 +95,12 @@ class _EnvState:
 class CcacVerifier:
     """The per-candidate CCAC verifier.
 
-    Two operating modes:
+    Every query is built through a :class:`~repro.smt.SolverSession`,
+    in one of two operating modes:
 
-    * **fresh** (default): each call builds a fresh solver over the full
-      encoding — stateless, trivially correct, and what the original
-      reproduction did.
+    * **fresh** (default): each call builds a fresh session over the
+      full encoding — stateless, trivially correct, and what the
+      original reproduction did.
     * **incremental** (``incremental=True``): one long-lived
       :class:`~repro.smt.SolverSession` *per environment* holds the
       candidate-independent encoding (environment + negated desired
@@ -204,10 +205,10 @@ class CcacVerifier:
         state: _EnvState,
         extra_constraints: Sequence[Term] = (),
     ):
-        """Yields ``(solver_like, net)`` with the full per-candidate
-        encoding asserted; incremental mode reuses the shared base.
-        Fresh mode asserts the shared base and the candidate delta as
-        separate batches so the base compile is memo-amortized."""
+        """Yields ``(session, net)`` with the full per-candidate encoding
+        asserted; incremental mode reuses the shared base.  Fresh mode
+        asserts the shared base and the candidate delta as separate
+        batches so the base compile is memo-amortized."""
         if self.incremental:
             session = self._ensure_session(state)
             net = state.net
@@ -218,23 +219,11 @@ class CcacVerifier:
             net, base = self._ensure_net(state)
             delta = list(state.env.candidate_constraints(net, candidate))
             delta.extend(extra_constraints)
-            if self.cache is not None:
-                session = SolverSession(
-                    base, cache=self.cache, produce_proofs=self.certify
-                )
-                session.add(*delta)
-                yield session, net
-            else:
-                solver = Solver(produce_proofs=self.certify)
-                solver.add(*base)
-                solver.add(*delta)
-                yield solver, net
-
-    @staticmethod
-    def _solver_checks(solver) -> int:
-        """Underlying SMT check count (sessions wrap the raw solver)."""
-        stats = getattr(getattr(solver, "solver", solver), "stats", None)
-        return getattr(stats, "checks", 0)
+            session = SolverSession(
+                base, cache=self.cache, produce_proofs=self.certify
+            )
+            session.add(*delta)
+            yield session, net
 
     def _extract_trace(
         self, solver, state: _EnvState, model, candidate: CandidateCCA
@@ -290,31 +279,31 @@ class CcacVerifier:
             outcome_env: Optional[EnvironmentSpec] = None
             for state in states:
                 # in incremental mode the session's stats are cumulative;
-                # report this call's delta like the fresh-solver path does
+                # report this call's delta like the fresh-session path does
                 base_checks = (
-                    self._solver_checks(state.session)
+                    state.session.solver.stats.checks
                     if state.session is not None
                     else 0
                 )
                 with self._candidate_scope(
                     candidate, state, extra_constraints
-                ) as (solver, net):
+                ) as (session, net):
                     inconclusive = False
                     if worst_case:
                         model, inconclusive = self._solve_worst_case(
-                            solver, net, state, opts
+                            session, net, state, opts
                         )
                     else:
-                        outcome = solver.check(opts)
+                        outcome = session.check(opts)
                         if outcome is unknown:
                             model, inconclusive = None, True
                         elif outcome is sat:
-                            model = solver.model()
+                            model = session.model()
                         else:
                             model = None
                     if model is not None:
                         outcome_trace = self._extract_trace(
-                            solver, state, model, candidate
+                            session, state, model, candidate
                         )
                         outcome_env = state.env
                     summary = None
@@ -327,11 +316,11 @@ class CcacVerifier:
                         # frame is still active (pop would disable its
                         # guard)
                         summary, inconclusive = self._certify_unsat(
-                            solver, worst_case, opts
+                            session, worst_case, opts
                         )
                     if summary is not None:
                         summaries.append(summary)
-                    total_checks += self._solver_checks(solver) - base_checks
+                    total_checks += session.solver.stats.checks - base_checks
                 any_unknown = any_unknown or inconclusive
                 if outcome_trace is not None:
                     break

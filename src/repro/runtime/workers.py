@@ -117,11 +117,12 @@ def _pool_child(conn, memory_mb: Optional[int], trace_ctx: Optional[TraceContext
 
     Cancellation: the parent sends ``SIGUSR1``; the handler raises
     :class:`TaskCancelled` *only while a task is executing*, so a signal
-    that lands between tasks is ignored.  Tasks run *without* an
-    ``interned_scope`` — keeping interned terms (and any process-global
-    state the tasks build, e.g. incremental verifier sessions) warm
-    across tasks is the point of pooling; the pool bounds the resulting
-    memory growth by recycling workers after ``max_tasks_per_worker``.
+    that lands between tasks is ignored.  Interned terms are never
+    released, and they stay warm across tasks together with any other
+    process-global state the tasks build (e.g. incremental verifier
+    sessions) — that is the point of pooling; the pool bounds the
+    resulting memory growth by recycling workers after
+    ``max_tasks_per_worker``.
     """
     import signal
 

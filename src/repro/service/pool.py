@@ -53,8 +53,8 @@ the SIGUSR1 treatment and the batch raises
 :class:`~repro.service.resilience.JobCancelled` with the scope's
 reason.
 
-Soundness note (see DESIGN "The control plane"): pooled tasks
-deliberately skip a per-task ``interned_scope`` reset, because warm
+Soundness note (see DESIGN "The control plane"): pooled tasks keep
+interned terms and verifier state warm between tasks, because warm
 state *is* the speedup.  A task that is
 cancelled or errors clears its process-global verifier cache before the
 worker serves the next task, so a half-popped solver session is never

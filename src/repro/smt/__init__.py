@@ -25,15 +25,7 @@ from .encodings import (
     select_product,
     selected_constant,
 )
-from .compile import (
-    CompiledQuery,
-    CompileOptions,
-    CompileStats,
-    compile_query,
-    pipeline_disabled,
-    pipeline_enabled,
-    set_pipeline_enabled,
-)
+from .compile import CompiledQuery, CompileStats, compile_query
 from .errors import (
     BudgetExceededError,
     NonLinearError,
@@ -66,26 +58,22 @@ from .terms import (
     Term,
     canonical_hash,
     canonical_key,
-    clear_interned,
     evaluate,
     intern_stats,
     interned_count,
-    interned_scope,
     substitute,
 )
 
 __all__ = [
     "Add", "And", "Bool", "BoolVal", "BudgetExceededError", "CheckOptions",
-    "CompileOptions", "CompileStats", "CompiledQuery",
+    "CompileStats", "CompiledQuery",
     "Eq", "FALSE", "FreshBool", "FreshReal", "Iff", "Implies", "Ite",
     "MaxSatResult", "MaxSatSolver", "Model", "NonLinearError", "Not",
     "OptimizeResult", "Or", "Real", "RealVal", "Result", "SessionStats",
     "SmtError", "Solver", "SolverSession", "SortError", "Sum", "TRUE",
     "Term", "UnknownResultError", "at_most_one", "bool_indicator",
-    "canonical_hash", "canonical_key", "check_formulas", "clear_interned",
-    "compile_query", "encode_abs", "encode_max", "encode_min", "evaluate",
-    "exactly_one", "intern_stats", "interned_count", "interned_scope",
-    "maximize", "minimize", "pipeline_disabled", "pipeline_enabled", "sat",
-    "select_product", "selected_constant", "set_pipeline_enabled",
-    "substitute", "unknown", "unsat",
+    "canonical_hash", "canonical_key", "check_formulas", "compile_query",
+    "encode_abs", "encode_max", "encode_min", "evaluate", "exactly_one",
+    "intern_stats", "interned_count", "maximize", "minimize", "sat",
+    "select_product", "selected_constant", "substitute", "unknown", "unsat",
 ]

@@ -35,9 +35,9 @@ for the Solver, SolverSession, QueryCache, and CcacVerifier:
      ``cwnd_t >= 1/10`` floor), which in turn exposes new units,
      points, and definitions for another iteration.
 
-Stages 1–4 iterate to a fixpoint (bounded by
-:attr:`CompileOptions.max_rounds`); stage 5 runs once, and stage 6
-iterates to its own fixpoint under the same bound.
+Every stage always runs.  Stages 1–4 iterate to a fixpoint (bounded by
+:data:`MAX_ROUNDS`); stage 5 runs once, and stage 6 iterates to its own
+fixpoint under the same bound.
 
 Soundness of variable elimination
 ---------------------------------
@@ -65,10 +65,9 @@ atom spelling, or eliminated definitions hit the same cache entry.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -78,7 +77,7 @@ from . import rewrite
 from .cnf import TseitinEncoder
 from .errors import NonLinearError, SortError
 from .linarith import LinAtom, LinExpr, normalize_atom
-from .preprocess import eliminate_eq, preprocess
+from .preprocess import eliminate_eq
 from .terms import (
     FALSE,
     TRUE,
@@ -87,83 +86,20 @@ from .terms import (
     Sort,
     Term,
     canonical_hash,
-    register_intern_listener,
     substitute,
 )
 
 __all__ = [
-    "CompileOptions",
     "CompileStats",
     "CompiledQuery",
     "Cnf",
     "compile_query",
-    "pipeline_disabled",
-    "pipeline_enabled",
-    "set_pipeline_enabled",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Pipeline switch (the --no-compile-pipeline escape hatch)
+# Results
 # ---------------------------------------------------------------------------
-
-#: environment escape hatch; also settable via the CLI flag
-#: ``--no-compile-pipeline`` (exported so worker processes inherit it)
-ENV_FLAG = "REPRO_NO_COMPILE_PIPELINE"
-
-_override: Optional[bool] = None
-
-
-def pipeline_enabled() -> bool:
-    """Whether new :class:`~repro.smt.solver.Solver` instances compile
-    through the pipeline (process override wins over the environment)."""
-    if _override is not None:
-        return _override
-    return os.environ.get(ENV_FLAG, "").lower() not in {"1", "true", "yes", "on"}
-
-
-def set_pipeline_enabled(on: Optional[bool]) -> None:
-    """Force the pipeline on/off for this process (``None`` restores the
-    environment-derived default).  Affects solvers built afterwards."""
-    global _override
-    _override = on
-
-
-@contextmanager
-def pipeline_disabled():
-    """Scope in which new solvers take the raw (pre-pipeline) encode path."""
-    global _override
-    prev = _override
-    _override = False
-    try:
-        yield
-    finally:
-        _override = prev
-
-
-# ---------------------------------------------------------------------------
-# Options / results
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompileOptions:
-    """Which stages run; all on by default.  Frozen so option sets can
-    key the compile memo."""
-
-    fold: bool = True
-    lift_ites: bool = True
-    inline_defs: bool = True
-    propagate_bounds: bool = True
-    canonicalize: bool = True
-    #: post-canonicalization unit-literal propagation (stage 6)
-    propagate_units: bool = True
-    #: fixpoint bound for the fold/ite/inline/bounds loop
-    max_rounds: int = 4
-
-
-DEFAULT_OPTIONS = CompileOptions()
-
 
 @dataclass
 class CompileStats:
@@ -285,17 +221,13 @@ class CompiledQuery:
         return self._atoms
 
     def cnf(self) -> Cnf:
-        """Clausal form, computed against throwaway sinks.
-
-        Runs the legacy :func:`preprocess` first so the encoding works
-        even for partially-disabled option sets (on fully compiled
-        formulas it is the identity)."""
+        """Clausal form, computed against throwaway sinks."""
         if self._cnf is None:
             sat_sink = _SatSink()
             theory_sink = _TheorySink()
             encoder = TseitinEncoder(sat_sink, theory_sink)  # type: ignore[arg-type]
             for f in self.formulas:
-                encoder.assert_formula(preprocess(f))
+                encoder.assert_formula(f)
             self._cnf = Cnf(sat_sink.num_vars, tuple(sat_sink.clauses), theory_sink.atoms)
         return self._cnf
 
@@ -317,24 +249,18 @@ class CompiledQuery:
 # The compiler
 # ---------------------------------------------------------------------------
 
+#: fixpoint bound for the fold/ite/inline/bounds loop and for stage 6
+MAX_ROUNDS = 4
+
 _MEMO_MAX = 128
 
-#: (input term ids, options, frozen var ids) -> CompiledQuery.  Valid
-#: because interned term ids are stable; cleared whenever the intern
-#: table is cleared/restored (id reuse would alias entries).
+#: (input term ids, frozen var ids) -> CompiledQuery.  Valid because
+#: interned terms are never released, so their ids are stable.
 _memo: "OrderedDict[tuple, CompiledQuery]" = OrderedDict()
-
-
-def _memo_clear() -> None:
-    _memo.clear()
-
-
-register_intern_listener(_memo_clear)
 
 
 def compile_query(
     formulas: Iterable[Term],
-    options: Optional[CompileOptions] = None,
     frozen: Iterable[Term] = (),
 ) -> CompiledQuery:
     """Compile an assertion set through the staged pipeline.
@@ -343,16 +269,15 @@ def compile_query(
     a live solver; they are never eliminated (only constant values are
     propagated, with the defining conjunct pinned).
     """
-    opts = options if options is not None else DEFAULT_OPTIONS
     fs = tuple(formulas)
     frozen_ids = frozenset(id(v) for v in frozen)
-    memo_key = (tuple(id(f) for f in fs), opts, frozen_ids)
+    memo_key = (tuple(id(f) for f in fs), frozen_ids)
     hit = _memo.get(memo_key)
     if hit is not None:
         _memo.move_to_end(memo_key)
         metrics().counter("compile.memo_hits").inc()
         return hit
-    out = _compile(fs, opts, frozen_ids)
+    out = _compile(fs, frozen_ids)
     _memo[memo_key] = out
     if len(_memo) > _MEMO_MAX:
         _memo.popitem(last=False)
@@ -397,7 +322,7 @@ def _flatten_conjuncts(formulas: Iterable[Term]) -> list[Term]:
     return out
 
 
-def _compile(fs: tuple[Term, ...], opts: CompileOptions, frozen_ids: frozenset) -> CompiledQuery:
+def _compile(fs: tuple[Term, ...], frozen_ids: frozenset) -> CompiledQuery:
     tr = tracer()
     reg = metrics()
     stats = CompileStats()
@@ -416,51 +341,41 @@ def _compile(fs: tuple[Term, ...], opts: CompileOptions, frozen_ids: frozenset) 
         pins: list[Term] = []
         emitted_ites: set[str] = set()
 
-        for round_no in range(1, opts.max_rounds + 1):
+        for round_no in range(1, MAX_ROUNDS + 1):
             stats.rounds = round_no
             before = tuple(id(c) for c in conjuncts)
-            if opts.fold:
-                with _stage(tr, "compile.fold"):
-                    conjuncts = _flatten_conjuncts(
-                        rewrite.simplify(c) for c in conjuncts
-                    )
+            with _stage(tr, "compile.fold"):
+                conjuncts = _flatten_conjuncts(
+                    rewrite.simplify(c) for c in conjuncts
+                )
             if conjuncts == [FALSE]:
                 break
-            if opts.lift_ites:
-                with _stage(tr, "compile.ite"):
-                    conjuncts = _ite_pass(conjuncts, emitted_ites)
-            if opts.inline_defs:
-                with _stage(tr, "compile.inline"):
-                    conjuncts = _inline_pass(conjuncts, eliminated, frozen_ids, pins)
-            if opts.propagate_bounds:
-                with _stage(tr, "compile.bounds"):
-                    conjuncts = _bounds_pass(conjuncts, eliminated, frozen_ids, pins)
+            with _stage(tr, "compile.ite"):
+                conjuncts = _ite_pass(conjuncts, emitted_ites)
+            with _stage(tr, "compile.inline"):
+                conjuncts = _inline_pass(conjuncts, eliminated, frozen_ids, pins)
+            with _stage(tr, "compile.bounds"):
+                conjuncts = _bounds_pass(conjuncts, eliminated, frozen_ids, pins)
             if conjuncts == [FALSE] or tuple(id(c) for c in conjuncts) == before:
                 break
 
         with _stage(tr, "compile.atoms"):
-            final: list[Term] = []
-            for c in conjuncts + pins:
-                c = eliminate_eq(c)
-                if opts.canonicalize:
-                    c = rewrite.canonicalize_atoms(c)
-                if opts.fold:
-                    c = rewrite.simplify(c)
-                final.append(c)
-            conjuncts = _flatten_conjuncts(final)
+            conjuncts = _flatten_conjuncts([
+                rewrite.simplify(rewrite.canonicalize_atoms(eliminate_eq(c)))
+                for c in conjuncts + pins
+            ])
             pins = []  # folded in above; refinement may grow new ones
 
         # stage 6: units/entailment refinement — both passes key on exact
         # atom identity, so they run after canonicalization has merged
         # the spellings
-        for _ in range(opts.max_rounds):
+        for _ in range(MAX_ROUNDS):
             before = tuple(id(c) for c in conjuncts)
             if conjuncts == [FALSE]:
                 break
-            if opts.propagate_units:
-                with _stage(tr, "compile.units"):
-                    conjuncts = _units_pass(conjuncts)
-            if conjuncts != [FALSE] and opts.propagate_bounds:
+            with _stage(tr, "compile.units"):
+                conjuncts = _units_pass(conjuncts)
+            if conjuncts != [FALSE]:
                 with _stage(tr, "compile.bounds"):
                     conjuncts = _bounds_pass(
                         conjuncts, eliminated, frozen_ids, pins
@@ -470,14 +385,9 @@ def _compile(fs: tuple[Term, ...], opts: CompileOptions, frozen_ids: frozenset) 
                     eliminate_eq(p) for p in pins
                 ])
                 pins = []
-            cleaned = []
-            for c in conjuncts:
-                if opts.canonicalize:
-                    c = rewrite.canonicalize_atoms(c)
-                if opts.fold:
-                    c = rewrite.simplify(c)
-                cleaned.append(c)
-            conjuncts = _flatten_conjuncts(cleaned)
+            conjuncts = _flatten_conjuncts([
+                rewrite.simplify(rewrite.canonicalize_atoms(c)) for c in conjuncts
+            ])
             if conjuncts == [FALSE] or tuple(id(c) for c in conjuncts) == before:
                 break
             stats.rounds += 1

@@ -89,12 +89,9 @@ class SolverSession:
         base: Iterable[Term] = (),
         *,
         cache: Optional[QueryCacheProtocol] = None,
-        compile_pipeline: Optional[bool] = None,
         produce_proofs: bool = False,
     ):
-        self.solver = Solver(
-            compile_pipeline=compile_pipeline, produce_proofs=produce_proofs
-        )
+        self.solver = Solver(produce_proofs=produce_proofs)
         self.cache = cache
         self.stats = SessionStats()
         self._cached: Optional[tuple[Result, Optional[Model]]] = None

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 from ..obs import DEBUG, metrics, tracer
 from ..trust.proof import NeutralAtom, ProofError, ProofLog, UnsatCertificate
 from .cnf import TseitinEncoder
-from .compile import CompileOptions, compile_query, pipeline_enabled
+from .compile import compile_query
 from .errors import UnknownResultError
 from .linarith import LinExpr
 from .preprocess import preprocess
@@ -184,19 +184,21 @@ class SolverStats:
 class Solver:
     """Incremental DPLL(T) solver for QF-LRA + booleans.
 
-    Assertions normally go through the staged compile pipeline
-    (:mod:`repro.smt.compile`) before hitting the CNF encoder; pass
-    ``compile_pipeline=False`` (or set the ``REPRO_NO_COMPILE_PIPELINE``
-    environment flag / CLI escape hatch) to encode raw preprocessed
-    terms instead.  :meth:`assertions` always returns the raw formulas
-    as asserted; :meth:`compiled_assertions` returns what was encoded.
+    Assertions go through the staged compile pipeline
+    (:mod:`repro.smt.compile`) before hitting the CNF encoder.
+    ``compile_pipeline=False`` builds the *differential reference*
+    instead: it encodes raw preprocessed terms and exists only so the
+    fuzzer (``scripts/smt_fuzz.py``) and the engine bench's ``compile``
+    section can check the pipeline against an encoding that shares no
+    rewriting code with it.  :meth:`assertions` always returns the raw
+    formulas as asserted; :meth:`compiled_assertions` returns what was
+    encoded.
     """
 
     def __init__(
         self,
         *,
-        compile_pipeline: Optional[bool] = None,
-        compile_options: Optional[CompileOptions] = None,
+        compile_pipeline: bool = True,
         produce_proofs: bool = False,
     ):
         self.theory = LraTheory()
@@ -210,12 +212,7 @@ class Solver:
         self._last_result: Optional[Result] = None
         self._model: Optional[Model] = None
         self.stats = SolverStats()
-        self._pipeline = (
-            pipeline_enabled() if compile_pipeline is None else compile_pipeline
-        )
-        self._compile_options = compile_options
-        #: compiled (encoded) formulas, one list per frame
-        self._compiled: list[list[Term]] = [[]]
+        self._pipeline = compile_pipeline
         #: eliminated var -> resolved defining term (never references
         #: another eliminated var), for model reconstruction
         self._elim: dict[Term, Term] = {}
@@ -225,9 +222,10 @@ class Solver:
         #: then ``add(x == 3)`` has to constrain the *same* x).  Never
         #: shrinks on pop — the encoder's literal cache outlives frames.
         self._frozen: set[Term] = set()
-        #: proof mode: the formulas actually handed to the CNF encoder
-        #: (compiled or preprocessed), one list per frame — certificates
-        #: name these, not the raw assertions
+        #: the formulas actually handed to the CNF encoder (compiled, or
+        #: preprocessed in reference mode), one list per frame — cache
+        #: keys hash these and certificates name them, not the raw
+        #: assertions
         self._encoded: list[list[Term]] = [[]]
         self._disabled_guards: list[int] = []
         self._proof: Optional[ProofLog] = None
@@ -274,11 +272,8 @@ class Solver:
         inputs = tuple(
             substitute(f, self._elim) if self._elim else f for f in formulas
         )
-        compiled = compile_query(
-            inputs, options=self._compile_options, frozen=self._frozen
-        )
+        compiled = compile_query(inputs, frozen=self._frozen)
         self._assertions[-1].extend(formulas)
-        self._compiled[-1].extend(compiled.formulas)
         self._encoded[-1].extend(compiled.formulas)
         for f in compiled.formulas:
             self._unencoded.append((f, guard))
@@ -297,17 +292,16 @@ class Solver:
 
     def compiled_assertions(self) -> list[Term]:
         """The active *compiled* formulas — the post-pipeline form that
-        was actually encoded (equals :meth:`assertions` when the
-        pipeline is off).  This is what cache keys hash."""
+        was actually encoded (equals :meth:`assertions` in reference
+        mode).  This is what cache keys hash."""
         if not self._pipeline:
             return self.assertions()
-        return [f for frame in self._compiled for f in frame]
+        return [f for frame in self._encoded for f in frame]
 
     def push(self) -> None:
         """Open a new assertion frame."""
         self._frames.append(self.sat_core.new_var())
         self._assertions.append([])
-        self._compiled.append([])
         self._encoded.append([])
         self._elim_stack.append(dict(self._elim))
 
@@ -325,7 +319,6 @@ class Solver:
             raise IndexError("pop without matching push")
         guard = self._frames.pop()
         self._assertions.pop()
-        self._compiled.pop()
         self._encoded.pop()
         self._disabled_guards.append(guard)
         if self._elim_stack:

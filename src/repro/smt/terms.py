@@ -508,11 +508,9 @@ def _rebuild(t: Term, args: tuple[Term, ...]) -> Term:
 #: change a query's cache key
 _COMMUTATIVE_KINDS = frozenset({Kind.AND, Kind.OR, Kind.ADD, Kind.IFF, Kind.EQ})
 
-#: id(term) -> canonical serialization.  Terms are interned for as long
-#: as the intern table holds them (``Term._table`` keeps strong
-#: references), so ids are stable and this memo can never alias two
-#: distinct terms; :func:`clear_interned` / :func:`interned_scope` clear
-#: or restore it in lockstep with the table.
+#: id(term) -> canonical serialization.  Interned terms are never
+#: released (``Term._table`` keeps strong references), so ids are stable
+#: and this memo can never alias two distinct terms.
 _canonical_memo: dict[int, str] = {}
 
 
@@ -579,32 +577,13 @@ def canonical_hash(terms: Iterable[Term]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Intern-table management
+# Intern-table accounting
 # ---------------------------------------------------------------------------
 #
 # ``Term._table`` holds a strong reference to every term ever built, so a
-# long-lived process (portfolio runs, incremental sessions, sweeps) grows
-# monotonically.  The hooks below make that growth observable
-# (:func:`intern_stats`) and reclaimable at *quiescent points* —
-# moments where no live ``Solver``/``TseitinEncoder``/compile memo still
-# relies on term identity, e.g. the start of an isolated engine worker or
-# the boundary between independent synthesis runs.
-
-#: callbacks invoked whenever the intern table is cleared or restored, so
-#: id-keyed side caches (the canonical-key memo here, the compile memo in
-#: :mod:`repro.smt.compile`) can drop entries that may alias recycled ids
-_intern_listeners: list = []
-
-
-def register_intern_listener(callback) -> None:
-    """Register a zero-arg callback run on :func:`clear_interned` /
-    :func:`interned_scope` restore (for invalidating id-keyed caches)."""
-    _intern_listeners.append(callback)
-
-
-def _notify_intern_listeners() -> None:
-    for cb in _intern_listeners:
-        cb()
+# long-lived process grows monotonically; :func:`intern_stats` makes that
+# growth observable.  Pooled workers bound it by recycling after a task
+# quota (:class:`repro.runtime.workers.WorkerPool`).
 
 
 def interned_count() -> int:
@@ -619,59 +598,6 @@ def intern_stats() -> dict:
         "hits": Term._hits,
         "misses": Term._misses,
     }
-
-
-def clear_interned() -> int:
-    """Drop every interned term except the ``TRUE``/``FALSE`` singletons.
-
-    Returns the number of entries dropped.  **Only safe at quiescent
-    points**: terms created before the clear stay valid Python objects,
-    but a structurally identical term built afterwards is a *new* object,
-    so ``is``-identity (and any id-keyed cache) across the boundary is
-    meaningless.  Do not call while a ``Solver``, ``SolverSession``, or
-    ``CompiledQuery`` you intend to keep using is alive.
-    """
-    dropped = len(Term._table)
-    Term._table.clear()
-    _canonical_memo.clear()
-    for t in (TRUE, FALSE):
-        # re-register the module-level singletons: builders compare
-        # against them with ``is``, so they must stay the interned copy
-        Term._table[(t.kind, t.sort, (), t.name, t.value)] = t
-        dropped -= 1
-    _notify_intern_listeners()
-    return dropped
-
-
-class _InternedScope:
-    """Context manager: bound intern-table growth to a scope.
-
-    On exit the table (and the canonical-key memo) is restored to its
-    entry snapshot, so every term created inside the scope becomes
-    collectable.  Pre-existing terms keep their identity throughout.
-    Used by engine workers (:mod:`repro.runtime.workers`) so one
-    worker's term churn cannot grow the table for the rest of the run.
-    Terms created inside the scope must not outlive it.
-    """
-
-    def __enter__(self):
-        self._table = dict(Term._table)
-        self._memo = dict(_canonical_memo)
-        return self
-
-    def __exit__(self, *exc):
-        Term._table.clear()
-        Term._table.update(self._table)
-        _canonical_memo.clear()
-        _canonical_memo.update(self._memo)
-        _notify_intern_listeners()
-        return False
-
-
-def interned_scope() -> _InternedScope:
-    """Scope whose term allocations are released on exit (see
-    :class:`_InternedScope` for the safety contract)."""
-    return _InternedScope()
 
 
 def evaluate(term: Term, env: Mapping[Term, object]):

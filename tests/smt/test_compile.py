@@ -20,15 +20,11 @@ from repro.smt import (
     SolverSession,
     canonical_hash,
     compile_query,
-    pipeline_disabled,
-    pipeline_enabled,
     sat,
-    set_pipeline_enabled,
     unsat,
 )
-from repro.smt.compile import CompileOptions
 from repro.smt.rewrite import aux_ite_name, simplify
-from repro.smt.terms import intern_stats, interned_count, interned_scope
+from repro.smt.terms import intern_stats, interned_count
 
 x, y, z = Real("cx"), Real("cy"), Real("cz")
 p, q = Bool("cp"), Bool("cq")
@@ -124,11 +120,6 @@ class TestCompile:
         assert st.atoms_after < st.atoms_before
         assert st.vars_eliminated == 2
 
-    def test_options_disable_stages(self):
-        opts = CompileOptions(inline_defs=False, propagate_bounds=False)
-        cq = compile_query((x.eq(2), x + y <= 5), options=opts)
-        assert cq.eliminated == ()
-
 
 class TestSolverIntegration:
     def test_delta_add_cannot_unsoundly_eliminate(self):
@@ -168,6 +159,14 @@ class TestSolverIntegration:
         s = Solver()
         s.add(x.eq(2), x + y <= 5)
         assert s.assertions() == [x.eq(2), x + y <= 5]
+        assert s.compiled_assertions() == [y <= 3]
+
+    def test_environment_cannot_select_raw_path(self, monkeypatch):
+        # the pipeline is the only encode path a default Solver takes;
+        # the retired escape-hatch variable is ignored
+        monkeypatch.setenv("REPRO_NO_COMPILE_PIPELINE", "1")
+        s = Solver()
+        s.add(x.eq(2), x + y <= 5)
         assert s.compiled_assertions() == [y <= 3]
 
     def test_raw_path_unchanged(self):
@@ -224,41 +223,8 @@ class TestSessionCacheKeys:
         assert sess.stats.cache_hits == 1
 
 
-class TestPipelineSwitch:
-    def test_context_manager(self):
-        assert pipeline_enabled()
-        with pipeline_disabled():
-            assert not pipeline_enabled()
-            s = Solver()
-            assert s._pipeline is False
-        assert pipeline_enabled()
-
-    def test_set_override_roundtrip(self):
-        set_pipeline_enabled(False)
-        try:
-            assert not pipeline_enabled()
-        finally:
-            set_pipeline_enabled(None)
-        assert pipeline_enabled()
-
-
 class TestInternManagement:
     def test_stats_shape(self):
         st = intern_stats()
         assert set(st) == {"interned", "hits", "misses"}
         assert st["interned"] == interned_count() > 0
-
-    def test_scope_releases_terms(self):
-        before = interned_count()
-        with interned_scope():
-            for i in range(50):
-                Real(f"scoped_{i}") <= i
-            assert interned_count() > before
-        assert interned_count() == before
-
-    def test_solving_inside_scope(self):
-        with interned_scope():
-            s = Solver()
-            a, b = Real("scope_a"), Real("scope_b")
-            s.add(a.eq(b + 1), b >= 0)
-            assert s.check() is sat

@@ -39,10 +39,12 @@ class TestParser:
         ("--max-iterations", "many"),
         ("--solver-timeout", "-2"),
         ("--solver-mem-mb", "0"),
+        # the retired raw-encode escape hatch is no longer an option
+        ("--no-compile-pipeline", None),
     ])
     def test_invalid_synthesize_inputs_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
-            main(["synthesize", flag, value])
+            main(["synthesize", flag] + ([] if value is None else [value]))
         assert exc.value.code == 2  # argparse usage error, not a traceback
         err = capsys.readouterr().err
         assert flag in err
