@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ccac import StarvationVerifier
+from repro.ccac import lossy_environment, multiflow_environment
 from repro.core import (
+    CcacVerifier,
     ConditionalVerifier,
     aimd_candidate,
     constant_cwnd,
@@ -48,11 +49,12 @@ def test_conditional_rocc_verified(benchmark, bench_cfg):
     (Fraction(1, 2), True),
 ])
 def test_starvation_vs_scheduler_share(benchmark, bench_cfg, share, expect_verified):
-    verifier = StarvationVerifier(bench_cfg, min_share=share)
+    env = multiflow_environment(min_share=share, phi=Fraction(1, 4))
+    verifier = CcacVerifier(bench_cfg, environments=[env])
     cand = rocc(BENCH_H)
 
     def run():
-        return verifier.find_starvation(cand, phi=Fraction(1, 4))
+        return verifier.find_counterexample(cand)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"min_share={share}: starvation-free={result.verified}")
@@ -85,14 +87,12 @@ def test_lossy_buffer_sizing(benchmark, bench_cfg):
 
 def test_lossy_verdicts(benchmark, bench_cfg):
     """RoCC fails under-provisioned buffers and survives adequate ones."""
-    from fractions import Fraction as F
-
-    from repro.ccac import LossyVerifier
+    def verified(buffer):
+        env = lossy_environment(buffer=buffer)
+        return CcacVerifier(bench_cfg, environments=[env]).verify(rocc(BENCH_H))
 
     def run():
-        small = LossyVerifier(bench_cfg, F(1)).verify(rocc(BENCH_H))
-        large = LossyVerifier(bench_cfg, F(8)).verify(rocc(BENCH_H))
-        return small, large
+        return verified(Fraction(1)), verified(Fraction(8))
 
     small, large = benchmark.pedantic(run, rounds=1, iterations=1)
     assert not small and large

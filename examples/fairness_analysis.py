@@ -17,8 +17,8 @@ Run:  python examples/fairness_analysis.py
 
 from fractions import Fraction
 
-from repro.ccac import ModelConfig, StarvationVerifier
-from repro.core import rocc
+from repro.ccac import ModelConfig, multiflow_environment
+from repro.core import CcacVerifier, rocc
 
 
 def main() -> None:
@@ -29,14 +29,14 @@ def main() -> None:
     print(f"starvation threshold: phi={phi} of fair share, T={cfg.T}\n")
 
     for share in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
-        verifier = StarvationVerifier(cfg, min_share=share)
-        result = verifier.find_starvation(cand, phi=phi)
+        env = multiflow_environment(min_share=share, phi=phi)
+        result = CcacVerifier(cfg, environments=[env]).find_counterexample(cand)
         print(f"scheduler min-share = {share}:")
         if result.verified:
             print(f"  PROVED: no admissible trace starves either flow "
                   f"({result.wall_time:.1f}s)")
         else:
-            t1, t2 = result.throughputs
+            t1, t2 = result.counterexample.throughputs()
             print(f"  starvation trace found: throughputs "
                   f"{float(t1):.2f} vs {float(t2):.2f} "
                   f"(fair share {float(cfg.C * cfg.T / 2):.2f}) "

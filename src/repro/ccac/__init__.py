@@ -15,13 +15,8 @@ from .properties import (
     high_utilization,
     negated_desired,
 )
-from .lossy import LossyCcacModel, LossyCexTrace, LossyVerifier, minimum_buffer
-from .multiflow import (
-    StarvationResult,
-    StarvationVerifier,
-    TwoFlowCexTrace,
-    TwoFlowModel,
-)
+from .lossy import LossyCcacModel, LossyCexTrace, minimum_buffer
+from .multiflow import TwoFlowCexTrace, TwoFlowModel
 from .trace import CexTrace, RangeBound
 from .environments import (
     ENVIRONMENT_VERSION,
@@ -45,10 +40,7 @@ __all__ = [
     "ModelConfig",
     "LossyCcacModel",
     "LossyCexTrace",
-    "LossyVerifier",
     "RangeBound",
-    "StarvationResult",
-    "StarvationVerifier",
     "TwoFlowCexTrace",
     "TwoFlowModel",
     "default_environments",

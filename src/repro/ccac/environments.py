@@ -10,7 +10,7 @@ that knows how to
 * build the environment's SMT model for a :class:`~repro.ccac.config.ModelConfig`,
 * state the environment's desired property (and its negation),
 * assert a candidate's template constraints against the model,
-* extract and independently re-validate counterexample traces,
+* extract counterexample traces tagged with their origin spec,
 * replay a counterexample numerically for *sound* generator pruning.
 
 Registered kinds:
@@ -70,6 +70,7 @@ __all__ = [
     "multiflow_environment",
     "parse_environment",
     "registered_kinds",
+    "replay_cwnd",
 ]
 
 #: schema version of the EnvironmentSpec JSON encoding (gate on decode)
@@ -119,8 +120,7 @@ class _Kind:
     def extract_trace(self, spec: "EnvironmentSpec", model, net):
         from .trace import CexTrace
 
-        trace = CexTrace.from_model(model, net)
-        return _dc_replace(trace, environment=spec)
+        return CexTrace.from_model(model, net, spec)
 
     def replay_satisfies(self, candidate, trace, pruning) -> bool:
         """``feasible => desired`` for this candidate on this trace."""
@@ -193,31 +193,16 @@ class _Lossy(_Kind):
     def extract_trace(self, spec, model, net):
         from .lossy import LossyCexTrace
 
-        trace = LossyCexTrace.from_model(model, net)
-        return _dc_replace(
-            trace,
-            loss_thresh=spec.param("loss_thresh"),
-            environment=spec,
-        )
+        return LossyCexTrace.from_model(model, net, spec)
 
     def replay_satisfies(self, candidate, trace, pruning) -> bool:
         # Exact replay regardless of the requested pruning mode (see the
         # module docstring's soundness argument); RANGE intervals are a
         # lossless-only construction.
-        cfg = trace.cfg
-        T = cfg.T
-        cwnd = _replay_cwnd(candidate, trace, cfg)
-        feasible = (
-            not trace.S_pre or trace.A[0] <= trace.S_pre[0] + cwnd[0]
-        )
-        if feasible:
-            A = [trace.A[0]]
-            for t in range(1, T + 1):
-                A.append(
-                    max(A[t - 1], trace.S[t - 1] + trace.L[t - 1] + cwnd[t])
-                )
-            feasible = all(A[t] == trace.A[t] for t in range(1, T + 1))
-        if not feasible:
+        cwnd = replay_cwnd(candidate, trace, trace.cfg)
+        if not _replays_exactly(
+            trace, cwnd, lambda t: trace.S[t - 1] + trace.L[t - 1]
+        ):
             return True
         return _dc_replace(trace, cwnd=tuple(cwnd)).desired_holds()
 
@@ -255,42 +240,22 @@ class _Multiflow(_Kind):
     def extract_trace(self, spec, model, net):
         from .multiflow import TwoFlowCexTrace
 
-        trace = TwoFlowCexTrace.from_model(
-            model,
-            net,
-            min_share=spec.param("min_share"),
-            phi=spec.param("phi"),
-        )
-        return _dc_replace(trace, environment=spec)
+        return TwoFlowCexTrace.from_model(model, net, spec)
 
     def replay_satisfies(self, candidate, trace, pruning) -> bool:
-        cfg = trace.cfg
-        T = cfg.T
         replayed = []
         for flow in trace.flows:
-            cwnd = _replay_cwnd(candidate, flow, cfg)
-            feasible = (
-                not flow.S_pre or flow.A[0] <= flow.S_pre[0] + cwnd[0]
-            )
-            if feasible:
-                A = [flow.A[0]]
-                for t in range(1, T + 1):
-                    A.append(max(A[t - 1], flow.S[t - 1] + cwnd[t]))
-                feasible = all(A[t] == flow.A[t] for t in range(1, T + 1))
-            if not feasible:
+            cwnd = replay_cwnd(candidate, flow, trace.cfg)
+            if not _replays_exactly(flow, cwnd, lambda t, f=flow: f.S[t - 1]):
                 return True
-            replayed.append(cwnd)
-        fair = cfg.C * cfg.T / 2
-        for flow, cwnd in zip(trace.flows, replayed):
-            thr = flow.S[T] - flow.S[0]
-            if thr < trace.phi * fair and not cwnd[T] > cwnd[0]:
-                return False
-        return True
+            replayed.append(_dc_replace(flow, cwnd=tuple(cwnd)))
+        return _dc_replace(trace, flows=tuple(replayed)).desired_holds()
 
 
-def _replay_cwnd(candidate, trace, cfg) -> list[Fraction]:
-    """The candidate's cwnd trajectory on a trace's ack observations
-    (the trace supplies pre-history cwnds; the rule fills ``t >= 0``)."""
+def replay_cwnd(candidate, trace, cfg: ModelConfig) -> list[Fraction]:
+    """A candidate's cwnd trajectory on a trace's ack observations: the
+    trace supplies the pre-history cwnds, the clamped template rule
+    fills ``t >= 0``."""
     cwnd: list[Fraction] = []
     for t in range(cfg.T + 1):
         total = Fraction(candidate.gamma)
@@ -303,6 +268,21 @@ def _replay_cwnd(candidate, trace, cfg) -> list[Fraction]:
                 total += candidate.betas[i - 1] * trace.ack_at(back)
         cwnd.append(max(total, cfg.cwnd_min))
     return cwnd
+
+
+def _replays_exactly(trace, cwnd, window_base) -> bool:
+    """Exact replay of the eager sender: the candidate's initial window
+    admits the recorded initial queue, and sending up to
+    ``window_base(t) + cwnd[t]`` at each step ``t >= 1`` reproduces the
+    recorded arrivals step for step."""
+    if trace.S_pre and trace.A[0] > trace.S_pre[0] + cwnd[0]:
+        return False
+    sent = trace.A[0]
+    for t in range(1, trace.cfg.T + 1):
+        sent = max(sent, window_base(t) + cwnd[t])
+        if sent != trace.A[t]:
+            return False
+    return True
 
 
 _REGISTRY: dict[str, _Kind] = {
@@ -432,14 +412,6 @@ class EnvironmentSpec:
         model, tagged with this spec as its origin."""
         return self._impl.extract_trace(self, model, net)
 
-    def validate_counterexample(self, trace, candidate=None,
-                                must_violate: bool = True) -> None:
-        from ..runtime.validate import validate_counterexample
-
-        validate_counterexample(
-            trace, candidate=candidate, must_violate=must_violate
-        )
-
     def replay_satisfies(self, candidate, trace, pruning) -> bool:
         """Numeric ``feasible => desired`` replay for generator pruning
         (applies *this* environment's send recurrence and property)."""
@@ -509,26 +481,6 @@ def parse_environment(text: str) -> EnvironmentSpec:
                     f"non-rational value {value.strip()!r}"
                 ) from exc
     return environment(kind.strip(), **params)
-
-
-def replay_satisfies(candidate, trace, pruning) -> bool:
-    """``feasible => desired`` for a candidate on a trace, under the
-    trace's *origin environment* semantics.
-
-    Dispatches on the trace's environment tag; untagged traces fall back
-    to shape-based dispatch (a loss counter means lossy, a flow tuple
-    means two-flow) so checkpointed traces from older runs stay usable.
-    """
-    env = getattr(trace, "environment", None)
-    if env is not None:
-        return env.replay_satisfies(candidate, trace, pruning)
-    if getattr(trace, "flows", None) is not None:
-        kind = "multiflow"
-    elif hasattr(trace, "L"):
-        kind = "lossy"
-    else:
-        kind = "lossless"
-    return _REGISTRY[kind].replay_satisfies(candidate, trace, pruning)
 
 
 def parse_environments(texts: Optional[Sequence[str]]):

@@ -31,21 +31,21 @@ which lossless-synthesized rules survive a finite buffer?  (RoCC needs
 the buffer to cover its steady queue of ~BDP+increment; below that it
 drops every RTT and fails the loss budget.)
 
-:class:`LossyVerifier` is a compatibility wrapper: verification routes
-through :class:`~repro.core.verifier.CcacVerifier` with a ``lossy``
-:class:`~repro.ccac.environments.EnvironmentSpec`, so lossy queries gain
-independent validation, query caching, incremental sessions, and UNSAT
-certification exactly like the lossless path.
+Lossy queries run through :class:`~repro.core.verifier.CcacVerifier`
+with a ``lossy`` :class:`~repro.ccac.environments.EnvironmentSpec`, so
+they get independent validation, query caching, incremental sessions,
+and UNSAT certification exactly like the lossless path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ..smt import Real, RealVal, Term, encode_max
 from .config import ModelConfig
+from .environments import EnvironmentSpec, lossy_environment
 from .model import CcacModel
 from .trace import CexTrace
 
@@ -112,14 +112,15 @@ class LossyCcacModel(CcacModel):
 @dataclass(frozen=True)
 class LossyCexTrace(CexTrace):
     """A counterexample of the finite-buffer model: the lossless trace
-    fields plus the loss counter and the buffer/threshold it ran under."""
+    fields plus the loss counter; the buffer and loss threshold it ran
+    under are parameters of its ``lossy`` environment."""
 
     L: tuple[Fraction, ...] = ()
-    buffer: Fraction = Fraction(0)
-    loss_thresh: Fraction = Fraction(1)
 
     @classmethod
-    def from_model(cls, model, net: LossyCcacModel) -> "LossyCexTrace":
+    def from_model(
+        cls, model, net: LossyCcacModel, environment: EnvironmentSpec
+    ) -> "LossyCexTrace":
         ts = range(net.cfg.T + 1)
         return cls(
             cfg=net.cfg,
@@ -131,8 +132,16 @@ class LossyCexTrace(CexTrace):
             cwnd_pre=tuple(model.value(v) for v in net.cwnd_pre),
             ack_offset=model.value(net.ack_offset),
             L=tuple(model.value(net.L[t]) for t in ts),
-            buffer=net.buffer,
+            environment=environment,
         )
+
+    @property
+    def buffer(self) -> Fraction:
+        return self.environment.param("buffer")
+
+    @property
+    def loss_thresh(self) -> Fraction:
+        return self.environment.param("loss_thresh")
 
     def delivered(self, t: int) -> Fraction:
         return self.A[t] - self.L[t]
@@ -178,58 +187,6 @@ class LossyCexTrace(CexTrace):
         )
 
 
-@dataclass
-class LossyVerificationResult:
-    """Outcome of a lossy-model verification."""
-
-    verified: bool
-    counterexample: Optional[LossyCexTrace]
-    loss: Optional[tuple[Fraction, ...]]
-    wall_time: float
-
-
-class LossyVerifier:
-    """Verify a candidate against the finite-buffer model.
-
-    ``loss_thresh`` bounds acceptable cumulative losses over the trace
-    (in C*D units); like the delay leg, it is relaxed by "or the cwnd is
-    already decreasing".  Extra keyword arguments are forwarded to the
-    underlying :class:`~repro.core.verifier.CcacVerifier` (``validate``,
-    ``cache``, ``incremental``, ``certify``, ...).
-    """
-
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        buffer: Fraction,
-        loss_thresh: Fraction = Fraction(1),
-        **verifier_kwargs,
-    ):
-        from ..core.verifier import CcacVerifier
-        from .environments import lossy_environment
-
-        self.cfg = cfg
-        self.buffer = Fraction(buffer)
-        self.loss_thresh = Fraction(loss_thresh)
-        self.environment = lossy_environment(
-            buffer=self.buffer, loss_thresh=self.loss_thresh
-        )
-        self._verifier = CcacVerifier(
-            cfg, environments=[self.environment], **verifier_kwargs
-        )
-
-    def find_counterexample(self, candidate) -> LossyVerificationResult:
-        result = self._verifier.find_counterexample(candidate)
-        trace = result.counterexample
-        loss = trace.L if trace is not None else None
-        return LossyVerificationResult(
-            result.verified, trace, loss, result.wall_time
-        )
-
-    def verify(self, candidate) -> bool:
-        return self.find_counterexample(candidate).verified
-
-
 def minimum_buffer(
     candidate,
     cfg: ModelConfig,
@@ -240,13 +197,19 @@ def minimum_buffer(
     """Smallest buffer (to ``precision``) at which the candidate still
     verifies; None if even ``hi`` is insufficient.  Buffer sizing — the
     classic network-provisioning question — answered formally."""
-    if not LossyVerifier(cfg, hi).verify(candidate):
+    from ..core.verifier import CcacVerifier
+
+    def verified(buffer) -> bool:
+        env = lossy_environment(buffer=buffer)
+        return CcacVerifier(cfg, environments=[env]).verify(candidate)
+
+    if not verified(hi):
         return None
-    if LossyVerifier(cfg, lo).verify(candidate):
+    if verified(lo):
         return lo
     while hi - lo > precision:
         mid = (lo + hi) / 2
-        if LossyVerifier(cfg, mid).verify(candidate):
+        if verified(mid):
             hi = mid
         else:
             lo = mid

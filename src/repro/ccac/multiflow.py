@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from ..smt import And, Not, Or, Real, RealVal, Term, encode_max
 from .config import ModelConfig
+from .environments import EnvironmentSpec
 from .model import CcacModel
 from .trace import CexTrace
 
@@ -190,22 +190,18 @@ class FlowView:
 @dataclass(frozen=True)
 class TwoFlowCexTrace:
     """A starvation counterexample: two per-flow traces sharing one
-    link's waste process, plus the assumption knobs they ran under."""
+    link's waste process; the assumption knobs they ran under
+    (``min_share``, ``phi``) are parameters of its ``multiflow``
+    environment."""
 
     cfg: ModelConfig
     W: tuple[Fraction, ...]
     flows: tuple[CexTrace, CexTrace]
-    min_share: Fraction = Fraction(0)
-    phi: Fraction = Fraction(1, 4)
-    environment: Optional[object] = field(default=None, compare=False, repr=False)
+    environment: EnvironmentSpec = field(compare=False, repr=False)
 
     @classmethod
     def from_model(
-        cls,
-        model,
-        net: TwoFlowModel,
-        min_share: Fraction = Fraction(0),
-        phi: Fraction = Fraction(1, 4),
+        cls, model, net: TwoFlowModel, environment: EnvironmentSpec
     ) -> "TwoFlowCexTrace":
         ts = range(net.cfg.T + 1)
         W = tuple(model.value(net.W[t]) for t in ts)
@@ -222,13 +218,15 @@ class TwoFlowCexTrace:
             )
             for flow in net.flows
         )
-        return cls(
-            cfg=net.cfg,
-            W=W,
-            flows=flows,
-            min_share=Fraction(min_share),
-            phi=Fraction(phi),
-        )
+        return cls(cfg=net.cfg, W=W, flows=flows, environment=environment)
+
+    @property
+    def min_share(self) -> Fraction:
+        return self.environment.param("min_share")
+
+    @property
+    def phi(self) -> Fraction:
+        return self.environment.param("phi")
 
     def total_S(self, t: int) -> Fraction:
         return self.flows[0].S[t] + self.flows[1].S[t]
@@ -322,56 +320,3 @@ class TwoFlowCexTrace:
             parts.append(f"flow {i}:")
             parts.append(str(flow))
         return "\n".join(parts)
-
-
-@dataclass
-class StarvationResult:
-    """Outcome of one starvation query."""
-
-    verified: bool  # True: no admissible trace starves either flow
-    throughputs: Optional[tuple[Fraction, Fraction]]
-    wall_time: float
-    counterexample: Optional[TwoFlowCexTrace] = None
-
-
-class StarvationVerifier:
-    """Checks whether a candidate CCA can be starved when competing with
-    itself under a given scheduling assumption.
-
-    A compatibility wrapper: the query routes through
-    :class:`~repro.core.verifier.CcacVerifier` with a ``multiflow``
-    :class:`~repro.ccac.environments.EnvironmentSpec`, gaining
-    independent validation, caching, and incremental sessions; extra
-    keyword arguments are forwarded to the underlying verifier.
-    """
-
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        min_share: Fraction = Fraction(0),
-        **verifier_kwargs,
-    ):
-        self.cfg = cfg
-        self.min_share = Fraction(min_share)
-        self._verifier_kwargs = verifier_kwargs
-        self._verifiers: dict[Fraction, object] = {}
-
-    def _verifier_for(self, phi: Fraction):
-        phi = Fraction(phi)
-        if phi not in self._verifiers:
-            from ..core.verifier import CcacVerifier
-            from .environments import multiflow_environment
-
-            env = multiflow_environment(min_share=self.min_share, phi=phi)
-            self._verifiers[phi] = CcacVerifier(
-                self.cfg, environments=[env], **self._verifier_kwargs
-            )
-        return self._verifiers[phi]
-
-    def find_starvation(self, candidate, phi: Fraction) -> StarvationResult:
-        result = self._verifier_for(phi).find_counterexample(candidate)
-        trace = result.counterexample
-        thr = trace.throughputs() if trace is not None else None
-        return StarvationResult(
-            result.verified, thr, result.wall_time, counterexample=trace
-        )

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from ..smt import Model
 from .config import ModelConfig
+from .environments import EnvironmentSpec, lossless_environment
 from .model import CcacModel
 
 
@@ -52,14 +53,19 @@ class CexTrace:
     cwnd_pre: tuple[Fraction, ...] = ()
     # bytes acked before the window started (shift-invariance witness)
     ack_offset: Fraction = Fraction(0)
-    # origin environment (an EnvironmentSpec) when the trace came out of
-    # a multi-environment verification; None for the paper's lossless
-    # fragment.  Not part of trace identity: two equal behaviours are
-    # equal regardless of which matrix cell surfaced them.
-    environment: Optional[object] = field(default=None, compare=False, repr=False)
+    # origin environment: the matrix cell whose verifier produced the
+    # trace, and whose semantics the generators prune under.  Not part
+    # of trace identity: two equal behaviours are equal regardless of
+    # which matrix cell surfaced them.
+    environment: EnvironmentSpec = field(
+        default_factory=lossless_environment, compare=False, repr=False
+    )
 
     @classmethod
-    def from_model(cls, model: Model, net: CcacModel) -> "CexTrace":
+    def from_model(
+        cls, model: Model, net: CcacModel,
+        environment: EnvironmentSpec = lossless_environment(),
+    ) -> "CexTrace":
         ts = range(net.cfg.T + 1)
         return cls(
             cfg=net.cfg,
@@ -70,6 +76,7 @@ class CexTrace:
             S_pre=tuple(model.value(v) for v in net.S_pre),
             cwnd_pre=tuple(model.value(v) for v in net.cwnd_pre),
             ack_offset=model.value(net.ack_offset),
+            environment=environment,
         )
 
     def ack_at(self, t: int) -> Fraction:

@@ -191,9 +191,7 @@ class CegisLoop:
                     )
                     break
                 stats.counterexamples += 1
-                env = getattr(result, "environment", None) or getattr(
-                    cex, "environment", None
-                )
+                env = getattr(cex, "environment", None)
                 env_key = env.key() if env is not None else None
                 tr.event(
                     "cegis.counterexample",

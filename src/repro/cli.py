@@ -66,17 +66,15 @@ from fractions import Fraction
 
 from . import __version__
 from .ccac import ModelConfig
+from .ccac.environments import default_environments
 from .cegis import PruningMode
 from .obs import DEBUG, INFO, ConsoleSink, JsonlSink, metrics, tracer
 from .obs.report import report as render_trace_report
 from .core import (
-    CandidateCCA,
     CcacVerifier,
     SynthesisQuery,
     classify,
-    constant_cwnd,
-    paper_eq_iii,
-    rocc,
+    named_cca,
     synthesize,
     table1_spaces,
     total_waste_budget,
@@ -119,14 +117,26 @@ def _readable_file(text: str) -> str:
     return text
 
 
-def _named_cca(name: str) -> CandidateCCA:
-    if name == "rocc":
-        return rocc()
-    if name == "eq3":
-        return paper_eq_iii()
-    if name.startswith("const:"):
-        return constant_cwnd(Fraction(name.split(":", 1)[1]))
-    raise SystemExit(f"unknown CCA {name!r}; use rocc, eq3, or const:<gamma>")
+def _cca_arg(text: str) -> str:
+    """argparse type: a named template CCA, friendly error."""
+    try:
+        cca = named_cca(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if cca is None:
+        raise argparse.ArgumentTypeError(
+            f"unknown CCA {text!r}; use rocc, eq3, or const:<gamma>"
+        )
+    return text
+
+
+def _trace_length(text: str) -> int:
+    """argparse type: a trace length the model accepts (longer than the
+    template history), friendly error."""
+    try:
+        return ModelConfig(T=int(text)).T
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _add_runtime_args(p: argparse.ArgumentParser) -> None:
@@ -215,7 +225,8 @@ def _add_env_arg(p) -> None:
 
 
 def _add_cfg_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--T", type=int, default=7, help="trace length (timesteps)")
+    p.add_argument("--T", type=_trace_length, default=7,
+                   help="trace length (timesteps)")
     p.add_argument("--util", type=Fraction, default=Fraction(1, 2), help="utilization threshold")
     p.add_argument("--delay", type=Fraction, default=Fraction(4), help="delay threshold (RTTs)")
 
@@ -240,7 +251,7 @@ def _add_synthesize_args(p: argparse.ArgumentParser) -> None:
 def _add_verify_args(p: argparse.ArgumentParser) -> None:
     """The verify job surface — shared by ``verify`` and
     ``submit verify``."""
-    p.add_argument("cca", help="rocc | eq3 | const:<gamma>")
+    p.add_argument("cca", type=_cca_arg, help="rocc | eq3 | const:<gamma>")
     p.add_argument("--wce", action="store_true")
     p.add_argument("--certify", action="store_true",
                    help="independently check an UNSAT proof of the verdict")
@@ -290,6 +301,11 @@ def _add_service_args(p: argparse.ArgumentParser) -> None:
 
 def _cfg(args) -> ModelConfig:
     return ModelConfig(T=args.T, util_thresh=args.util, delay_thresh=args.delay)
+
+
+def _environments(args):
+    """The ``--env`` list, or the paper's fragment when none is given."""
+    return tuple(args.environments or default_environments())
 
 
 def _runtime_options(args):
@@ -359,7 +375,7 @@ def _synthesis_query(args) -> SynthesisQuery:
         time_budget=args.time_budget,
         verbose=args.verbose,
         jobs=args.jobs or 1,
-        environments=getattr(args, "environments", None),
+        environments=_environments(args),
     )
 
 
@@ -453,7 +469,7 @@ def cmd_verify(args) -> int:
         certify=certify,
         falsify=getattr(args, "falsify", 0),
         falsify_seed=getattr(args, "falsify_seed", 0),
-        environments=getattr(args, "environments", None),
+        environments=_environments(args),
     )
     try:
         payload = execute_job(spec)
@@ -469,7 +485,7 @@ def cmd_certify(args) -> int:
     every verified one carries a checked certificate."""
     failures = 0
     for name in args.ccas:
-        cand = _named_cca(name)
+        cand = named_cca(name)
         verifier = CcacVerifier(_cfg(args), certify=True)
         res = verifier.find_counterexample(cand, worst_case=args.wce)
         print(f"{name}: {cand.pretty()}")
@@ -629,7 +645,7 @@ def _spec_from_args(args):
             certify=args.certify,
             falsify=args.falsify,
             falsify_seed=args.falsify_seed,
-            environments=getattr(args, "environments", None),
+            environments=_environments(args),
             **limits,
         )
     return falsify_spec(
@@ -810,7 +826,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_assumption(args) -> int:
-    cand = _named_cca(args.cca)
+    cand = named_cca(args.cca)
     cfg = _cfg(args)
     result = weakest_sufficient_assumption(cand, cfg, total_waste_budget(cfg))
     print(f"{cand.pretty()}")
@@ -979,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify named CCAs with independently checked UNSAT proofs",
         parents=[obs],
     )
-    p.add_argument("ccas", nargs="*", default=["rocc", "eq3"],
+    p.add_argument("ccas", nargs="*", type=_cca_arg, default=["rocc", "eq3"],
                    help="CCAs to certify (default: rocc eq3); "
                         "rocc | eq3 | const:<gamma>")
     p.add_argument("--wce", action="store_true",
@@ -991,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["util", "delay"])
     p.add_argument("--values", default="1/2,13/20,7/10")
     p.add_argument("--space", choices=list(table1_spaces()), default="no_cwnd_small")
-    p.add_argument("--T", type=int, default=7)
+    p.add_argument("--T", type=_trace_length, default=7)
     p.add_argument("--time-budget", type=float, default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -1000,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("assumption", help="weakest sufficient assumption", parents=[obs])
-    p.add_argument("cca", help="rocc | eq3 | const:<gamma>")
+    p.add_argument("cca", type=_cca_arg, help="rocc | eq3 | const:<gamma>")
     _add_cfg_args(p)
     p.set_defaults(func=cmd_assumption)
 

@@ -56,6 +56,7 @@ from .template import (
     CandidateCCA,
     TemplateSpec,
     constant_cwnd,
+    named_cca,
     paper_eq_iii,
     rocc,
     table1_spaces,
@@ -91,6 +92,7 @@ __all__ = [
     "brute_force",
     "classify",
     "constant_cwnd",
+    "named_cca",
     "differential_comparison",
     "enumerate_all",
     "history_histogram",

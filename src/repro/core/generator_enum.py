@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..ccac import CexTrace, ModelConfig
+from ..ccac.environments import replay_cwnd
 from ..cegis import PruningMode
 from .template import CandidateCCA, TemplateSpec
 
@@ -30,20 +31,9 @@ def simulate_on_trace(
     candidate: CandidateCCA, trace: CexTrace, cfg: ModelConfig
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Candidate's (cwnd, A) trajectories on a trace's observations."""
-    T = cfg.T
-    cwnd: list[Fraction] = []
-    for t in range(T + 1):
-        total = Fraction(candidate.gamma)
-        for i in range(1, candidate.history + 1):
-            back = t - i
-            if candidate.alphas[i - 1] != 0:
-                hist = cwnd[back] if back >= 0 else trace.cwnd_at(back)
-                total += candidate.alphas[i - 1] * hist
-            if candidate.betas[i - 1] != 0:
-                total += candidate.betas[i - 1] * trace.ack_at(back)
-        cwnd.append(max(total, cfg.cwnd_min))
+    cwnd = replay_cwnd(candidate, trace, cfg)
     A: list[Fraction] = [trace.A[0]]
-    for t in range(1, T + 1):
+    for t in range(1, cfg.T + 1):
         A.append(max(A[t - 1], trace.S[t - 1] + cwnd[t]))
     return cwnd, A
 
@@ -54,18 +44,11 @@ def satisfies_spec(
     cfg: ModelConfig,
     pruning: PruningMode,
 ) -> bool:
-    """Evaluate ``sigma(candidate, trace) = feasible => desired`` exactly.
-
-    Counterexamples from other cells of the environment matrix (lossy,
-    two-flow) are replayed under *their own* semantics — conservative
-    exact replay, see :mod:`repro.ccac.environments` — so a lossy trace
-    can never unsoundly prune lossless-only behaviour.  Lossless-family
-    traces use the trace's own config (a jitter/threshold environment
-    overrides fields of the query config)."""
-    if getattr(trace, "flows", None) is not None or hasattr(trace, "L"):
-        from ..ccac.environments import replay_satisfies
-
-        return replay_satisfies(candidate, trace, pruning)
+    """Evaluate ``sigma(candidate, trace) = feasible => desired`` exactly
+    on a lossless-family trace (the lossless environment's replay; see
+    :meth:`~repro.ccac.environments.EnvironmentSpec.replay_satisfies`).
+    The trace's own config wins over ``cfg``: a jitter/threshold
+    environment overrides fields of the query config."""
     cfg = trace.cfg
     cwnd, A = simulate_on_trace(candidate, trace, cfg)
     T = cfg.T
@@ -130,11 +113,13 @@ class EnumerativeGenerator:
         return list(self._survivors[:k])
 
     def add_counterexample(self, trace: CexTrace) -> None:
+        """Keep the survivors that satisfy the spec on this trace, under
+        its origin environment's semantics (so a lossy trace can never
+        unsoundly prune lossless-only behaviour)."""
         self._traces.append(trace)
+        replay = trace.environment.replay_satisfies
         self._survivors = [
-            c
-            for c in self._survivors
-            if satisfies_spec(c, trace, self.cfg, self.pruning)
+            c for c in self._survivors if replay(c, trace, self.pruning)
         ]
 
     def block(self, candidate: CandidateCCA) -> None:

@@ -127,10 +127,11 @@ class SmtGenerator:
         :mod:`repro.ccac.environments`), so pruning across the matrix
         stays sound.
         """
-        if getattr(trace, "flows", None) is not None:
+        kind = trace.environment.kind
+        if kind == "multiflow":
             self._add_twoflow_counterexample(trace)
             return
-        if hasattr(trace, "L"):
+        if kind == "lossy":
             self._add_lossy_counterexample(trace)
             return
         k = self._trace_count
@@ -139,23 +140,11 @@ class SmtGenerator:
         # config; the trace carries the effective one
         cfg = trace.cfg
         T = cfg.T
-
-        cwnd_vars: dict[int, Term] = {t: Real(f"g{k}_cwnd_{t}") for t in range(T + 1)}
-        A_vars: dict[int, Term] = {t: Real(f"g{k}_A_{t}") for t in range(1, T + 1)}
-        floor = RealVal(cfg.cwnd_min)
-
-        # candidate cwnd trajectory on this trace's observations
-        for t in range(T + 1):
-            rule = self._rule_term(k, t, cwnd_vars, trace)
-            self.solver.add(encode_max(cwnd_vars[t], [rule, floor]))
-
-        # candidate send trajectory (eager window-limited sender)
+        # candidate cwnd and eager-sender trajectories on this trace
+        cwnd_vars, A_vars = self._candidate_trajectories(
+            k, trace, cfg, lambda t: trace.S[t - 1]
+        )
         A0 = RealVal(trace.A[0])
-        prev: Term = A0
-        for t in range(1, T + 1):
-            window_point = RealVal(trace.S[t - 1]) + cwnd_vars[t]
-            self.solver.add(encode_max(A_vars[t], [prev, window_point]))
-            prev = A_vars[t]
 
         # feasibility of this trace under the candidate
         feas_parts: list[Term] = []

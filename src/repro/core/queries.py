@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ..ccac import CcacModel, ModelConfig
-from ..ccac.environments import EnvironmentSpec
+from ..ccac.environments import EnvironmentSpec, lossless_environment
 from ..smt import And, CheckOptions, RealVal, Term
 from .template import CandidateCCA
 
@@ -112,7 +112,7 @@ class AssumptionResult:
         return self.theta is not None
 
 
-def _probe_verifier(cfg, environment, cache=None):
+def _probe_verifier(cfg, environment=lossless_environment(), cache=None):
     """One incremental verifier shared by all binary-search probes: the
     environment encoding, CNF conversion, and learned clauses are
     amortized across probes (each probe is a push/pop of the assumption
@@ -120,10 +120,7 @@ def _probe_verifier(cfg, environment, cache=None):
     from .verifier import CcacVerifier
 
     return CcacVerifier(
-        cfg,
-        incremental=True,
-        cache=cache,
-        environments=[environment] if environment is not None else None,
+        cfg, incremental=True, cache=cache, environments=(environment,)
     )
 
 
@@ -146,7 +143,7 @@ def _holds_under(
     never a false "holds".
     """
     if verifier is None:
-        verifier = _probe_verifier(cfg, None)
+        verifier = _probe_verifier(cfg)
     net = verifier.network()
     opts = options or CheckOptions()
     result = verifier.find_counterexample(
@@ -163,7 +160,7 @@ def weakest_sufficient_assumption(
     cfg: ModelConfig,
     template: AssumptionTemplate,
     precision: Fraction = Fraction(1, 16),
-    environment: Optional[EnvironmentSpec] = None,
+    environment: EnvironmentSpec = lossless_environment(),
     options: Optional[CheckOptions] = None,
     cache=None,
 ) -> AssumptionResult:
@@ -248,7 +245,7 @@ def differential_comparison(
     cfg: ModelConfig,
     template: AssumptionTemplate,
     precision: Fraction = Fraction(1, 16),
-    environment: Optional[EnvironmentSpec] = None,
+    environment: EnvironmentSpec = lossless_environment(),
     options: Optional[CheckOptions] = None,
 ) -> DifferentialResult:
     """Compare two CCAs through the lens of one assumption family:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from ..ccac import ModelConfig
+from ..ccac.environments import EnvironmentSpec, default_environments
 from ..cegis import (
     CegisCheckpoint,
     CegisLoop,
@@ -53,13 +54,16 @@ class SynthesisQuery:
     #: (see :class:`repro.engine.PortfolioVerifier`)
     jobs: int = 1
     #: environment matrix to verify against (see
-    #: :mod:`repro.ccac.environments`).  ``None`` means the paper's
-    #: lossless fragment — identical, for fingerprints and verdicts, to
-    #: ``[lossless_environment()]``.  With several environments a
-    #: candidate is a solution only when *every* environment's verifier
-    #: says UNSAT; any environment's counterexample prunes the shared
-    #: generator under its own semantics.
-    environments: Optional[list] = None
+    #: :mod:`repro.ccac.environments`), held as a non-empty tuple; the
+    #: default is the paper's lossless fragment.  With several
+    #: environments a candidate is a solution only when *every*
+    #: environment's verifier says UNSAT; any environment's
+    #: counterexample prunes the shared generator under its own
+    #: semantics.
+    environments: tuple[EnvironmentSpec, ...] = default_environments()
+
+    def __post_init__(self):
+        self.environments = tuple(self.environments or default_environments())
 
 
 @dataclass

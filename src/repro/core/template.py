@@ -155,6 +155,26 @@ def constant_cwnd(value: Fraction | int, history: int = 4) -> CandidateCCA:
     return CandidateCCA(alphas=zeros, betas=zeros, gamma=Fraction(value))
 
 
+def named_cca(name: str) -> CandidateCCA | None:
+    """The template CCA a command line or job names: ``rocc``, ``eq3``
+    or ``const:<gamma>``.  None for any other name; a ``const:`` whose
+    gamma is not a rational raises ValueError."""
+    if name == "rocc":
+        return rocc()
+    if name == "eq3":
+        return paper_eq_iii()
+    if name.startswith("const:"):
+        gamma = name.split(":", 1)[1]
+        try:
+            return constant_cwnd(Fraction(gamma))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"malformed CCA {name!r}: const:<gamma> needs a rational "
+                f"gamma, got {gamma!r}"
+            ) from None
+    return None
+
+
 @dataclass(frozen=True)
 class TemplateSpec:
     """A search space over :class:`CandidateCCA` (one Table 1 row)."""

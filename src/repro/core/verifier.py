@@ -14,9 +14,8 @@ one (optionally incremental) solver session, and one verdict per
 environment.  A candidate is *verified* only when **every** environment
 answers UNSAT; the first environment to answer SAT short-circuits the
 loop and yields a counterexample tagged with its origin environment, so
-the generator can prune under that environment's semantics.  With
-``environments=None`` (the default) the verifier behaves exactly like
-the paper's fragment: a single lossless environment and untagged traces.
+the generator can prune under that environment's semantics.  The
+default matrix is the paper's fragment: a single lossless environment.
 
 It also implements the paper's **worst-case counterexample** optimization:
 instead of any counterexample, find one that maximizes
@@ -40,12 +39,12 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..ccac import ModelConfig
-from ..ccac.environments import EnvironmentSpec, lossless_environment
+from ..ccac.environments import EnvironmentSpec, default_environments
 from ..obs import DEBUG, tracer
 from ..runtime.validate import validate_counterexample, validate_model
 from ..smt import CheckOptions, Or, Real, RealVal, SolverSession, Term, sat, unknown
@@ -72,10 +71,12 @@ class VerificationResult:
     #: per environment for multi-environment verifiers)
     certified: bool = False
     certificate: Optional[object] = None
-    #: origin environment of ``counterexample`` (an
-    #: :class:`~repro.ccac.environments.EnvironmentSpec`); None in
-    #: single-fragment mode or when there is no counterexample
-    environment: Optional[EnvironmentSpec] = None
+
+    @property
+    def environment(self) -> Optional[EnvironmentSpec]:
+        """Origin environment of ``counterexample``; None when there is
+        no counterexample."""
+        return getattr(self.counterexample, "environment", None)
 
 
 class _EnvState:
@@ -115,8 +116,7 @@ class CcacVerifier:
     binary search and across portfolio workers sharing a ``cache_dir``.
 
     ``environments`` selects the cells of the CCAC matrix to verify
-    against (in order); ``None`` keeps the legacy single-lossless
-    behaviour, including untagged counterexample traces.
+    against (in order); the default is the paper's lossless fragment.
     """
 
     def __init__(
@@ -127,7 +127,7 @@ class CcacVerifier:
         incremental: bool = False,
         cache=None,
         certify: bool = False,
-        environments: Optional[Sequence[EnvironmentSpec]] = None,
+        environments: Sequence[EnvironmentSpec] = default_environments(),
     ):
         self.cfg = cfg
         self.wce_precision = wce_precision
@@ -135,9 +135,9 @@ class CcacVerifier:
         self.incremental = incremental
         self.cache = cache
         self.certify = certify
-        self.environments = (
-            tuple(environments) if environments is not None else None
-        )
+        self.environments = tuple(environments)
+        if not self.environments:
+            raise ValueError("a verifier needs at least one environment")
         self.calls = 0
         self.certified = 0
         self.total_time = 0.0
@@ -148,8 +148,6 @@ class CcacVerifier:
     def _env_states(self) -> list[_EnvState]:
         if self._states is None:
             envs = self.environments
-            if envs is None:
-                envs = (lossless_environment(),)
             states = []
             for i, env in enumerate(envs):
                 prefix = "v" if len(envs) == 1 else f"v{i}"
@@ -233,9 +231,6 @@ class CcacVerifier:
         if self.validate:
             validate_model(solver.assertions(), model, context="verifier cex")
         trace = state.env.extract_trace(model, state.net)
-        if self.environments is None:
-            # legacy single-fragment mode: plain untagged traces
-            trace = replace(trace, environment=None)
         if self.validate:
             validate_counterexample(trace, candidate=candidate)
         return trace
@@ -276,7 +271,6 @@ class CcacVerifier:
             any_unknown = False
             summaries: list[object] = []
             outcome_trace = None
-            outcome_env: Optional[EnvironmentSpec] = None
             for state in states:
                 # in incremental mode the session's stats are cumulative;
                 # report this call's delta like the fresh-session path does
@@ -305,7 +299,6 @@ class CcacVerifier:
                         outcome_trace = self._extract_trace(
                             session, state, model, candidate
                         )
-                        outcome_env = state.env
                     summary = None
                     if (
                         self.certify
@@ -336,7 +329,9 @@ class CcacVerifier:
                 unknown=not found and any_unknown,
                 solver_checks=total_checks,
                 certified=all_certified,
-                environment=outcome_env.key() if outcome_env else None,
+                environment=(
+                    outcome_trace.environment.key() if found else None
+                ),
             )
         certificate: Optional[object] = None
         if all_certified:
@@ -352,7 +347,6 @@ class CcacVerifier:
             unknown=not found and any_unknown,
             certified=all_certified,
             certificate=certificate,
-            environment=outcome_env if self.environments is not None else None,
         )
 
     def _certify_unsat(self, solver, worst_case: bool, opts: CheckOptions):

@@ -72,7 +72,7 @@ def tune_verifier(
     tr = tracer()
     # one incremental verifier amortizes the environment encoding across
     # every (candidate, theta) probe of the tuning search
-    verifier = _probe_verifier(cfg, None)
+    verifier = _probe_verifier(cfg)
 
     def panel_holds(theta: Fraction) -> bool:
         nonlocal probes

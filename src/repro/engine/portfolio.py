@@ -31,8 +31,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
+from ..ccac.environments import EnvironmentSpec, default_environments
 from ..chaos.supervisor import full_jitter_backoff
 from ..obs import DEBUG, WARN, metrics, tracer
 from ..obs.flight import dump_flight
@@ -95,7 +96,7 @@ _WORKER_STATE: dict = {}
 
 def _pooled_verify_candidate_task(
     cfg, precision, candidate, worst_case, time_limit, validate, cache_dir,
-    certify=False, environments=None,
+    certify=False, environments=default_environments(),
 ):
     """Runs inside a *persistent* pool worker: warm verifier, one candidate.
 
@@ -120,7 +121,7 @@ def _pooled_verify_candidate_task(
         bool(validate),
         str(cache_dir or ""),
         bool(certify),
-        tuple(env.key() for env in environments) if environments else None,
+        tuple(env.key() for env in environments),
     )
     verifier = _WORKER_STATE.get(key)
     if verifier is None:
@@ -187,7 +188,7 @@ class PortfolioVerifier:
         validate: bool = True,
         cache_dir: Optional[str] = None,
         certify: bool = False,
-        environments=None,
+        environments: Sequence[EnvironmentSpec] = default_environments(),
         retry_seed: Optional[int] = None,
     ):
         self.cfg = cfg
@@ -197,9 +198,9 @@ class PortfolioVerifier:
         self.validate = validate
         self.cache_dir = cache_dir
         self.certify = certify
-        self.environments = (
-            tuple(environments) if environments is not None else None
-        )
+        self.environments = tuple(environments)
+        if not self.environments:
+            raise ValueError("a verifier needs at least one environment")
         self.calls = 0
         self.rounds = 0
         self.cancelled = 0
@@ -220,7 +221,7 @@ class PortfolioVerifier:
                 self.validate,
                 self.cache_dir,
                 self.certify,
-                [env] if env is not None else None,
+                (env,),
             ),
         )
 
@@ -251,7 +252,7 @@ class PortfolioVerifier:
         start = time.perf_counter()
         candidates = list(candidates)
         self.calls += len(candidates)
-        envs = self.environments or (None,)
+        envs = self.environments
         cells = [(c, env) for c in candidates for env in envs]
         limits = self.limits
         attempts = max(0, limits.retries) + 1

@@ -99,15 +99,11 @@ def resolve_cca(spec: str) -> tuple[Callable[[], object], bool]:
         cubic[:<thresh>], vegas, copa
     """
     from ..ccas import AIMD, CopaLike, CubicLike, RoCC, TemplateCCA, VegasLike
-    from ..core import constant_cwnd, paper_eq_iii, rocc
+    from ..core import named_cca
 
-    if spec == "rocc":
-        return (lambda: TemplateCCA(rocc())), True
-    if spec == "eq3":
-        return (lambda: TemplateCCA(paper_eq_iii())), True
-    if spec.startswith("const:"):
-        cwnd = Fraction(spec.split(":", 1)[1])
-        return (lambda: TemplateCCA(constant_cwnd(cwnd))), True
+    candidate = named_cca(spec)
+    if candidate is not None:
+        return (lambda: TemplateCCA(candidate)), True
     if spec == "rocc-native":
         return (lambda: RoCC()), False
     if spec == "aimd" or spec.startswith("aimd:"):

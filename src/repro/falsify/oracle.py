@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ..ccac.environments import EnvironmentSpec, lossless_environment
 from .schedule import TraceSchedule, run_schedule
 
 __all__ = ["PropertyOracle", "TraceVerdict", "WindowReport"]
@@ -75,13 +76,13 @@ class PropertyOracle:
     """Windowed relaxed-property check derived from a
     :class:`repro.ccac.ModelConfig`.
 
-    With an ``environment`` (an :class:`~repro.ccac.EnvironmentSpec`),
-    verdicts contradict *that* cell of the CCAC matrix instead of the
-    lossless model.  The simulator itself never drops — so only
-    environments whose model admits the simulated trace as-is can be
-    judged: config-override kinds (``jitter``/``thresholds``) fold into
-    ``cfg``, and a ``lossy`` cell narrows coverage to windows whose
-    queue never reaches the buffer.  Soundness of the lossy narrowing:
+    Verdicts contradict the ``environment`` cell of the CCAC matrix (an
+    :class:`~repro.ccac.EnvironmentSpec`; default lossless).  The
+    simulator itself never drops — so only environments whose model
+    admits the simulated trace as-is can be judged: config-override
+    kinds (``jitter``/``thresholds``) fold into ``cfg``, and a ``lossy``
+    cell narrows coverage to windows whose queue never reaches the
+    buffer.  Soundness of the lossy narrowing:
     a zero-loss trace whose queue stays at or below the buffer satisfies
     every finite-buffer constraint with ``L ≡ 0`` (drops are only
     *forced* at a full buffer), and with ``L ≡ 0`` the lossy desired
@@ -91,18 +92,20 @@ class PropertyOracle:
     the simulator is single-flow.
     """
 
-    def __init__(self, cfg, covered_only: bool = True, environment=None):
+    def __init__(
+        self, cfg, covered_only: bool = True,
+        environment: EnvironmentSpec = lossless_environment(),
+    ):
+        if environment.kind == "multiflow":
+            raise ValueError(
+                "the single-flow simulator cannot judge multiflow "
+                "environments"
+            )
         self.environment = environment
-        self._buffer = None
-        if environment is not None:
-            if environment.kind == "multiflow":
-                raise ValueError(
-                    "the single-flow simulator cannot judge multiflow "
-                    "environments"
-                )
-            cfg = environment.model_config(cfg)
-            if environment.kind == "lossy":
-                self._buffer = environment.param("buffer")
+        self._buffer = (
+            environment.param("buffer") if environment.kind == "lossy" else None
+        )
+        cfg = environment.model_config(cfg)
         self.cfg = cfg
         #: only count windows the SMT proof covers (the in-fragment
         #: disagreement rule); ``False`` widens to every window — used

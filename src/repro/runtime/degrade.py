@@ -114,17 +114,21 @@ class ResilientVerifier:
         )
         return True
 
-    # -- the verifier protocol ------------------------------------------------
+    # -- the ladder -----------------------------------------------------------
 
-    def find_counterexample(self, candidate, worst_case: bool = False, deadline=None):
+    def _climb(self, attempt, worst_case: bool):
+        """Run one verifier call through the ladder.
+
+        ``attempt(wce)`` makes the call and returns ``(outcome, result)``
+        — the value handed back to the caller and the verification
+        result the ladder judges (for a single candidate they are the
+        same object; for a portfolio round the result is the verdict's).
+        """
         self.calls += 1
-        degraded_call = False
         want_wce = worst_case and not self._wce_disabled
-        if worst_case and self._wce_disabled:
-            degraded_call = True  # the caller asked for wce and isn't getting it
-        result = self.base.find_counterexample(
-            candidate, worst_case=want_wce, deadline=deadline
-        )
+        # the caller asked for wce and isn't getting it
+        degraded_call = worst_case and self._wce_disabled
+        outcome, result = attempt(want_wce)
         if want_wce and getattr(result, "unknown", False):
             # rung 1: worst-case search timed out -> plain counterexample
             self._wce_failures += 1
@@ -135,9 +139,7 @@ class ResilientVerifier:
                 failures=self._wce_failures,
             )
             degraded_call = True
-            result = self.base.find_counterexample(
-                candidate, worst_case=False, deadline=deadline
-            )
+            outcome, result = attempt(False)
             if not self._wce_disabled and self._wce_failures >= self.wce_fail_limit:
                 self._wce_disabled = True
                 self._degrade(
@@ -155,8 +157,19 @@ class ResilientVerifier:
         else:
             self._unknown_streak = 0
         if degraded_call:
-            result = _mark_degraded(result)
-        return result
+            _mark_degraded(result)
+        return outcome
+
+    # -- the verifier protocol ------------------------------------------------
+
+    def find_counterexample(self, candidate, worst_case: bool = False, deadline=None):
+        def attempt(wce):
+            result = self.base.find_counterexample(
+                candidate, worst_case=wce, deadline=deadline
+            )
+            return result, result
+
+        return self._climb(attempt, worst_case)
 
     def verify(self, candidate) -> bool:
         return self.find_counterexample(candidate).verified
@@ -172,47 +185,12 @@ class ResilientVerifier:
         raise AttributeError(name)
 
     def _verify_batch(self, candidates, worst_case: bool = False, deadline=None):
-        """One portfolio round under the same degradation ladder."""
-        self.calls += 1
-        degraded_call = False
-        want_wce = worst_case and not self._wce_disabled
-        if worst_case and self._wce_disabled:
-            degraded_call = True
-        verdict = self.base.verify_batch(
-            candidates, worst_case=want_wce, deadline=deadline
-        )
-        inconclusive = verdict.winner is None and getattr(
-            verdict.result, "unknown", False
-        )
-        if want_wce and inconclusive:
-            # rung 1, batch edition: nobody finished the worst-case
-            # search -> race again with the plain search
-            self._wce_failures += 1
-            self._degrade(
-                "wce_fallback",
-                "worst-case portfolio round inconclusive; "
-                "falling back to plain search",
-                failures=self._wce_failures,
-            )
-            degraded_call = True
+        """One portfolio round under the same degradation ladder: a
+        round nobody won carries an unknown result."""
+        def attempt(wce):
             verdict = self.base.verify_batch(
-                candidates, worst_case=False, deadline=deadline
+                candidates, worst_case=wce, deadline=deadline
             )
-            if not self._wce_disabled and self._wce_failures >= self.wce_fail_limit:
-                self._wce_disabled = True
-                self._degrade(
-                    "wce_disabled",
-                    f"disabling worst-case search after "
-                    f"{self._wce_failures} failures",
-                )
-        if getattr(verdict.result, "unknown", False):
-            self._unknown_streak += 1
-            degraded_call = True
-            if self._unknown_streak >= self.unknown_threshold:
-                if self._step_precision():
-                    self._unknown_streak = 0
-        else:
-            self._unknown_streak = 0
-        if degraded_call:
-            _mark_degraded(verdict.result)
-        return verdict
+            return verdict, verdict.result
+
+        return self._climb(attempt, worst_case)

@@ -132,7 +132,7 @@ def _build_verifier(query, options: RuntimeOptions, pool=None):
     from ..core.verifier import CcacVerifier
 
     parts = []
-    environments = getattr(query, "environments", None)
+    environments = query.environments
     if pool is not None:
         from ..engine import PortfolioVerifier
 

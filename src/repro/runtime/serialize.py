@@ -19,9 +19,15 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..ccac import ModelConfig
+from ..ccac.environments import (
+    EnvironmentSpec,
+    default_environments,
+    environment_from_json,
+    lossless_environment,
+)
 from ..ccac.trace import CexTrace
 
 __all__ = [
@@ -105,27 +111,17 @@ def decode_config(data: dict) -> ModelConfig:
 # -- environments -------------------------------------------------------------
 
 def encode_environments(environments) -> list[dict]:
-    """Canonical encoding of a query's environment list: ``None`` (the
-    paper's fragment) encodes as ``[lossless]``, so a query that never
-    mentions environments and one that spells out ``[lossless]`` have
-    the same fingerprint and checkpoint identity."""
-    from ..ccac.environments import default_environments
-
-    envs = environments if environments else default_environments()
-    return [env.to_json() for env in envs]
+    """Canonical encoding of a query's environment list; an empty list
+    names the paper's fragment and encodes as ``[lossless]``."""
+    return [env.to_json() for env in environments or default_environments()]
 
 
-def decode_environments(data) -> Optional[list]:
-    """Inverse of :func:`encode_environments`; a missing/``[lossless]``
-    list decodes back to ``None`` (the canonical default form)."""
-    from ..ccac.environments import default_environments, environment_from_json
-
+def decode_environments(data) -> tuple[EnvironmentSpec, ...]:
+    """Inverse of :func:`encode_environments`; a missing list (an old
+    checkpoint or job) decodes to the paper's fragment."""
     if not data:
-        return None
-    envs = [environment_from_json(item) for item in data]
-    if tuple(envs) == default_environments():
-        return None
-    return envs
+        return default_environments()
+    return tuple(environment_from_json(item) for item in data)
 
 
 # -- counterexample traces ----------------------------------------------------
@@ -146,51 +142,48 @@ def _encode_flat_trace(trace) -> dict:
 def encode_trace(trace) -> dict:
     """Encode any counterexample trace (lossless, lossy, two-flow).
 
-    The lossless shape is unchanged from the original format; variants
-    add a ``"kind"`` discriminator, and any trace tagged with an origin
-    environment carries it under ``"env"`` so checkpointed
-    counterexamples keep pruning under the right semantics on resume.
+    Lossless is the format's unmarked case, unchanged from the original
+    format; variants add a ``"kind"`` discriminator, and every trace
+    from another environment carries its origin under ``"env"`` so
+    checkpointed counterexamples keep pruning under the right semantics
+    on resume.
     """
-    flows = getattr(trace, "flows", None)
-    if flows is not None:
+    env = trace.environment
+    if env.kind == "multiflow":
         data: dict = {
             "kind": "twoflow",
             "W": _fracs(trace.W),
-            "flows": [_encode_flat_trace(f) for f in flows],
+            "flows": [_encode_flat_trace(f) for f in trace.flows],
             "min_share": _frac(trace.min_share),
             "phi": _frac(trace.phi),
         }
     else:
         data = _encode_flat_trace(trace)
-        if hasattr(trace, "L"):
+        if env.kind == "lossy":
             data["kind"] = "lossy"
             data["L"] = _fracs(trace.L)
             data["buffer"] = _frac(trace.buffer)
             data["loss_thresh"] = _frac(trace.loss_thresh)
-    env = getattr(trace, "environment", None)
-    if env is not None:
+    if env.kind != "lossless":
         data["env"] = env.to_json()
     return data
 
 
 def decode_trace(data: dict, cfg: ModelConfig):
-    environment = None
+    """Inverse of :func:`encode_trace`; a trace without ``"env"`` is
+    lossless."""
+    environment = lossless_environment()
     if data.get("env") is not None:
-        from ..ccac.environments import environment_from_json
-
         environment = environment_from_json(data["env"])
         cfg = environment.model_config(cfg)
     kind = data.get("kind")
     if kind == "twoflow":
         from ..ccac.multiflow import TwoFlowCexTrace
 
-        flows = tuple(decode_trace(f, cfg) for f in data["flows"])
         return TwoFlowCexTrace(
             cfg=cfg,
             W=_unfracs(data["W"]),
-            flows=flows,
-            min_share=_unfrac(data["min_share"]),
-            phi=_unfrac(data["phi"]),
+            flows=tuple(decode_trace(f, cfg) for f in data["flows"]),
             environment=environment,
         )
     common = dict(
@@ -207,12 +200,7 @@ def decode_trace(data: dict, cfg: ModelConfig):
     if kind == "lossy":
         from ..ccac.lossy import LossyCexTrace
 
-        return LossyCexTrace(
-            L=_unfracs(data["L"]),
-            buffer=_unfrac(data["buffer"]),
-            loss_thresh=_unfrac(data["loss_thresh"]),
-            **common,
-        )
+        return LossyCexTrace(L=_unfracs(data["L"]), **common)
     return CexTrace(**common)
 
 
@@ -281,7 +269,7 @@ def decode_query(data: dict):
 #: fields of the encoded query that define its *identity*; budgets and
 #: iteration caps are resumable knobs, not identity.  ``environments``
 #: is identity: verifying against a different matrix is a different ∃∀
-#: question (the canonical encoding makes ``None`` == ``[lossless]``).
+#: question.
 _FINGERPRINT_FIELDS = (
     "spec",
     "cfg",

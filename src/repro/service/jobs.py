@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
+from ..ccac.environments import default_environments
 from ..obs.events import DEBUG
 from ..runtime.serialize import (
     decode_candidate,
@@ -216,15 +217,15 @@ def verify_spec(
     certify: bool = False,
     falsify: int = 0,
     falsify_seed: int = 0,
-    environments=None,
+    environments=default_environments(),
     max_attempts=None,
     deadline_s=None,
 ) -> JobSpec:
     """A verify job for a named CCA (``rocc``/``eq3``/``const:<gamma>``).
 
     ``environments`` selects the cells of the CCAC matrix to verify
-    against; the canonical encoding makes "not specified" and
-    ``[lossless]`` the same spec (and the same fingerprint).
+    against; the default, the paper's lossless fragment, encodes as
+    ``[lossless]``.
     """
     from ..runtime.serialize import encode_environments
 
@@ -657,18 +658,19 @@ def _execute_falsify(
 
 
 def _named_cca(name: str):
-    """The CLI's named-CCA registry, importable without argparse."""
-    from ..core import constant_cwnd, paper_eq_iii, rocc
+    """:func:`~repro.core.template.named_cca`, with a bad name as a
+    :class:`JobSpecError`."""
+    from ..core import named_cca
 
-    if name == "rocc":
-        return rocc()
-    if name == "eq3":
-        return paper_eq_iii()
-    if name.startswith("const:"):
-        return constant_cwnd(Fraction(name.split(":", 1)[1]))
-    raise JobSpecError(
-        f"unknown CCA {name!r}; use rocc, eq3, or const:<gamma>"
-    )
+    try:
+        cca = named_cca(name)
+    except ValueError as exc:
+        raise JobSpecError(str(exc)) from None
+    if cca is None:
+        raise JobSpecError(
+            f"unknown CCA {name!r}; use rocc, eq3, or const:<gamma>"
+        )
+    return cca
 
 
 # -- the durable job record ---------------------------------------------------

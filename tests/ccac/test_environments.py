@@ -18,7 +18,16 @@ from repro.ccac import (
     parse_environments,
     registered_kinds,
 )
-from repro.core import CcacVerifier, SynthesisQuery, rocc, table1_spaces
+from repro.cegis import PruningMode
+from repro.core import (
+    CcacVerifier,
+    EnumerativeGenerator,
+    SmtGenerator,
+    SynthesisQuery,
+    constant_cwnd,
+    rocc,
+    table1_spaces,
+)
 from repro.runtime.serialize import (
     decode_environments,
     decode_trace,
@@ -99,12 +108,15 @@ class TestCodecs:
 
     def test_encode_environments_canonicalizes_none(self):
         # None and [lossless] must serialize identically — the paper's
-        # lossless fragment is one identity, not two
+        # lossless fragment is one identity, not two — and decode to the
+        # one tuple form every query holds
         assert encode_environments(None) == \
             encode_environments([lossless_environment()])
-        assert decode_environments(encode_environments(None)) is None
+        assert decode_environments(encode_environments(None)) == \
+            default_environments()
+        assert decode_environments(None) == default_environments()
         multi = [lossless_environment(), lossy_environment(buffer=8)]
-        assert decode_environments(encode_environments(multi)) == multi
+        assert decode_environments(encode_environments(multi)) == tuple(multi)
 
 
 class TestQueryFingerprints:
@@ -141,6 +153,19 @@ class TestPortfolioVerdicts:
         ).verify(candidate)
         assert implicit == explicit is True
 
+    def test_default_and_explicit_lossless_are_one_result(self, cfg):
+        candidate = constant_cwnd(1, cfg.history)
+        implicit = CcacVerifier(cfg).find_counterexample(candidate)
+        explicit = CcacVerifier(
+            cfg, environments=[lossless_environment()]
+        ).find_counterexample(candidate)
+        assert implicit.environment == explicit.environment \
+            == lossless_environment()
+        wire = encode_trace(explicit.counterexample)
+        assert wire == encode_trace(implicit.counterexample)
+        # lossless is the trace format's unmarked case
+        assert "env" not in wire and "kind" not in wire
+
     def test_tiny_buffer_counterexample_tagged_with_origin(self, cfg):
         envs = [lossless_environment(), lossy_environment(buffer=1)]
         res = CcacVerifier(cfg, environments=envs).find_counterexample(
@@ -167,3 +192,61 @@ class TestPortfolioVerdicts:
 class TestDefaults:
     def test_default_environments_is_the_paper_fragment(self):
         assert default_environments() == (lossless_environment(),)
+
+
+class TestPruningByOrigin:
+    """Generators prune each counterexample under its origin
+    environment; a lossless trace written without an ``env`` key (the
+    format before every trace carried one) still prunes as lossless."""
+
+    @staticmethod
+    def _smt_survivors(spec, cfg, pruning, trace):
+        gen = SmtGenerator(spec, cfg, pruning)
+        gen.add_counterexample(trace)
+        keys = set()
+        while (cand := gen.propose()) is not None:
+            keys.add(cand.key())
+            gen.block(cand)
+        return keys
+
+    @pytest.mark.parametrize("env", [
+        lossy_environment(buffer=1),
+        multiflow_environment(min_share=Fraction(0), phi=Fraction(1, 2)),
+    ], ids=lambda env: env.kind)
+    def test_tagged_trace_prunes_alike_in_both_generators(self, cfg, env):
+        """Both generators prune a lossy or two-flow counterexample by
+        exact replay under its own environment, to the same survivors."""
+        spec = table1_spaces(cfg.history)["no_cwnd_small"]
+        res = CcacVerifier(cfg, environments=[env]).find_counterexample(
+            rocc(cfg.history)
+        )
+        trace = res.counterexample
+        assert trace.environment == env
+        enum = EnumerativeGenerator(spec, cfg)
+        enum.add_counterexample(trace)
+        survivors = {c.key() for c in enum.propose_batch(enum.survivor_count)}
+        assert rocc(cfg.history).key() not in survivors
+        assert survivors == self._smt_survivors(
+            spec, cfg, PruningMode.RANGE, trace
+        )
+
+    @pytest.mark.parametrize("pruning", list(PruningMode))
+    def test_untagged_lossless_trace_prunes_alike(self, cfg, pruning):
+        spec = table1_spaces(cfg.history)["no_cwnd_small"]
+        res = CcacVerifier(cfg).find_counterexample(
+            constant_cwnd(1, cfg.history)
+        )
+        wire = encode_trace(res.counterexample)
+        assert "env" not in wire
+        trace = decode_trace(wire, cfg)
+        assert trace.environment == lossless_environment()
+        assert trace == res.counterexample
+
+        enum = EnumerativeGenerator(spec, cfg, pruning)
+        enum.add_counterexample(trace)
+        survivors = {c.key() for c in enum.propose_batch(enum.survivor_count)}
+        assert 0 < len(survivors) < spec.search_space_size
+        assert survivors == self._smt_survivors(spec, cfg, pruning, trace)
+        assert survivors == self._smt_survivors(
+            spec, cfg, pruning, res.counterexample
+        )

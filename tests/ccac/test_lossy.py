@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ccac import ModelConfig
-from repro.ccac.lossy import LossyCcacModel, LossyVerifier, minimum_buffer
-from repro.core import constant_cwnd, rocc
+from repro.ccac import ModelConfig, lossy_environment
+from repro.ccac.lossy import LossyCcacModel, minimum_buffer
+from repro.core import CcacVerifier, constant_cwnd, rocc
 from repro.smt import Solver, sat, unsat
 
 
 @pytest.fixture
 def cfg():
     return ModelConfig(T=5, history=3)
+
+
+def lossy_verifier(cfg, buffer):
+    return CcacVerifier(cfg, environments=[lossy_environment(buffer=buffer)])
 
 
 class TestModel:
@@ -58,17 +62,17 @@ class TestVerdicts:
     def test_rocc_fails_small_buffer(self, cfg):
         """RoCC's steady queue needs buffer; below it, drops exceed the
         loss budget every window and the rule never decreases."""
-        res = LossyVerifier(cfg, Fraction(1)).find_counterexample(rocc(cfg.history))
+        res = lossy_verifier(cfg, Fraction(1)).find_counterexample(rocc(cfg.history))
         assert not res.verified
-        assert res.loss[-1] > 0
+        assert res.counterexample.L[-1] > 0
 
     def test_rocc_survives_adequate_buffer(self, cfg):
-        assert LossyVerifier(cfg, Fraction(8)).verify(rocc(cfg.history))
+        assert lossy_verifier(cfg, Fraction(8)).verify(rocc(cfg.history))
 
     def test_verdict_monotone_in_buffer(self, cfg):
         """Bigger buffers only remove adversarial traces."""
         verdicts = [
-            LossyVerifier(cfg, b).verify(rocc(cfg.history))
+            lossy_verifier(cfg, b).verify(rocc(cfg.history))
             for b in (Fraction(1), Fraction(4), Fraction(8))
         ]
         seen_true = False
@@ -78,11 +82,11 @@ class TestVerdicts:
             seen_true = seen_true or v
 
     def test_fragile_rule_still_fails_with_buffer(self, cfg):
-        assert not LossyVerifier(cfg, Fraction(8)).verify(constant_cwnd(1, cfg.history))
+        assert not lossy_verifier(cfg, Fraction(8)).verify(constant_cwnd(1, cfg.history))
 
     def test_counterexample_loss_trace_monotone(self, cfg):
-        res = LossyVerifier(cfg, Fraction(1)).find_counterexample(rocc(cfg.history))
-        losses = res.loss
+        res = lossy_verifier(cfg, Fraction(1)).find_counterexample(rocc(cfg.history))
+        losses = res.counterexample.L
         assert all(b >= a for a, b in zip(losses, losses[1:]))
         assert losses[0] == 0
 

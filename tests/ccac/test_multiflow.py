@@ -4,15 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ccac import ModelConfig
-from repro.ccac.multiflow import StarvationVerifier, TwoFlowModel
-from repro.core import constant_cwnd, rocc
+from repro.ccac import ModelConfig, multiflow_environment
+from repro.ccac.multiflow import TwoFlowModel
+from repro.core import CcacVerifier, constant_cwnd, rocc
 from repro.smt import Solver, sat, unsat
 
 
 @pytest.fixture
 def mf_cfg():
     return ModelConfig(T=5, history=3)
+
+
+def find_starvation(cfg, candidate, min_share, phi):
+    env = multiflow_environment(min_share=min_share, phi=phi)
+    return CcacVerifier(cfg, environments=[env]).find_counterexample(candidate)
 
 
 class TestModel:
@@ -61,16 +66,18 @@ class TestStarvation:
         can be starved — the multi-flow analogue of the starvation result
         the paper cites, and why the service-discipline assumption is
         load-bearing."""
-        v = StarvationVerifier(mf_cfg, min_share=Fraction(0))
-        result = v.find_starvation(rocc(mf_cfg.history), phi=Fraction(1, 2))
+        result = find_starvation(
+            mf_cfg, rocc(mf_cfg.history), min_share=Fraction(0), phi=Fraction(1, 2)
+        )
         assert not result.verified
 
     def test_fair_scheduler_prevents_starvation(self, mf_cfg):
         """With an exactly-fair scheduler (min_share=1/2), RoCC flows are
         provably not starved below a quarter of their fair share (jitter
         still costs throughput, so the guarantee is phi=1/4, not 1/2)."""
-        v = StarvationVerifier(mf_cfg, min_share=Fraction(1, 2))
-        result = v.find_starvation(rocc(mf_cfg.history), phi=Fraction(1, 4))
+        result = find_starvation(
+            mf_cfg, rocc(mf_cfg.history), min_share=Fraction(1, 2), phi=Fraction(1, 4)
+        )
         assert result.verified
 
     def test_starvation_monotone_in_share(self, mf_cfg):
@@ -79,7 +86,7 @@ class TestStarvation:
         cand = rocc(mf_cfg.history)
         shares = [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
         verdicts = [
-            StarvationVerifier(mf_cfg, min_share=s).find_starvation(cand, Fraction(1, 2)).verified
+            find_starvation(mf_cfg, cand, min_share=s, phi=Fraction(1, 2)).verified
             for s in shares
         ]
         # once verified, stays verified as the assumption strengthens
@@ -90,8 +97,11 @@ class TestStarvation:
             seen_true = seen_true or v
 
     def test_starvation_trace_reports_throughputs(self, mf_cfg):
-        v = StarvationVerifier(mf_cfg, min_share=Fraction(0))
-        result = v.find_starvation(constant_cwnd(1, mf_cfg.history), phi=Fraction(1, 2))
+        result = find_starvation(
+            mf_cfg, constant_cwnd(1, mf_cfg.history),
+            min_share=Fraction(0), phi=Fraction(1, 2),
+        )
         assert not result.verified
-        assert result.throughputs is not None
-        assert len(result.throughputs) == 2
+        throughputs = result.counterexample.throughputs()
+        assert throughputs is not None
+        assert len(throughputs) == 2

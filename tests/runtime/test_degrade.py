@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.cegis import CegisLoop, StopReason
+from repro.cegis import BatchVerdict, CegisLoop, StopReason
 from repro.runtime import ResilientVerifier, default_precision_ladder
 
 
@@ -30,6 +30,40 @@ class ScriptedVerifier:
         return FakeResult(verified=True)
 
 
+class ScriptedBatchVerifier(ScriptedVerifier):
+    """A batch-capable base: each round judges the batch's first
+    candidate with the next scripted result; a round nobody won carries
+    an unknown result."""
+
+    def verify_batch(self, candidates, worst_case=False, deadline=None):
+        result = self.find_counterexample(candidates[0], worst_case=worst_case)
+        won = not result.unknown
+        return BatchVerdict(
+            winner=0 if won else None, result=result,
+            launched=len(candidates), cancelled=0,
+        )
+
+
+class _SingleEntry:
+    """Drives the ladder through ``find_counterexample``."""
+
+    base_cls = ScriptedVerifier
+
+    @staticmethod
+    def call(rv, candidate, worst_case=False):
+        return rv.find_counterexample(candidate, worst_case=worst_case)
+
+
+class _BatchEntry:
+    """Drives the same ladder through a portfolio round."""
+
+    base_cls = ScriptedBatchVerifier
+
+    @staticmethod
+    def call(rv, candidate, worst_case=False):
+        return rv.verify_batch([candidate], worst_case=worst_case).result
+
+
 class TestPrecisionLadder:
     def test_doubles_up_to_one(self):
         rungs = default_precision_ladder(Fraction(1, 8))
@@ -39,14 +73,14 @@ class TestPrecisionLadder:
         assert default_precision_ladder(Fraction(1)) == (Fraction(1),)
 
 
-class TestWorstCaseFallback:
+class TestWorstCaseFallback(_SingleEntry):
     def test_unknown_wce_falls_back_to_plain_search(self):
-        base = ScriptedVerifier([
+        base = self.base_cls([
             FakeResult(unknown=True),               # wce attempt
             FakeResult(counterexample="cex"),        # plain retry
         ])
         rv = ResilientVerifier(base)
-        result = rv.find_counterexample("cand", worst_case=True)
+        result = self.call(rv, "cand", worst_case=True)
         assert result.counterexample == "cex"
         assert result.degraded
         assert base.seen == [True, False]
@@ -57,38 +91,42 @@ class TestWorstCaseFallback:
         for _ in range(3):
             script.append(FakeResult(unknown=True))
             script.append(FakeResult(counterexample="c"))
-        base = ScriptedVerifier(script)
+        base = self.base_cls(script)
         rv = ResilientVerifier(base, wce_fail_limit=3)
         for _ in range(3):
-            rv.find_counterexample("cand", worst_case=True)
+            self.call(rv, "cand", worst_case=True)
         assert "wce_disabled" in [d["kind"] for d in rv.degradations]
         # next worst-case request goes straight to the plain search
-        result = rv.find_counterexample("cand", worst_case=True)
+        result = self.call(rv, "cand", worst_case=True)
         assert base.seen[-1] is False
         assert result.degraded
 
     def test_successful_wce_not_degraded(self):
-        base = ScriptedVerifier([FakeResult(counterexample="cex")])
+        base = self.base_cls([FakeResult(counterexample="cex")])
         rv = ResilientVerifier(base)
-        result = rv.find_counterexample("cand", worst_case=True)
+        result = self.call(rv, "cand", worst_case=True)
         assert not result.degraded
         assert rv.degradations == []
 
 
-class TestPrecisionStepDown:
+class TestWorstCaseFallbackBatch(_BatchEntry, TestWorstCaseFallback):
+    pass
+
+
+class TestPrecisionStepDown(_SingleEntry):
     def test_consecutive_unknowns_coarsen_precision(self):
-        base = ScriptedVerifier(
+        base = self.base_cls(
             [FakeResult(unknown=True)] * 4, wce_precision=Fraction(1, 4)
         )
         rv = ResilientVerifier(base, unknown_threshold=2)
         for _ in range(4):
-            rv.find_counterexample("cand")
+            self.call(rv, "cand")
         kinds = [d["kind"] for d in rv.degradations]
         assert kinds.count("wce_precision") == 2
         assert base.wce_precision == Fraction(1)
 
     def test_streak_resets_on_conclusive_answer(self):
-        base = ScriptedVerifier([
+        base = self.base_cls([
             FakeResult(unknown=True),
             FakeResult(counterexample="c"),
             FakeResult(unknown=True),
@@ -96,17 +134,27 @@ class TestPrecisionStepDown:
         ])
         rv = ResilientVerifier(base, unknown_threshold=2)
         for _ in range(4):
-            rv.find_counterexample("cand")
+            self.call(rv, "cand")
         assert all(d["kind"] != "wce_precision" for d in rv.degradations)
 
     def test_bottom_of_ladder_stops_stepping(self):
-        base = ScriptedVerifier(
+        base = self.base_cls(
             [FakeResult(unknown=True)] * 6, wce_precision=Fraction(1, 2)
         )
         rv = ResilientVerifier(base, unknown_threshold=1)
         for _ in range(6):
-            rv.find_counterexample("cand")
+            self.call(rv, "cand")
         assert base.wce_precision == Fraction(1)
+
+
+class TestPrecisionStepDownBatch(_BatchEntry, TestPrecisionStepDown):
+    pass
+
+
+class TestBatchSupportMirrorsBase:
+    def test_verify_batch_only_over_a_batch_base(self):
+        assert not hasattr(ResilientVerifier(ScriptedVerifier([])), "verify_batch")
+        assert hasattr(ResilientVerifier(ScriptedBatchVerifier([])), "verify_batch")
 
 
 class TestDegradeEvents:

@@ -161,7 +161,7 @@ class TestEnvironmentJobs:
         envs = [lossy_environment(buffer=2)]
         spec = verify_spec("rocc", ModelConfig(T=5), environments=envs)
         again = JobSpec.from_json(json.loads(json.dumps(spec.to_json())))
-        assert decode_environments(again.params["environments"]) == envs
+        assert decode_environments(again.params["environments"]) == tuple(envs)
 
     def test_verify_job_reports_origin_environment(self):
         from repro.ccac import lossy_environment

@@ -22,9 +22,20 @@ class TestParser:
             "serve", "submit", "status", "result",
         }
 
-    def test_unknown_cca_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "bbr", "--T", "5"])
+    def test_unknown_cca_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            ["verify", "bbr", "--T", "5"],
+            ["verify", "const:abc", "--T", "5"],
+            ["verify", "const:", "--T", "5"],
+            ["certify", "const:1/0", "--T", "5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2  # argparse usage error
+            assert argv[1] in capsys.readouterr().err
+        # a usage error is not a crash: no flight-recorder dump
+        assert not list(tmp_path.glob("flightrec-*"))
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -39,6 +50,8 @@ class TestParser:
         ("--max-iterations", "many"),
         ("--solver-timeout", "-2"),
         ("--solver-mem-mb", "0"),
+        # the trace must be longer than the template history
+        ("--T", "3"),
         # the retired raw-encode escape hatch is no longer an option
         ("--no-compile-pipeline", None),
     ])
