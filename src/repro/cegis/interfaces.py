@@ -97,8 +97,9 @@ class Verifier(Protocol[Candidate, Counterexample]):
     """The ∀-player: certifies candidates or breaks them."""
 
     def find_counterexample(self, candidate: Candidate, worst_case: bool = False):
-        """Returns an object with ``verified: bool`` and
-        ``counterexample: Optional[Counterexample]``.
+        """Returns an object with ``verified: bool``,
+        ``counterexample: Optional[Counterexample]`` and, when verified,
+        ``certified: bool`` (whether the verdict carries a checked proof).
 
         Verifiers may additionally accept a ``deadline`` keyword (a
         ``time.perf_counter()`` timestamp); the CEGIS loop passes the

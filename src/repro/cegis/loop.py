@@ -161,7 +161,7 @@ class CegisLoop:
 
             if result.verified:
                 outcome.solutions.append(candidate)
-                if getattr(result, "certified", False):
+                if result.certified:
                     stats.certified_verdicts += 1
                 tr.event(
                     "cegis.solution",

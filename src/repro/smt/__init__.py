@@ -11,8 +11,7 @@ available offline).  It provides:
 * an exact-arithmetic incremental Simplex for LRA
   (:mod:`repro.smt.simplex`, :mod:`repro.smt.theory`),
 * an incremental z3-flavoured frontend (:mod:`repro.smt.solver`),
-* binary-search optimization (:mod:`repro.smt.optimize`) and MaxSAT
-  (:mod:`repro.smt.maxsat`).
+* binary-search optimization (:mod:`repro.smt.optimize`).
 """
 
 from .encodings import (
@@ -33,7 +32,6 @@ from .errors import (
     SortError,
     UnknownResultError,
 )
-from .maxsat import MaxSatResult, MaxSatSolver
 from .optimize import OptimizeResult, maximize, minimize
 from .session import SessionStats, SolverSession
 from .solver import CheckOptions, Model, Result, Solver, check_formulas, sat, unknown, unsat
@@ -68,7 +66,7 @@ __all__ = [
     "Add", "And", "Bool", "BoolVal", "BudgetExceededError", "CheckOptions",
     "CompileStats", "CompiledQuery",
     "Eq", "FALSE", "FreshBool", "FreshReal", "Iff", "Implies", "Ite",
-    "MaxSatResult", "MaxSatSolver", "Model", "NonLinearError", "Not",
+    "Model", "NonLinearError", "Not",
     "OptimizeResult", "Or", "Real", "RealVal", "Result", "SessionStats",
     "SmtError", "Solver", "SolverSession", "SortError", "Sum", "TRUE",
     "Term", "UnknownResultError", "at_most_one", "bool_indicator",

@@ -3,7 +3,19 @@
 This is the theory core behind the DPLL(T) solver: it maintains a tableau
 of linear equalities ``basic = sum(coeff * nonbasic)`` plus per-variable
 bounds, supports asserting/retracting bounds along the SAT trail, and
-decides feasibility by Bland-rule pivoting.
+decides feasibility by pivoting.
+
+Pivot rule: the leaving variable is Bland's, the smallest-index violated
+basic.  The entering variable is, among the nonbasics of that row that
+can move it towards its bound, the one whose column touches the fewest
+rows (ties to the smallest index), since a pivot rewrites every row in
+that column.  After :data:`BLAND_AFTER` pivots inside one :meth:`check`
+call the entering variable is Bland's too, which guarantees termination.
+Violated basics are found through a worklist, ``_touched``: every point
+that can push a basic out of its bounds (a tighter bound on it, a
+nonbasic update, a pivot, a new row) adds it, so the worklist always
+holds every violated basic and the scan picks the same leaving variable
+as a scan of the whole basis.
 
 All arithmetic is exact and runs on Python ints:
 
@@ -30,6 +42,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
+
+# pivots inside one check() call before the entering variable falls back
+# to Bland's rule (smallest index), which guarantees termination (the
+# role of Z3's arith.blands_rule_threshold)
+BLAND_AFTER = 1000
 
 
 def _lt(a: tuple, b: tuple) -> bool:
@@ -132,6 +149,8 @@ class Simplex:
         # cols: nonbasic var -> set of basic vars whose row mentions it
         self.cols: dict[int, set[int]] = {}
         self.basic: set[int] = set()
+        # basics that may violate a bound; a superset of those that do
+        self._touched: set[int] = set()
         # undo machinery
         self._trail: list[tuple[int, str, Optional[DRat], object]] = []
         self._level_marks: list[int] = []
@@ -175,6 +194,7 @@ class Simplex:
         self.rows[s] = row
         self.den[s] = den
         self.basic.add(s)
+        self._touched.add(s)
         value = ZERO
         for var, n in row.items():
             self.cols[var].add(s)
@@ -208,6 +228,7 @@ class Simplex:
         """Retract every bound (level-0 included); tableau is kept."""
         self._trail.clear()
         self._level_marks.clear()
+        self._touched.clear()
         for v in range(self.nvars):
             self.lower[v] = None
             self.upper[v] = None
@@ -228,7 +249,9 @@ class Simplex:
         self._trail.append((var, "U", current, self.upper_tag[var]))
         self.upper[var] = bound
         self.upper_tag[var] = tag
-        if var not in self.basic and _lt(bound, self.assign[var]):
+        if var in self.basic:
+            self._touched.add(var)
+        elif _lt(bound, self.assign[var]):
             self._update(var, bound)
         return None
 
@@ -245,7 +268,9 @@ class Simplex:
         self._trail.append((var, "L", current, self.lower_tag[var]))
         self.lower[var] = bound
         self.lower_tag[var] = tag
-        if var not in self.basic and _lt(self.assign[var], bound):
+        if var in self.basic:
+            self._touched.add(var)
+        elif _lt(self.assign[var], bound):
             self._update(var, bound)
         return None
 
@@ -254,6 +279,7 @@ class Simplex:
         delta = _axpy(value, -1, 1, assign[var])
         for b in self.cols[var]:
             assign[b] = _axpy(assign[b], rows[b][var], den[b], delta)
+        self._touched.update(self.cols[var])
         assign[var] = value
 
     # ------------------------------------------------------------------
@@ -262,25 +288,31 @@ class Simplex:
 
     def check(self) -> Optional[Conflict]:
         """Pivot until all bounds hold; returns a conflict or None."""
-        assign, lower, upper = self.assign, self.lower, self.upper
+        assign, lower, upper, cols = self.assign, self.lower, self.upper, self.cols
+        basic, touched = self.basic, self._touched
+        bland_at = self.pivots + BLAND_AFTER
         while True:
             violated = -1
             below = False
-            for b in sorted(self.basic):  # Bland's rule: smallest index
-                val = assign[b]
-                lo = lower[b]
-                if lo is not None and _lt(val, lo):
-                    violated, below = b, True
-                    break
-                up = upper[b]
-                if up is not None and _lt(up, val):
-                    violated, below = b, False
-                    break
+            for b in sorted(touched):  # Bland's rule: smallest index
+                if b in basic:
+                    val = assign[b]
+                    lo = lower[b]
+                    if lo is not None and _lt(val, lo):
+                        violated, below = b, True
+                        break
+                    up = upper[b]
+                    if up is not None and _lt(up, val):
+                        violated, below = b, False
+                        break
+                touched.discard(b)
             if violated < 0:
                 return None
             b = violated
             row = self.rows[b]
+            bland = self.pivots >= bland_at
             pivot_var = -1
+            fewest = 0
             for j in sorted(row):
                 # raise j when that moves b towards its violated bound
                 if (row[j] > 0) == below:
@@ -290,8 +322,12 @@ class Simplex:
                     bound = lower[j]
                     can = bound is None or _lt(bound, assign[j])
                 if can:
-                    pivot_var = j
-                    break
+                    if bland:
+                        pivot_var = j
+                        break
+                    size = len(cols[j])
+                    if pivot_var < 0 or size < fewest:
+                        pivot_var, fewest = j, size
             if pivot_var < 0:
                 return self._explain(b, below)
             target = lower[b] if below else upper[b]
@@ -324,6 +360,8 @@ class Simplex:
         for b2 in self.cols[j]:
             if b2 != b:
                 assign[b2] = _axpy(assign[b2], rows[b2][j], den[b2], theta)
+        self._touched.update(self.cols[j])
+        self._touched.add(j)
         self._pivot(b, j)
 
     def _pivot(self, b: int, j: int) -> None:

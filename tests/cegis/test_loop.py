@@ -26,6 +26,7 @@ class LineCandidate:
 class ToyResult:
     verified: bool
     counterexample: object
+    certified: bool = False
 
 
 class ToyVerifier:

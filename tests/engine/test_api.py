@@ -94,18 +94,6 @@ def test_optimize_result_truthiness_is_an_error():
             pass
 
 
-def test_maxsat_result_truthiness_is_an_error():
-    from repro.smt.maxsat import MaxSatSolver
-
-    p = Real("ms_x")
-    solver = MaxSatSolver()
-    solver.add_hard(p >= 0)
-    solver.add_soft(p >= 5, weight=1)
-    result = solver.solve()
-    with pytest.raises(TypeError):
-        bool(result)
-
-
 # -- the stable top-level surface ---------------------------------------------
 
 

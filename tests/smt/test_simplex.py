@@ -1,14 +1,18 @@
 """Simplex core tests: bounds, pivoting, conflicts, backtracking, a
 differential feasibility test against scipy.optimize.linprog, and a
 property test over random assert/check/push/pop sequences that recomputes
-every Farkas certificate with plain Fractions."""
+every Farkas certificate with plain Fractions, and tests of the pivot rule
+(fewest-column entering variable, Bland fallback) against pure Bland."""
 
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from repro.smt import simplex
 from repro.smt.simplex import DRat, Simplex
 
 
@@ -293,6 +297,68 @@ def _assert_tableau_consistent(s):
         assert value(s.assign[b]) == (r, d)
 
 
+def _assert_within_bounds(s):
+    """Every variable's assignment satisfies its asserted bounds."""
+    for v in range(s.nvars):
+        lo, up, val = s.lower[v], s.upper[v], s.assign[v]
+        assert lo is None or lo <= val
+        assert up is None or up >= val
+
+
+def _assert_violations_touched(s):
+    """The worklist holds every basic outside its bounds."""
+    for b in s.basic:
+        lo, up, val = s.lower[b], s.upper[b], s.assign[b]
+        if (lo is not None and lo > val) or (up is not None and up < val):
+            assert b in s._touched
+
+
+def _build(nbase, row_exprs):
+    """A Simplex over ``nbase`` base variables plus one slack row per
+    nonzero drawn expression.  Returns it with every variable's linear
+    form over the base variables and the row expressions, in order."""
+    s = Simplex()
+    forms = {}
+    for _ in range(nbase):
+        v = s.new_var()
+        forms[v] = {v: Fraction(1)}
+    exprs = []
+    for terms in row_exprs:
+        expr: dict[int, Fraction] = {}
+        for idx, c in terms:
+            var = idx % s.nvars
+            expr[var] = expr.get(var, Fraction(0)) + c
+        expr = {v: c for v, c in expr.items() if c != 0}
+        if not expr:
+            continue
+        rv = s.add_row(expr)
+        forms[rv] = _form(forms, expr)
+        exprs.append(expr)
+    return s, forms, exprs
+
+
+def _assert_bound(s, ineqs, step, op):
+    """Apply a drawn ``("assert", ...)`` op to ``s``; record its
+    inequality under a fresh tag and return ``(tag, var, which, bound,
+    conflict)``."""
+    _, idx, which, value, strict = op
+    var, tag = idx % s.nvars, f"t{step}"
+    if which == "U":
+        r, d = value, Fraction(-1 if strict else 0)
+        ineqs[tag] = (var, 1, r, d)
+        conflict = s.assert_upper(var, DRat(r, d), tag)
+    else:
+        r, d = value, Fraction(1 if strict else 0)
+        ineqs[tag] = (var, -1, r, d)
+        conflict = s.assert_lower(var, DRat(r, d), tag)
+    return tag, var, which, DRat(r, d), conflict
+
+
+row_exprs = st.lists(
+    st.lists(st.tuples(st.integers(0, 20), small_fracs), min_size=1, max_size=4),
+    max_size=5,
+)
+
 ops = st.lists(
     st.one_of(
         st.just(("push",)),
@@ -306,34 +372,12 @@ ops = st.lists(
 
 
 class TestIncrementalProperties:
-    @given(
-        nbase=st.integers(1, 4),
-        row_exprs=st.lists(
-            st.lists(st.tuples(st.integers(0, 20), small_fracs), min_size=1, max_size=4),
-            max_size=5,
-        ),
-        script=ops,
-    )
+    @given(nbase=st.integers(1, 4), row_exprs=row_exprs, script=ops)
     @settings(max_examples=150, deadline=None)
     def test_certificates_tableau_and_pops(self, nbase, row_exprs, script):
-        s = Simplex()
-        forms = {}
-        for _ in range(nbase):
-            v = s.new_var()
-            forms[v] = {v: Fraction(1)}
-        exprs = []  # (slack var, expr) to rebuild a fresh Simplex
-        for terms in row_exprs:
-            expr: dict[int, Fraction] = {}
-            for idx, c in terms:
-                var = idx % s.nvars
-                expr[var] = expr.get(var, Fraction(0)) + c
-            expr = {v: c for v, c in expr.items() if c != 0}
-            if not expr:
-                continue
-            rv = s.add_row(expr)
-            forms[rv] = _form(forms, expr)
-            exprs.append(expr)
+        s, forms, exprs = _build(nbase, row_exprs)
         assume(s.nvars > 0)
+        _assert_violations_touched(s)
 
         ineqs = {}  # tag -> (var, sign, r, d) for sign*var <= sign*(r + dδ)
         levels: list[list] = [[]]  # installed asserts per push level
@@ -367,17 +411,125 @@ class TestIncrementalProperties:
                 else:
                     _assert_farkas_contradictory(conflict, ineqs, forms)
             else:
-                _, idx, which, value, strict = op
-                var, tag = idx % s.nvars, f"t{step}"
-                if which == "U":
-                    r, d = value, Fraction(-1 if strict else 0)
-                    ineqs[tag] = (var, 1, r, d)
-                    conflict = s.assert_upper(var, DRat(r, d), tag)
-                else:
-                    r, d = value, Fraction(1 if strict else 0)
-                    ineqs[tag] = (var, -1, r, d)
-                    conflict = s.assert_lower(var, DRat(r, d), tag)
+                tag, var, which, bound, conflict = _assert_bound(s, ineqs, step, op)
                 if conflict is None:
-                    levels[-1].append((var, which, DRat(r, d), tag))
+                    levels[-1].append((var, which, bound, tag))
                 else:
                     _assert_farkas_contradictory(conflict, ineqs, forms)
+            _assert_violations_touched(s)
+
+
+class TestPivotRule:
+    @given(
+        nbase=st.integers(1, 4),
+        row_exprs=row_exprs,
+        script=ops,
+        bland_after=st.sampled_from([1, 2, 3, simplex.BLAND_AFTER]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fewest_column_agrees_with_bland(self, nbase, row_exprs, script, bland_after):
+        """The default rule (with the fallback at several thresholds) and
+        pure Bland, driven through the same script, agree on every
+        check's verdict; each carries a valid certificate or model."""
+        ours, forms, _ = _build(nbase, row_exprs)
+        bland, _, _ = _build(nbase, row_exprs)
+        assume(ours.nvars > 0)
+        pair = (ours, bland)
+        ineqs = {}
+        depth = 0
+        for step, op in enumerate(script):
+            if op[0] == "push":
+                for s in pair:
+                    s.push_level()
+                depth += 1
+            elif op[0] == "pop":
+                count = min(op[1], depth)
+                for s in pair:
+                    s.pop_levels(count)
+                depth -= count
+            elif op[0] == "check":
+                with patch.object(simplex, "BLAND_AFTER", bland_after):
+                    mine = ours.check()
+                with patch.object(simplex, "BLAND_AFTER", 0):
+                    ref = bland.check()
+                assert (mine is None) == (ref is None)
+                for s, conflict in ((ours, mine), (bland, ref)):
+                    _assert_tableau_consistent(s)
+                    if conflict is None:
+                        _assert_within_bounds(s)
+                    else:
+                        _assert_farkas_contradictory(conflict, ineqs, forms)
+            else:
+                conflicts = [_assert_bound(s, ineqs, step, op)[-1] for s in pair]
+                assert (conflicts[0] is None) == (conflicts[1] is None)
+                if conflicts[0] is not None:
+                    _assert_farkas_contradictory(conflicts[0], ineqs, forms)
+
+
+class TestWorklist:
+    def test_feed_points_requeue_violated_basics(self):
+        """After a check empties the worklist, each way a basic can leave
+        its bounds puts it back: a nonbasic moved under it, or a tighter
+        bound on the basic itself."""
+        s = Simplex()
+        x, y = s.new_var(), s.new_var()
+        total = s.add_row({x: Fraction(1), y: Fraction(1)})
+        assert s._touched == {total}
+        assert s.assert_upper(total, DRat(4), "ut") is None
+        assert s.check() is None and not s._touched
+        # raising nonbasic x to 5 drags total to 5, above its bound
+        assert s.assert_lower(x, DRat(5), "lx") is None
+        assert s._touched == {total}
+        assert s.check() is None and not s._touched
+        assert y in s.basic and s.model()[y] == -1
+        # y >= 0 on the now-basic y is violated at once
+        assert s.assert_lower(y, DRat(0), "ly") is None
+        assert s._touched == {y}
+        assert set(s.check()) == {"ut", "lx", "ly"}
+
+
+def _degenerate_ring(n, pinned):
+    """``x_0 <= x_1 <= ... <= x_{n-1} <= x_0`` over ``x_i >= 0`` as rows
+    ``x_i - x_{i+1} <= 0``, each stated twice, plus ``sum(x) >= 1``.  At
+    the start every ring row sits at its bound 0, so pivots on them make
+    zero-length steps.  ``pinned`` adds ``x_0 <= 0``, which makes the
+    instance infeasible."""
+    s = Simplex()
+    xs = [s.new_var() for _ in range(n)]
+    for i, x in enumerate(xs):
+        assert s.assert_lower(x, DRat(0), f"x{i}>=0") is None
+    ring = []
+    for i in range(n):
+        a, b = xs[i], xs[(i + 1) % n]
+        for k in (1, 2):
+            r = s.add_row({a: Fraction(k), b: Fraction(-k)})
+            assert s.assert_upper(r, DRat(0), f"ring{i}.{k}") is None
+            ring.append((a, b))
+    total = s.add_row({x: Fraction(1) for x in xs})
+    assert s.assert_lower(total, DRat(1), "sum>=1") is None
+    if pinned:
+        assert s.assert_upper(xs[0], DRat(0), "x0<=0") is None
+    return s, xs, ring
+
+
+class TestBlandFallback:
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_terminates_on_degenerate_rows(self, monkeypatch, n, pinned):
+        """With the fallback after one pivot, a degenerate check ends
+        with pure Bland's verdict, and a feasible one with a valid model."""
+        verdicts = []
+        for bland_after in (1, 0):
+            monkeypatch.setattr(simplex, "BLAND_AFTER", bland_after)
+            s, xs, ring = _degenerate_ring(n, pinned)
+            conflict = s.check()
+            assert s.pivots > 1  # enough pivots for the fallback to act
+            verdicts.append(conflict is None)
+            if conflict is not None:
+                assert conflict.farkas
+                continue
+            m = s.model()
+            assert all(m[x] >= 0 for x in xs)
+            assert all(m[a] <= m[b] for a, b in ring)
+            assert sum(m[x] for x in xs) >= 1
+        assert verdicts == [not pinned] * 2
