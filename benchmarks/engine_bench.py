@@ -12,25 +12,21 @@ Runs three workloads against :mod:`repro.engine` and writes a single
 2. **cache** — a repeated-query workload (the same verification queries
    issued twice through a content-addressed :class:`QueryCache`); the
    warm pass must be at least 2x faster than the cold pass.
-3. **incremental** — the same candidate set verified by a fresh-session
-   verifier and an incremental-session verifier
-   (``CcacVerifier(incremental=True)``); the verdicts must be identical
-   candidate by candidate.
-4. **portfolio** — one synthesis query run with ``jobs=1`` and
+3. **portfolio** — one synthesis query run with ``jobs=1`` and
    ``jobs=4``; the verdicts (found / exhausted) must be identical.
-5. **service** — the same batch-verification workload dispatched
+4. **service** — the same batch-verification workload dispatched
    through a persistent :class:`repro.service.WorkerPool` (fork once,
-   warm incremental verifiers) vs a cold pool started and stopped per
+   warm verifiers) vs a cold pool started and stopped per
    batch (one fresh process per task per batch); the persistent path
    must be >= 1.3x faster end to end, pool start/stop included, with
    identical verdicts batch by batch.
-6. **matrix** — the candidates x environments verification grid
+5. **matrix** — the candidates x environments verification grid
    (lossless + finite-buffer lossy) over repeated rounds: pooled
    dispatch with per-environment warm verifiers vs a cold pool per
    round (a fresh process per cell);
    per-cell verdict parity required and the pooled grid must be
    >= 1.3x faster.
-7. **resilience** — the same job set pushed through a real
+6. **resilience** — the same job set pushed through a real
    :class:`repro.service.JobServer` with ``executors=1`` vs
    ``executors=4``: result fingerprints must be pairwise identical and
    the concurrent side >= 1.5x faster on multi-core hosts (>= 0.8x —
@@ -195,29 +191,6 @@ def bench_cache(cfg: ModelConfig, candidates: list) -> dict:
     }
 
 
-def bench_incremental(cfg: ModelConfig, candidates: list) -> dict:
-    """Fresh-solver vs incremental-session verdict equivalence + timing."""
-    fresh = CcacVerifier(cfg)
-    t0 = time.perf_counter()
-    fresh_verdicts = [fresh.find_counterexample(c).verified for c in candidates]
-    fresh_s = time.perf_counter() - t0
-
-    inc = CcacVerifier(cfg, incremental=True)
-    t0 = time.perf_counter()
-    inc_verdicts = [inc.find_counterexample(c).verified for c in candidates]
-    inc_s = time.perf_counter() - t0
-
-    return {
-        "queries": len(candidates),
-        "fresh_s": round(fresh_s, 4),
-        "incremental_s": round(inc_s, 4),
-        "speedup": round(fresh_s / inc_s, 2) if inc_s > 0 else float("inf"),
-        "verdicts_identical": fresh_verdicts == inc_verdicts,
-        "session": inc._session.stats.as_dict() if inc._session else None,
-        "ok": fresh_verdicts == inc_verdicts,
-    }
-
-
 def bench_proof(cfg: ModelConfig, candidates: list) -> dict:
     """Proof-mode overhead: the same verification workload with and
     without certified UNSAT verdicts (DRAT + Farkas production plus the
@@ -321,7 +294,7 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     *same* environment set, so the dispatch question is amortization:
     a cold pool per round (``forked_s``: a fresh process per cell) pays
     a fresh base-network encode for every cell of every round, while
-    the persistent pool keys its warm incremental
+    the persistent pool keys its warm
     verifiers per environment (`_WORKER_STATE`) and pays each cell's
     encode once per worker for the whole run.  Per-cell verdicts must be
     identical and the pooled grid must be >= 1.3x faster end to end,
@@ -379,7 +352,7 @@ def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     a cold pool started and stopped per batch (``forked_s``) pays a
     fresh fork + base-network encode per task per batch, the persistent
     :class:`WorkerPool` pays it once per worker and then serves warm
-    incremental verifiers.  Pool start-up and shutdown are
+    verifiers.  Pool start-up and shutdown are
     inside the pooled timing — the speedup is the amortized one a
     long-lived ``ccmatic serve`` actually delivers.
     """
@@ -578,12 +551,6 @@ def main(argv=None) -> int:
     print(f"  cache:       cold={c['cold_s']}s warm={c['warm_s']}s "
           f"speedup={c['speedup']}x  [{'ok' if c['ok'] else 'FAIL'}]")
 
-    report["incremental"] = bench_incremental(cfg, candidates)
-    i = report["incremental"]
-    print(f"  incremental: fresh={i['fresh_s']}s session={i['incremental_s']}s "
-          f"speedup={i['speedup']}x identical={i['verdicts_identical']}  "
-          f"[{'ok' if i['ok'] else 'FAIL'}]")
-
     report["proof"] = bench_proof(cfg, candidates)
     pr = report["proof"]
     print(f"  proof:       plain={pr['plain_s']}s certify={pr['certify_s']}s "
@@ -623,7 +590,7 @@ def main(argv=None) -> int:
     report["ok"] = all(
         report[k]["ok"]
         for k in (
-            "compile", "cache", "incremental", "proof", "portfolio",
+            "compile", "cache", "proof", "portfolio",
             "service", "matrix", "resilience",
         )
     )

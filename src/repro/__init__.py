@@ -33,8 +33,8 @@ Subpackages:
   worst-case counterexamples.
 * :mod:`repro.core` — CCmatic itself: templates, generator, verifier,
   synthesis driver, assumption-synthesis queries.
-* :mod:`repro.engine` — parallel portfolio verification, incremental
-  sessions, and the content-addressed query cache.
+* :mod:`repro.engine` — parallel portfolio verification and the
+  content-addressed query cache.
 * :mod:`repro.service` — the HTTP/JSON control plane: durable job
   queue, persistent worker pool, progress streams, shared cache store.
 * :mod:`repro.ccas`, :mod:`repro.sim` — concrete CCAs and a discrete-time

@@ -28,7 +28,6 @@ from .environments import (
     lossy_environment,
     multiflow_environment,
     parse_environment,
-    parse_environments,
     registered_kinds,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "lossy_environment",
     "multiflow_environment",
     "parse_environment",
-    "parse_environments",
     "registered_kinds",
     "bounded_queue",
     "cwnd_decreases",

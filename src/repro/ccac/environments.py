@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from ..smt import And, Not, Or, RealVal, Term
 from .config import ModelConfig
@@ -481,11 +480,3 @@ def parse_environment(text: str) -> EnvironmentSpec:
                     f"non-rational value {value.strip()!r}"
                 ) from exc
     return environment(kind.strip(), **params)
-
-
-def parse_environments(texts: Optional[Sequence[str]]):
-    """Parse a repeated ``--env`` list; None/empty stays None (the
-    canonical "paper fragment" default)."""
-    if not texts:
-        return None
-    return [parse_environment(t) for t in texts]

@@ -33,8 +33,8 @@ drops every RTT and fails the loss budget.)
 
 Lossy queries run through :class:`~repro.core.verifier.CcacVerifier`
 with a ``lossy`` :class:`~repro.ccac.environments.EnvironmentSpec`, so
-they get independent validation, query caching, incremental sessions,
-and UNSAT certification exactly like the lossless path.
+they get independent validation, query caching, session reuse and
+UNSAT certification exactly like the lossless path.
 """
 
 from __future__ import annotations

@@ -193,12 +193,6 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         help="content-addressed query cache shared across runs and "
              "portfolio workers (conclusive verdicts only)",
     )
-    g.add_argument(
-        "--incremental", action="store_true",
-        help="keep one incremental solver session across verifier calls "
-             "(in-process verifier only; --isolate/--jobs workers keep "
-             "their own warm session)",
-    )
 
 
 def _environment_arg(text: str):
@@ -318,7 +312,6 @@ def _runtime_options(args):
         solver_mem_mb=getattr(args, "solver_mem_mb", None),
         cross_check=getattr(args, "cross_check", False),
         cache_dir=getattr(args, "cache_dir", None),
-        incremental=getattr(args, "incremental", False),
         certify=getattr(args, "certify", False),
         falsify=getattr(args, "falsify", 0),
         falsify_seed=getattr(args, "falsify_seed", 0),

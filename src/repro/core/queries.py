@@ -31,6 +31,7 @@ from ..ccac import CcacModel, ModelConfig
 from ..ccac.environments import EnvironmentSpec, lossless_environment
 from ..smt import And, CheckOptions, RealVal, Term
 from .template import CandidateCCA
+from .verifier import CcacVerifier
 
 
 @dataclass(frozen=True)
@@ -112,18 +113,6 @@ class AssumptionResult:
         return self.theta is not None
 
 
-def _probe_verifier(cfg, environment=lossless_environment(), cache=None):
-    """One incremental verifier shared by all binary-search probes: the
-    environment encoding, CNF conversion, and learned clauses are
-    amortized across probes (each probe is a push/pop of the assumption
-    plus the candidate's template constraints)."""
-    from .verifier import CcacVerifier
-
-    return CcacVerifier(
-        cfg, incremental=True, cache=cache, environments=(environment,)
-    )
-
-
 def _holds_under(
     candidate: CandidateCCA,
     cfg: ModelConfig,
@@ -143,7 +132,7 @@ def _holds_under(
     never a false "holds".
     """
     if verifier is None:
-        verifier = _probe_verifier(cfg)
+        verifier = CcacVerifier(cfg)
     net = verifier.network()
     opts = options or CheckOptions()
     result = verifier.find_counterexample(
@@ -178,7 +167,7 @@ def weakest_sufficient_assumption(
     start = time.perf_counter()
     probes = 0
     unknown_probes = 0
-    verifier = _probe_verifier(cfg, environment, cache=cache)
+    verifier = CcacVerifier(cfg, cache=cache, environments=(environment,))
     net = verifier.network()
     opts = options or CheckOptions()
 

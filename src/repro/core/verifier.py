@@ -8,9 +8,9 @@ trace violates the desired property:
 SAT yields a counterexample trace; UNSAT *proves* the candidate achieves
 the property on every trace the model allows.
 
-**Environment matrix** (ISSUE 9): the verifier runs over a list of
+**Environment matrix**: the verifier runs over a list of
 :class:`~repro.ccac.environments.EnvironmentSpec` values — one SMT model,
-one (optionally incremental) solver session, and one verdict per
+one solver session (rebuilt per distinct candidate), and one verdict per
 environment.  A candidate is *verified* only when **every** environment
 answers UNSAT; the first environment to answer SAT short-circuits the
 loop and yields a counterexample tagged with its origin environment, so
@@ -38,7 +38,7 @@ soundness failures are never converted to ``unknown``.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -82,7 +82,7 @@ class VerificationResult:
 class _EnvState:
     """Lazily built per-environment solver state."""
 
-    __slots__ = ("env", "cfg", "prefix", "net", "base", "session")
+    __slots__ = ("env", "cfg", "prefix", "net", "base", "candidate", "session")
 
     def __init__(self, env: EnvironmentSpec, cfg: ModelConfig, prefix: str):
         self.env = env
@@ -90,27 +90,26 @@ class _EnvState:
         self.prefix = prefix
         self.net = None
         self.base: Optional[tuple[Term, ...]] = None
+        #: the candidate whose template constraints ``session`` holds
+        self.candidate: Optional[CandidateCCA] = None
         self.session: Optional[SolverSession] = None
 
 
 class CcacVerifier:
     """The per-candidate CCAC verifier.
 
-    Every query is built through a :class:`~repro.smt.SolverSession`,
-    in one of two operating modes:
+    Each environment keeps one :class:`~repro.smt.SolverSession` built
+    over the candidate-independent encoding (environment + negated
+    desired property) *and* the current candidate's template
+    constraints, both asserted unguarded at the root as in a fresh
+    solver.  The session is reused while the same candidate
+    (by value) comes back — assumption probes, repeated WCE searches —
+    and dropped and rebuilt when the candidate changes.  Per-call
+    extras (``extra_constraints`` and the worst-case objective) always
+    go into a pushed scope, so a reused session only ever holds base +
+    candidate between calls.
 
-    * **fresh** (default): each call builds a fresh session over the
-      full encoding — stateless, trivially correct, and what the
-      original reproduction did.
-    * **incremental** (``incremental=True``): one long-lived
-      :class:`~repro.smt.SolverSession` *per environment* holds the
-      candidate-independent encoding (environment + negated desired
-      property); each call push/pops only the candidate's template
-      constraints.  The CNF conversion, theory atoms, and learned
-      clauses are amortized across every candidate the verifier ever
-      sees.
-
-    Either mode accepts a ``cache`` (``QueryCacheProtocol``-shaped, e.g.
+    ``cache`` (``QueryCacheProtocol``-shaped, e.g.
     :class:`repro.engine.cache.QueryCache`): conclusive subquery verdicts
     are content-addressed and reused, which pays off under worst-case
     binary search and across portfolio workers sharing a ``cache_dir``.
@@ -124,7 +123,6 @@ class CcacVerifier:
         cfg: ModelConfig,
         wce_precision: Fraction = Fraction(1, 8),
         validate: bool = True,
-        incremental: bool = False,
         cache=None,
         certify: bool = False,
         environments: Sequence[EnvironmentSpec] = default_environments(),
@@ -132,7 +130,6 @@ class CcacVerifier:
         self.cfg = cfg
         self.wce_precision = wce_precision
         self.validate = validate
-        self.incremental = incremental
         self.cache = cache
         self.certify = certify
         self.environments = tuple(environments)
@@ -157,14 +154,6 @@ class CcacVerifier:
             self._states = states
         return self._states
 
-    @property
-    def _session(self) -> Optional[SolverSession]:
-        """The first environment's incremental session (None until the
-        first incremental call) — kept for stats introspection."""
-        if not self._states:
-            return None
-        return self._states[0].session
-
     def network(self, index: int = 0):
         """The environment model object (e.g. for building assumption
         terms over its variables); built lazily like the solver state."""
@@ -176,7 +165,7 @@ class CcacVerifier:
         """The candidate-independent encoding, built once per environment.
 
         Terms are immutable and interned, so the same environment terms
-        are shared by every per-candidate solver; because the compile
+        are shared by every per-candidate session; because the compile
         memo (:mod:`repro.smt.compile`) keys on term identity, the
         shared-environment compile work is done once, not per candidate.
         """
@@ -187,40 +176,34 @@ class CcacVerifier:
             state.base = tuple(base)
         return state.net, state.base
 
-    def _ensure_session(self, state: _EnvState) -> SolverSession:
-        """The long-lived session holding the candidate-independent base."""
-        if state.session is None:
-            _, base = self._ensure_net(state)
-            state.session = SolverSession(
-                base, cache=self.cache, produce_proofs=self.certify
-            )
-        return state.session
-
     @contextmanager
     def _candidate_scope(
         self,
         candidate: CandidateCCA,
         state: _EnvState,
         extra_constraints: Sequence[Term] = (),
+        worst_case: bool = False,
     ):
-        """Yields ``(session, net)`` with the full per-candidate encoding
-        asserted; incremental mode reuses the shared base.  Fresh mode
-        asserts the shared base and the candidate delta as separate
-        batches so the base compile is memo-amortized."""
-        if self.incremental:
-            session = self._ensure_session(state)
-            net = state.net
-            delta = state.env.candidate_constraints(net, candidate)
-            with session.scope(*delta, *extra_constraints):
-                yield session, net
-        else:
-            net, base = self._ensure_net(state)
-            delta = list(state.env.candidate_constraints(net, candidate))
-            delta.extend(extra_constraints)
+        """Yields ``(session, net)`` with the environment's session for
+        ``candidate``, inside a scope for whatever the call adds
+        (``extra_constraints``, the worst-case objective).
+
+        The session is reused when the candidate repeats and rebuilt
+        when it changes (base and candidate asserted as separate
+        batches, so the base compile is memo-amortized).  A plain check
+        adds nothing and opens no scope: an empty push would force the
+        Tseitin encoding that a cache hit otherwise skips.
+        """
+        net, base = self._ensure_net(state)
+        if state.candidate != candidate:
             session = SolverSession(
                 base, cache=self.cache, produce_proofs=self.certify
             )
-            session.add(*delta)
+            session.add(*state.env.candidate_constraints(net, candidate))
+            state.session, state.candidate = session, candidate
+        session = state.session
+        adds = bool(extra_constraints) or worst_case
+        with session.scope(*extra_constraints) if adds else nullcontext():
             yield session, net
 
     def _extract_trace(
@@ -249,9 +232,10 @@ class CcacVerifier:
         ``deadline`` (a ``time.perf_counter()`` timestamp) bounds the
         wall-clock the underlying SMT search may consume; an expired
         deadline yields an inconclusive result (``unknown=True``), never
-        a false "verified".  ``extra_constraints`` are asserted inside
-        the per-candidate frame (assumption-synthesis probes use this to
-        restrict the adversary without rebuilding the base encoding).
+        a false "verified".  ``extra_constraints`` are asserted in a
+        scope over the candidate's session (assumption-synthesis probes
+        use this to restrict the adversary without rebuilding the
+        encoding).
 
         The first environment to answer SAT returns immediately with a
         counterexample tagged with that environment; *verified* requires
@@ -265,23 +249,19 @@ class CcacVerifier:
         with tr.span(
             "verifier.find_cex", level=DEBUG,
             candidate=str(candidate), worst_case=worst_case,
-            incremental=self.incremental, environments=len(states),
+            environments=len(states),
         ) as span:
             total_checks = 0
             any_unknown = False
             summaries: list[object] = []
             outcome_trace = None
             for state in states:
-                # in incremental mode the session's stats are cumulative;
-                # report this call's delta like the fresh-session path does
-                base_checks = (
-                    state.session.solver.stats.checks
-                    if state.session is not None
-                    else 0
-                )
                 with self._candidate_scope(
-                    candidate, state, extra_constraints
+                    candidate, state, extra_constraints, worst_case
                 ) as (session, net):
+                    # a reused session's stats are cumulative; report
+                    # this call's delta
+                    base_checks = session.solver.stats.checks
                     inconclusive = False
                     if worst_case:
                         model, inconclusive = self._solve_worst_case(
@@ -305,8 +285,8 @@ class CcacVerifier:
                         and model is None
                         and not inconclusive
                     ):
-                        # snapshot + check the proof while the candidate
-                        # frame is still active (pop would disable its
+                        # snapshot + check the proof while the call's
+                        # scope is still active (pop would disable its
                         # guard)
                         summary, inconclusive = self._certify_unsat(
                             session, worst_case, opts

@@ -31,8 +31,9 @@ from typing import Optional, Sequence
 
 from ..ccac import ModelConfig
 from ..obs import DEBUG, tracer
-from .queries import AssumptionTemplate, _holds_under, _probe_verifier
+from .queries import AssumptionTemplate, _holds_under
 from .template import CandidateCCA
+from .verifier import CcacVerifier
 
 
 @dataclass
@@ -70,13 +71,13 @@ def tune_verifier(
     start = time.perf_counter()
     probes = 0
     tr = tracer()
-    # one incremental verifier amortizes the environment encoding across
-    # every (candidate, theta) probe of the tuning search
-    verifier = _probe_verifier(cfg)
+    # one verifier per panel member: probes alternate between members,
+    # so each member keeps its own candidate session warm across theta
+    verifiers = [CcacVerifier(cfg) for _ in panel]
 
     def panel_holds(theta: Fraction) -> bool:
         nonlocal probes
-        for cand in panel:
+        for cand, verifier in zip(panel, verifiers):
             probes += 1
             holds = _holds_under(cand, cfg, template, theta, verifier=verifier)
             tr.event(

@@ -1,4 +1,4 @@
-"""The performance engine: parallelism, incrementality, and caching.
+"""The performance engine: parallelism, session reuse, and caching.
 
 This package is the "runs as fast as the hardware allows" layer on top
 of the CEGIS + SMT stack.  Three independent multipliers compose:
@@ -8,11 +8,12 @@ of the CEGIS + SMT stack.  Three independent multipliers compose:
   pool; the first conclusive verdict (counterexample or proof)
   wins the round and the losers are cancelled.  Enabled with
   ``SynthesisQuery(jobs=N)`` / ``ccmatic synthesize --jobs N``.
-* **Incremental sessions** (:class:`repro.smt.SolverSession`) — the
-  verifier keeps one long-lived session holding the candidate-
-  independent CCAC encoding and push/pops only the per-candidate
-  assertions; CNF conversion, theory atoms, and learned clauses are all
-  amortized across candidates (``CcacVerifier(incremental=True)``).
+* **Session reuse** (:class:`repro.smt.SolverSession`) — the verifier
+  keeps one session per environment over the CCAC encoding plus the
+  current candidate, reused while that candidate repeats (assumption
+  probes, WCE searches) and rebuilt when it changes; per-call extras
+  are push/popped, so CNF conversion, theory atoms, and learned clauses
+  are amortized across the calls on one candidate.
 * **Query caching** (:mod:`~repro.engine.cache`) — conclusive verdicts
   are content-addressed by the canonical hash of the assertion set, so
   repeated subqueries (common under range pruning and binary-search

@@ -86,11 +86,11 @@ def verifier_pool(size: int, limits: WorkerLimits, pool=None):
 # -- the portfolio CCAC verifier ---------------------------------------------
 
 
-#: per-process warm state for pooled workers: one incremental verifier,
-#: keyed by its full configuration.  Lives in the *pool child* process
-#: (the task fn is pickled by reference, so this global is the child's
-#: own copy) and is what amortizes base-network encoding, compile work
-#: and learned clauses across the batches a persistent worker serves.
+#: per-process warm state for pooled workers: one verifier, keyed by its
+#: full configuration.  Lives in the *pool child* process (the task fn is
+#: pickled by reference, so this global is the child's own copy) and is
+#: what amortizes the base-network build and its compile memo across the
+#: batches a persistent worker serves.
 _WORKER_STATE: dict = {}
 
 
@@ -100,14 +100,13 @@ def _pooled_verify_candidate_task(
 ):
     """Runs inside a *persistent* pool worker: warm verifier, one candidate.
 
-    Keeps one incremental :class:`~repro.core.verifier.CcacVerifier`
-    alive in ``_WORKER_STATE`` across tasks — the base CCAC encoding is
-    asserted once and candidates come and go in push/pop scopes, learned
-    clauses carrying over.  Soundness: any abnormal exit (cancellation
-    via ``TaskCancelled``, solver crash, ``SoundnessError``) drops the
-    warm verifier before re-raising, so a session that might be stuck
-    mid-scope is never reused; the independent model validator checks
-    each verdict regardless.
+    Keeps one :class:`~repro.core.verifier.CcacVerifier` alive in
+    ``_WORKER_STATE`` across tasks — the CCAC network is built once and
+    a repeated candidate reuses its session.  Soundness: any abnormal
+    exit (cancellation via ``TaskCancelled``, solver crash,
+    ``SoundnessError``) drops the warm verifier before re-raising, so a
+    session that might be stuck mid-scope is never reused; the
+    independent model validator checks each verdict regardless.
     """
     import json as _json
 
@@ -128,12 +127,12 @@ def _pooled_verify_candidate_task(
         cache = QueryCache(cache_dir) if cache_dir else None
         verifier = CcacVerifier(
             cfg, wce_precision=precision, validate=validate, cache=cache,
-            certify=certify, incremental=True, environments=environments,
+            certify=certify, environments=environments,
         )
         # bounded: at most one warm verifier per environment cell (the
         # grid dispatch hands each worker a single-environment task, so
-        # a worker serving mixed cells keeps one session per cell warm
-        # instead of rebuilding the base encoding on every alternation)
+        # a worker serving mixed cells keeps one network per cell warm
+        # instead of rebuilding it on every alternation)
         if len(_WORKER_STATE) >= 8:
             _WORKER_STATE.clear()
         _WORKER_STATE[key] = verifier
@@ -162,8 +161,8 @@ class PortfolioVerifier:
     :class:`PortfolioOutcome`, normally a
     :class:`repro.service.pool.WorkerPool`; see :func:`verifier_pool`)
     runs every task as :func:`_pooled_verify_candidate_task`, whose warm
-    incremental verifier amortizes encoding/compile/learned-clause work
-    across batches.  The pool's lifecycle belongs to the caller — this
+    verifier amortizes the network build and compile work across
+    batches.  The pool's lifecycle belongs to the caller — this
     class never starts or shuts it down.
 
     A round in which workers were killed (watchdog timeout, OOM, crash)

@@ -47,7 +47,6 @@ TRACKED_TIMINGS = (
     "compile.raw_s",
     "cache.cold_s",
     "cache.warm_s",
-    "incremental.incremental_s",
     "proof.certify_s",
     "portfolio.jobs_1.wall_s",
     "portfolio.jobs_4.wall_s",

@@ -83,10 +83,6 @@ class RuntimeOptions:
     #: directory of the shared on-disk query cache (None disables it);
     #: portfolio workers and successive runs pool conclusive verdicts
     cache_dir: Optional[str] = None
-    #: keep one incremental solver session across verifier calls
-    #: (in-process verifier only; pool workers under isolate/jobs keep
-    #: their own warm incremental verifier regardless)
-    incremental: bool = False
     #: produce and independently check an UNSAT proof for every verified
     #: verdict (see :mod:`repro.trust`); a proof that fails to check
     #: raises :class:`~repro.runtime.errors.SoundnessError`
@@ -156,7 +152,6 @@ def _build_verifier(query, options: RuntimeOptions, pool=None):
             query.cfg,
             wce_precision=options.wce_precision,
             validate=options.validate,
-            incremental=options.incremental,
             cache=cache,
             certify=options.certify,
             environments=environments,

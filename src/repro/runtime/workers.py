@@ -119,10 +119,9 @@ def _pool_child(conn, memory_mb: Optional[int], trace_ctx: Optional[TraceContext
     :class:`TaskCancelled` *only while a task is executing*, so a signal
     that lands between tasks is ignored.  Interned terms are never
     released, and they stay warm across tasks together with any other
-    process-global state the tasks build (e.g. incremental verifier
-    sessions) — that is the point of pooling; the pool bounds the
-    resulting memory growth by recycling workers after
-    ``max_tasks_per_worker``.
+    process-global state the tasks build (e.g. warm verifiers) — that
+    is the point of pooling; the pool bounds the resulting memory growth
+    by recycling workers after ``max_tasks_per_worker``.
     """
     import signal
 

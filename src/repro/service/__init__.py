@@ -5,8 +5,8 @@ or HTTP — the same computation: a serializable, fingerprinted
 :class:`JobSpec` executed by :func:`execute_job`.  Around it:
 
 * :class:`WorkerPool` (:mod:`~repro.service.pool`) — persistent fork
-  workers amortizing process boot, intern-table priming and incremental
-  verifier state across batches; thread-safe lane leasing lets N
+  workers amortizing process boot, intern-table priming and the warm
+  verifier's network build across batches; thread-safe lane leasing lets N
   executors share one pool;
 * :class:`JobServer` (:mod:`~repro.service.server`) — the asyncio
   HTTP/JSON endpoint with a durable job queue, NDJSON progress streams

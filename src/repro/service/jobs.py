@@ -167,7 +167,6 @@ _OPTION_FIELDS = {
     "falsify": (int, int),
     "falsify_seed": (int, int),
     "cache_dir": (lambda v: v, lambda v: v),
-    "incremental": (bool, bool),
     "certify": (bool, bool),
 }
 

@@ -10,9 +10,9 @@ keeps ``size`` long-lived workers
 (:func:`repro.runtime.workers.spawn_pool_worker`, the only code that
 forks a worker) that boot once, run an optional *prime* call (warm the
 intern table, import the heavy modules), and then serve
-``("task", ...)`` messages over their duplex pipes — so per-candidate
-state like an incremental verifier session survives from one batch to
-the next.
+``("task", ...)`` messages over their duplex pipes — so process-global
+state like a warm verifier's network encoding survives from one batch
+to the next.
 
 A batch is a race (:meth:`WorkerPool.run_batch`, returning a
 :class:`~repro.engine.portfolio.PortfolioOutcome`): the first accepted

@@ -15,7 +15,6 @@ from repro.ccac import (
     lossy_environment,
     multiflow_environment,
     parse_environment,
-    parse_environments,
     registered_kinds,
 )
 from repro.cegis import PruningMode
@@ -81,17 +80,13 @@ class TestCodecs:
         env = parse_environment("lossy:buffer=13/7")
         assert env.param("buffer") == Fraction(13, 7)
         assert parse_environment(env.key()) == env
+        assert parse_environment("lossless") == lossless_environment()
 
     def test_parse_rejects_malformed_params(self):
         with pytest.raises(ValueError, match="expected key=value"):
             parse_environment("lossy:buffer")
         with pytest.raises(ValueError, match="non-rational"):
             parse_environment("lossy:buffer=huge")
-
-    def test_parse_environments_keeps_none_canonical(self):
-        assert parse_environments(None) is None
-        assert parse_environments([]) is None
-        assert parse_environments(["lossless"]) == [lossless_environment()]
 
     def test_json_round_trip_is_exact(self):
         env = multiflow_environment(min_share=Fraction(1, 3),

@@ -50,6 +50,39 @@ class TestWeakestAssumption:
         )
         assert res.found
 
+    def test_pinned_thetas_and_probes(self):
+        """The binary search's answers and probe counts at T=5 (h=4)
+        for both waste families."""
+        from repro.ccac import ModelConfig
+
+        cfg = ModelConfig(T=5)
+        h = cfg.history
+        expected = {
+            total_waste_budget: {
+                "rocc": (Fraction(5), 2),
+                "const:1": (Fraction(95, 64), 9),
+                "const:2": (Fraction(5), 2),
+            },
+            per_step_waste_budget: {
+                "rocc": (Fraction(5), 2),
+                "const:1": (Fraction(15, 32), 9),
+                "const:2": (Fraction(5), 2),
+            },
+        }
+        candidates = {
+            "rocc": rocc(h),
+            "const:1": constant_cwnd(1, h),
+            "const:2": constant_cwnd(2, h),
+        }
+        for family, rows in expected.items():
+            for name, (theta, probes) in rows.items():
+                res = weakest_sufficient_assumption(
+                    candidates[name], cfg, family(cfg)
+                )
+                assert (res.theta, res.probes) == (theta, probes), (
+                    family.__name__, name,
+                )
+
     def test_impossible_candidate(self, fast_cfg):
         """Bounding the initial queue cannot save a one-BDP window from
         the waste adversary at a 90% utilization demand: no theta in the

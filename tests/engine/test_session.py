@@ -132,20 +132,37 @@ def test_cached_unsat_has_no_model():
         session.model()
 
 
-def test_verifier_incremental_matches_fresh(fast_cfg):
-    """End to end: the CCAC verifier's incremental mode gives the same
-    verdicts as the fresh-solver mode, candidate by candidate."""
+def test_verifier_session_per_candidate(fast_cfg):
+    """End to end: one verifier reusing its session across a repeated
+    candidate gives the same verdicts as a new verifier per call, plain
+    and worst-case, and rebuilds the session exactly when the candidate
+    changes."""
     from repro.core import constant_cwnd, rocc
+    from repro.core.queries import total_waste_budget
     from repro.core.verifier import CcacVerifier
 
-    candidates = [rocc(3), constant_cwnd(1, 3), constant_cwnd(0, 3), rocc(3)]
-    fresh = CcacVerifier(fast_cfg)
-    incremental = CcacVerifier(fast_cfg, incremental=True)
-    for cand in candidates:
-        rf = fresh.find_counterexample(cand)
-        ri = incremental.find_counterexample(cand)
-        assert rf.verified == ri.verified
-        assert (rf.counterexample is None) == (ri.counterexample is None)
-    # the session really was shared across calls
-    assert incremental._session is not None
-    assert incremental._session.stats.scopes == len(candidates)
+    h = fast_cfg.history
+    candidates = [
+        rocc(h), constant_cwnd(1, h), constant_cwnd(0, h), rocc(h), rocc(h),
+    ]
+    for worst_case in (False, True):
+        shared = CcacVerifier(fast_cfg)
+        budget = total_waste_budget(fast_cfg)
+        extra = [budget.build(shared.network(), Fraction(0))]
+        sessions = []
+        for i, cand in enumerate(candidates):
+            extras = extra if i == len(candidates) - 1 else []
+            rs = shared.find_counterexample(
+                cand, worst_case=worst_case, extra_constraints=extras
+            )
+            rf = CcacVerifier(fast_cfg).find_counterexample(
+                cand, worst_case=worst_case, extra_constraints=extras
+            )
+            assert rs.verified == rf.verified
+            assert (rs.counterexample is None) == (rf.counterexample is None)
+            sessions.append(shared._env_states()[0].session)
+        # a new candidate gets a new session; a repeated one keeps it
+        assert len({id(s) for s in sessions[:4]}) == 4
+        assert sessions[3] is sessions[4]
+        # only calls that add something (extras, a WCE objective) push
+        assert sessions[4].stats.scopes == (2 if worst_case else 1)

@@ -20,7 +20,6 @@ REPORT = {
     "ok": True,
     "compile": {"pipeline_s": 2.0, "raw_s": 4.0, "speedup": 2.0},
     "cache": {"cold_s": 3.0, "warm_s": 0.5, "speedup": 6.0},
-    "incremental": {"incremental_s": 1.5},
     "proof": {"certify_s": 2.5},
     "portfolio": {"jobs_1": {"wall_s": 10.0}, "jobs_4": {"wall_s": 4.0}},
 }

@@ -198,6 +198,24 @@ class TestResultPayload:
         warped["wall_time"] = tiny_payload["wall_time"] + 1000.0
         assert _payload_fingerprint(warped) == tiny_payload["fingerprint"]
 
+    def test_stored_spec_with_incremental_option_still_runs(
+        self, tiny_payload
+    ):
+        """Specs stored before the verifier lost its ``incremental``
+        option carry ``"incremental": true``; decoding ignores the
+        unknown key and the job runs to the same answer."""
+        query = SynthesisQuery(
+            spec=table1_spaces()["no_cwnd_small"],
+            cfg=ModelConfig(T=5),
+            generator="enum",
+            worst_case_cex=False,
+        )
+        wire = json.loads(json.dumps(synthesis_spec(query).to_json()))
+        wire["params"]["options"]["incremental"] = True
+        payload = execute_job(JobSpec.from_json(wire))
+        assert payload["solutions"] == tiny_payload["solutions"]
+        assert payload["iterations"] == tiny_payload["iterations"]
+
     def test_tampered_payload_refused(self, tiny_payload):
         tampered = dict(tiny_payload)
         tampered["iterations"] = tiny_payload["iterations"] + 1

@@ -101,10 +101,24 @@ class TestVerifierCertify:
         res = verifier.find_counterexample(rocc(fast_cfg.history), worst_case=True)
         assert res.verified and res.certified
 
-    def test_incremental_verifier_certifies(self, fast_cfg):
-        verifier = CcacVerifier(fast_cfg, certify=True, incremental=True)
-        res = verifier.find_counterexample(rocc(fast_cfg.history))
-        assert res.verified and res.certified
+    def test_reused_session_certifies(self, fast_cfg):
+        """Two probes on one candidate share its session; each gets its
+        own checked certificate."""
+        from repro.core.queries import total_waste_budget
+
+        verifier = CcacVerifier(fast_cfg, certify=True)
+        budget = total_waste_budget(fast_cfg)
+        net = verifier.network()
+        cand = rocc(fast_cfg.history)
+        sessions = []
+        for theta in (Fraction(0), Fraction(1)):
+            res = verifier.find_counterexample(
+                cand, extra_constraints=[budget.build(net, theta)]
+            )
+            assert res.verified and res.certified
+            sessions.append(verifier._env_states()[0].session)
+        assert sessions[0] is sessions[1]
+        assert verifier.certified == 2
 
 
 class TestDeterminism:
