@@ -12,7 +12,6 @@ import pytest
 from repro.ccac import lossy_environment, multiflow_environment
 from repro.core import (
     CcacVerifier,
-    ConditionalVerifier,
     aimd_candidate,
     constant_cwnd,
     rocc,
@@ -25,7 +24,7 @@ from _bench_utils import BENCH_H
 
 
 def test_conditional_aimd_refuted(benchmark, bench_cfg):
-    verifier = ConditionalVerifier(bench_cfg)
+    verifier = CcacVerifier(bench_cfg)
 
     def run():
         return verifier.find_counterexample(aimd_candidate())
@@ -36,7 +35,7 @@ def test_conditional_aimd_refuted(benchmark, bench_cfg):
 
 
 def test_conditional_rocc_verified(benchmark, bench_cfg):
-    verifier = ConditionalVerifier(bench_cfg)
+    verifier = CcacVerifier(bench_cfg)
 
     def run():
         return verifier.verify(rocc_conditional())

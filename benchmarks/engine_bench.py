@@ -309,7 +309,7 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     cells = [(cand, env) for cand in candidates for env in environments]
     tasks = [
         (_pooled_verify_candidate_task,
-         (cfg, precision, cand, False, None, True, None, False, [env]))
+         (cfg, precision, cand, False, None, None, False, [env]))
         for cand, env in cells
     ]
 
@@ -362,7 +362,7 @@ def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     precision = Fraction(1, 8)
     tasks = [
         (_pooled_verify_candidate_task,
-         (cfg, precision, cand, False, None, True, None, False))
+         (cfg, precision, cand, False, None, None, False))
         for cand in candidates
     ]
 

@@ -12,6 +12,10 @@ traditional CCAs like AIMD.  This example:
    depend on the unreliable guard);
 3. runs CEGIS over the conditional space and prints the synthesized rule.
 
+The guarded template goes through the same verifier (``CcacVerifier``)
+and synthesis driver (``synthesize`` with the enumerative generator) as
+the linear one.
+
 Run:  python examples/conditional_synthesis.py
 """
 
@@ -19,17 +23,18 @@ from fractions import Fraction
 
 from repro.ccac import ModelConfig
 from repro.core import (
+    CcacVerifier,
     ConditionalSpec,
-    ConditionalVerifier,
+    SynthesisQuery,
     aimd_candidate,
     rocc_conditional,
-    synthesize_conditional,
+    synthesize,
 )
 
 
 def main() -> None:
     cfg = ModelConfig(T=5, history=3)
-    verifier = ConditionalVerifier(cfg)
+    verifier = CcacVerifier(cfg)
 
     aimd = aimd_candidate()
     print(f"AIMD in the conditional template:\n  {aimd.pretty()}")
@@ -51,10 +56,12 @@ def main() -> None:
         delta_domain=(Fraction(0), Fraction(1)),
     )
     print(f"synthesizing over {spec.search_space_size} conditional candidates ...")
-    outcome = synthesize_conditional(cfg, spec=spec, time_budget=600)
-    print(f"  iterations: {outcome.stats.iterations}")
-    if outcome.solutions:
-        sol = outcome.solutions[0]
+    result = synthesize(
+        SynthesisQuery(spec=spec, cfg=cfg, generator="enum", time_budget=600)
+    )
+    print(f"  iterations: {result.iterations}")
+    if result.solutions:
+        sol = result.solutions[0]
         print(f"  synthesized: {sol.pretty()}")
         print(f"  AIMD-shaped: {sol.is_aimd_shaped()}")
     else:

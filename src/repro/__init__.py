@@ -121,7 +121,6 @@ def verify(
     cfg=None,
     *,
     worst_case: bool = False,
-    validate: bool = True,
     cache=None,
 ):
     """Verify one concrete candidate CCA against the CCAC model.
@@ -137,8 +136,6 @@ def verify(
     from .core.verifier import CcacVerifier
 
     verifier = CcacVerifier(
-        cfg if cfg is not None else ModelConfig(),
-        validate=validate,
-        cache=cache,
+        cfg if cfg is not None else ModelConfig(), cache=cache
     )
     return verifier.find_counterexample(candidate, worst_case=worst_case)

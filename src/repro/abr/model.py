@@ -128,17 +128,6 @@ class AbrModel:
             prev_need = self.need[k]
         return cons
 
-    def high_quality_flags(self) -> list[Term]:
-        """Boolean terms: was chunk k fetched at high quality?"""
-        cfg = self.cfg
-        flags: list[Term] = []
-        prev_need: Term = RealVal(0)
-        for k in range(cfg.n_chunks):
-            lead = self.S[self.request_tick(k)] - prev_need
-            flags.append(lead >= RealVal(self.policy.theta))
-            prev_need = self.need[k]
-        return flags
-
     def no_stall(self) -> Term:
         """Every chunk downloaded by its playback deadline."""
         return And(

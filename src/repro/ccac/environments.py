@@ -69,7 +69,6 @@ __all__ = [
     "multiflow_environment",
     "parse_environment",
     "registered_kinds",
-    "replay_cwnd",
 ]
 
 #: schema version of the EnvironmentSpec JSON encoding (gate on decode)
@@ -198,7 +197,7 @@ class _Lossy(_Kind):
         # Exact replay regardless of the requested pruning mode (see the
         # module docstring's soundness argument); RANGE intervals are a
         # lossless-only construction.
-        cwnd = replay_cwnd(candidate, trace, trace.cfg)
+        cwnd = candidate.replay_cwnd(trace, trace.cfg)
         if not _replays_exactly(
             trace, cwnd, lambda t: trace.S[t - 1] + trace.L[t - 1]
         ):
@@ -244,29 +243,11 @@ class _Multiflow(_Kind):
     def replay_satisfies(self, candidate, trace, pruning) -> bool:
         replayed = []
         for flow in trace.flows:
-            cwnd = replay_cwnd(candidate, flow, trace.cfg)
+            cwnd = candidate.replay_cwnd(flow, trace.cfg)
             if not _replays_exactly(flow, cwnd, lambda t, f=flow: f.S[t - 1]):
                 return True
             replayed.append(_dc_replace(flow, cwnd=tuple(cwnd)))
         return _dc_replace(trace, flows=tuple(replayed)).desired_holds()
-
-
-def replay_cwnd(candidate, trace, cfg: ModelConfig) -> list[Fraction]:
-    """A candidate's cwnd trajectory on a trace's ack observations: the
-    trace supplies the pre-history cwnds, the clamped template rule
-    fills ``t >= 0``."""
-    cwnd: list[Fraction] = []
-    for t in range(cfg.T + 1):
-        total = Fraction(candidate.gamma)
-        for i in range(1, candidate.history + 1):
-            back = t - i
-            if candidate.alphas[i - 1] != 0:
-                hist = cwnd[back] if back >= 0 else trace.cwnd_at(back)
-                total += candidate.alphas[i - 1] * hist
-            if candidate.betas[i - 1] != 0:
-                total += candidate.betas[i - 1] * trace.ack_at(back)
-        cwnd.append(max(total, cfg.cwnd_min))
-    return cwnd
 
 
 def _replays_exactly(trace, cwnd, window_base) -> bool:

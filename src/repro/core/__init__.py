@@ -2,7 +2,9 @@
 
 The paper's primary contribution.  Public surface:
 
-* :class:`TemplateSpec` / :class:`CandidateCCA` — the search space.
+* :class:`TemplateSpec` / :class:`CandidateCCA` — the search space;
+  :class:`ConditionalSpec` / :class:`ConditionalCCA` — the guarded
+  template of §4.1, run by the same generator, verifier and driver.
 * :func:`synthesize` / :func:`enumerate_all` / :func:`brute_force` —
   the synthesis drivers.
 * :class:`CcacVerifier` — per-candidate verification against CCAC-lite.
@@ -13,12 +15,9 @@ The paper's primary contribution.  Public surface:
 
 from .conditional import (
     ConditionalCCA,
-    ConditionalGenerator,
     ConditionalSpec,
-    ConditionalVerifier,
     aimd_candidate,
     rocc_conditional,
-    synthesize_conditional,
 )
 from .generator_enum import EnumerativeGenerator, satisfies_spec, simulate_on_trace
 from .generator_smt import SmtGenerator
@@ -67,13 +66,10 @@ from .verifier_tuning import TunedVerifier, tune_verifier
 __all__ = [
     "AssumptionResult",
     "ConditionalCCA",
-    "ConditionalGenerator",
     "ConditionalSpec",
-    "ConditionalVerifier",
     "TunedVerifier",
     "aimd_candidate",
     "rocc_conditional",
-    "synthesize_conditional",
     "tune_verifier",
     "AssumptionTemplate",
     "CandidateCCA",

@@ -22,9 +22,15 @@ observations:
 so AIMD is ``cond -> mu=1/2, nu=0, delta=0``, ``!cond -> mu=1, nu=0,
 delta=gamma`` and RoCC is both branches ``mu=0, nu=1, delta=1``.
 
-The synthesis query is identical in shape to the linear one; both the
-verifier-side encoding and an exact numeric simulation are provided, and
-a :class:`ConditionalGenerator` plugs into the same CEGIS loop.
+The synthesis query is identical in shape to the linear one.  A
+:class:`ConditionalCCA` owns the same two semantics a linear
+:class:`~repro.core.template.CandidateCCA` does — the SMT encoding
+(:meth:`~ConditionalCCA.constraints_for`) and the exact numeric replay
+(:meth:`~ConditionalCCA.replay_cwnd`) — so the shared
+:class:`~repro.core.verifier.CcacVerifier`,
+:class:`~repro.core.generator_enum.EnumerativeGenerator` and
+:func:`~repro.core.synthesizer.synthesize` (with ``generator="enum"``)
+run it unchanged, in every environment of the matrix.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Union
 
-from ..ccac import CcacModel, CexTrace, ModelConfig
-from ..cegis import PruningMode
-from ..smt import And, Implies, Ite, Not, Or, RealVal, Term, encode_max
+from ..ccac import CcacModel, ModelConfig
+from ..smt import Ite, RealVal, Term, encode_max
+from .template import CandidateCCA, TemplateSpec
 
 #: domains used by the conditional search spaces
 MU_DOMAIN: tuple[Fraction, ...] = (
@@ -130,6 +136,24 @@ class ConditionalCCA:
         else:
             raw = self.mu_clear * cwnd_prev + self.nu_clear * acked2 + self.delta_clear
         return max(raw, Fraction(cwnd_min))
+
+    def replay_cwnd(self, trace, cfg: ModelConfig) -> list[Fraction]:
+        """The rule's cwnd trajectory on a trace's ack observations: the
+        trace supplies the pre-history cwnd, the clamped rule fills
+        ``t >= 0``."""
+        cwnd: list[Fraction] = []
+        for t in range(cfg.T + 1):
+            prev_cwnd = cwnd[t - 1] if t >= 1 else trace.cwnd_at(t - 1)
+            cwnd.append(
+                self.next_cwnd(
+                    prev_cwnd,
+                    trace.ack_at(t - 1),
+                    trace.ack_at(t - 2),
+                    trace.ack_at(t - 3),
+                    cfg.cwnd_min,
+                )
+            )
+        return cwnd
 
     # -- SMT semantics ---------------------------------------------------------
 
@@ -227,164 +251,8 @@ class ConditionalSpec:
         )
 
 
-class ConditionalVerifier:
-    """Verifier for conditional candidates (same CCAC query)."""
-
-    def __init__(self, cfg: ModelConfig):
-        from .verifier import CcacVerifier
-
-        self._inner = CcacVerifier(cfg)
-        self.cfg = cfg
-
-    def find_counterexample(self, candidate: ConditionalCCA, worst_case: bool = False):
-        from ..ccac import negated_desired
-        from ..smt import Solver, sat, unknown
-        from .verifier import VerificationResult
-        import time
-
-        start = time.perf_counter()
-        net = CcacModel(self.cfg, prefix="cv")
-        solver = Solver()
-        solver.add(*net.constraints())
-        solver.add(*candidate.constraints_for(net))
-        solver.add(negated_desired(net))
-        if worst_case:
-            state = self._inner._env_states()[0]
-            model, inconclusive = self._inner._solve_worst_case(
-                solver, net, state, None
-            )
-        else:
-            outcome = solver.check()
-            inconclusive = outcome is unknown
-            model = solver.model() if outcome is sat else None
-        trace = None
-        if model is not None:
-            if self._inner.validate:
-                from ..runtime.validate import validate_counterexample, validate_model
-
-                validate_model(solver.assertions(), model, context="conditional cex")
-            trace = CexTrace.from_model(model, net)
-            if self._inner.validate:
-                # conditional candidates have branch semantics the linear
-                # template re-derivation doesn't cover; validate the
-                # environment and property violation only
-                validate_counterexample(trace, candidate=None)
-        return VerificationResult(
-            candidate=candidate,
-            verified=trace is None and not inconclusive,
-            counterexample=trace,
-            wall_time=time.perf_counter() - start,
-            solver_checks=solver.stats.checks,
-            unknown=inconclusive,
-        )
-
-    def verify(self, candidate: ConditionalCCA) -> bool:
-        return self.find_counterexample(candidate).verified
-
-
-def simulate_conditional(
-    candidate: ConditionalCCA, trace: CexTrace, cfg: ModelConfig
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Candidate's (cwnd, A) trajectories on a trace's observations
-    (mirrors :func:`repro.core.generator_enum.simulate_on_trace`)."""
-    T = cfg.T
-    cwnd: list[Fraction] = []
-    for t in range(T + 1):
-        prev_cwnd = cwnd[t - 1] if t >= 1 else trace.cwnd_at(t - 1)
-        value = candidate.next_cwnd(
-            prev_cwnd,
-            trace.ack_at(t - 1),
-            trace.ack_at(t - 2),
-            trace.ack_at(t - 3),
-            cfg.cwnd_min,
-        )
-        cwnd.append(value)
-    A: list[Fraction] = [trace.A[0]]
-    for t in range(1, T + 1):
-        A.append(max(A[t - 1], trace.S[t - 1] + cwnd[t]))
-    return cwnd, A
-
-
-def conditional_satisfies_spec(
-    candidate: ConditionalCCA,
-    trace: CexTrace,
-    cfg: ModelConfig,
-    pruning: PruningMode,
-) -> bool:
-    """``feasible => desired`` for a conditional candidate on a trace."""
-    cwnd, A = simulate_conditional(candidate, trace, cfg)
-    T = cfg.T
-    feasible = trace.A[0] <= trace.S_pre[0] + cwnd[0]
-    if feasible:
-        if pruning is PruningMode.EXACT:
-            feasible = all(A[t] == trace.A[t] for t in range(1, T + 1))
-        else:
-            for t, bound in enumerate(trace.range_bounds()):
-                if t == 0:
-                    continue
-                if A[t] < bound.lower or (
-                    bound.upper is not None and A[t] > bound.upper
-                ):
-                    feasible = False
-                    break
-    if not feasible:
-        return True
-    util_ok = trace.S[T] - trace.S[0] >= cfg.util_thresh * cfg.C * cfg.T
-    limit = cfg.delay_thresh * cfg.C * cfg.D
-    queue_ok = all(A[t] - trace.S[t] <= limit for t in range(T + 1))
-    return (util_ok or cwnd[T] > cwnd[0]) and (queue_ok or cwnd[T] < cwnd[0])
-
-
-class ConditionalGenerator:
-    """Enumerative generator over the conditional space (plugs into the
-    same :class:`repro.cegis.CegisLoop`)."""
-
-    def __init__(
-        self,
-        spec: ConditionalSpec,
-        cfg: ModelConfig,
-        pruning: PruningMode = PruningMode.RANGE,
-    ):
-        self.spec = spec
-        self.cfg = cfg
-        self.pruning = pruning
-        self._survivors = list(spec.iterate_candidates())
-
-    @property
-    def survivor_count(self) -> int:
-        return len(self._survivors)
-
-    def propose(self) -> Optional[ConditionalCCA]:
-        return self._survivors[0] if self._survivors else None
-
-    def add_counterexample(self, trace: CexTrace) -> None:
-        self._survivors = [
-            c
-            for c in self._survivors
-            if conditional_satisfies_spec(c, trace, self.cfg, self.pruning)
-        ]
-
-    def block(self, candidate: ConditionalCCA) -> None:
-        key = candidate.key()
-        self._survivors = [c for c in self._survivors if c.key() != key]
-
-
-def synthesize_conditional(
-    cfg: ModelConfig,
-    spec: Optional[ConditionalSpec] = None,
-    worst_case_cex: bool = True,
-    find_all: bool = False,
-    time_budget: Optional[float] = None,
-):
-    """CEGIS over the conditional template; returns a CegisOutcome."""
-    from ..cegis import CegisLoop, CegisOptions
-
-    spec = spec or ConditionalSpec()
-    generator = ConditionalGenerator(spec, cfg)
-    verifier = ConditionalVerifier(cfg)
-    options = CegisOptions(
-        worst_case_cex=worst_case_cex,
-        find_all=find_all,
-        time_budget=time_budget,
-    )
-    return CegisLoop(generator, verifier, options).run()
+#: every candidate type owns its SMT semantics (``constraints_for``) and
+#: its numeric semantics (``replay_cwnd``), so one verifier, generator
+#: and CEGIS driver serve both template shapes
+Candidate = Union[CandidateCCA, ConditionalCCA]
+CandidateSpace = Union[TemplateSpec, ConditionalSpec]

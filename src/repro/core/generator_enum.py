@@ -10,7 +10,8 @@ against each other) and much faster for the spaces that fit in memory
 
 The simulation semantics mirror the SMT encoding exactly:
 
-* cwnd follows the clamped template on the trace's ack observations,
+* cwnd follows the candidate's own clamped rule (its ``replay_cwnd``)
+  on the trace's observations,
 * sends follow the eager window-limited recurrence,
 * feasibility is exact-trace or range membership per the pruning mode,
 * the specification is ``feasible => desired``.
@@ -22,16 +23,15 @@ from fractions import Fraction
 from typing import Optional
 
 from ..ccac import CexTrace, ModelConfig
-from ..ccac.environments import replay_cwnd
 from ..cegis import PruningMode
-from .template import CandidateCCA, TemplateSpec
+from .conditional import Candidate, CandidateSpace
 
 
 def simulate_on_trace(
-    candidate: CandidateCCA, trace: CexTrace, cfg: ModelConfig
+    candidate: Candidate, trace: CexTrace, cfg: ModelConfig
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Candidate's (cwnd, A) trajectories on a trace's observations."""
-    cwnd = replay_cwnd(candidate, trace, cfg)
+    cwnd = candidate.replay_cwnd(trace, cfg)
     A: list[Fraction] = [trace.A[0]]
     for t in range(1, cfg.T + 1):
         A.append(max(A[t - 1], trace.S[t - 1] + cwnd[t]))
@@ -39,7 +39,7 @@ def simulate_on_trace(
 
 
 def satisfies_spec(
-    candidate: CandidateCCA,
+    candidate: Candidate,
     trace: CexTrace,
     cfg: ModelConfig,
     pruning: PruningMode,
@@ -76,14 +76,16 @@ def satisfies_spec(
 
 
 class EnumerativeGenerator:
-    """Explicit-survivor-set generator over a finite template space."""
+    """Explicit-survivor-set generator over a finite candidate space
+    (a linear :class:`~repro.core.template.TemplateSpec` or a guarded
+    :class:`~repro.core.conditional.ConditionalSpec`)."""
 
     # guard against accidentally materializing the 9^9 space
     MAX_SPACE = 2_000_000
 
     def __init__(
         self,
-        spec: TemplateSpec,
+        spec: CandidateSpace,
         cfg: ModelConfig,
         pruning: PruningMode = PruningMode.RANGE,
     ):
@@ -95,19 +97,19 @@ class EnumerativeGenerator:
         self.spec = spec
         self.cfg = cfg
         self.pruning = pruning
-        self._survivors: list[CandidateCCA] = list(spec.iterate_candidates())
+        self._survivors: list[Candidate] = list(spec.iterate_candidates())
         self._traces: list[CexTrace] = []
 
     @property
     def survivor_count(self) -> int:
         return len(self._survivors)
 
-    def propose(self) -> Optional[CandidateCCA]:
+    def propose(self) -> Optional[Candidate]:
         if not self._survivors:
             return None
         return self._survivors[0]
 
-    def propose_batch(self, k: int) -> list[CandidateCCA]:
+    def propose_batch(self, k: int) -> list[Candidate]:
         """Up to ``k`` distinct survivors (for portfolio verification);
         none are blocked by being proposed."""
         return list(self._survivors[:k])
@@ -122,6 +124,6 @@ class EnumerativeGenerator:
             c for c in self._survivors if replay(c, trace, self.pruning)
         ]
 
-    def block(self, candidate: CandidateCCA) -> None:
+    def block(self, candidate: Candidate) -> None:
         key = candidate.key()
         self._survivors = [c for c in self._survivors if c.key() != key]

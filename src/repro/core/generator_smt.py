@@ -1,6 +1,6 @@
 """The CEGIS generator as an incremental SMT query (paper §3.1).
 
-One solver instance lives across the whole CEGIS run.  The template's
+One solver session lives across the whole CEGIS run.  The template's
 holes are real variables restricted to the discrete coefficient domain;
 every counterexample trace adds a block of constraints describing how a
 candidate *would have behaved* on that trace and requiring the
@@ -37,7 +37,7 @@ from ..smt import (
     Or,
     Real,
     RealVal,
-    Solver,
+    SolverSession,
     Sum,
     Term,
     encode_max,
@@ -55,10 +55,15 @@ class SmtGenerator:
         cfg: ModelConfig,
         pruning: PruningMode = PruningMode.RANGE,
     ):
+        if not isinstance(spec, TemplateSpec):
+            raise ValueError(
+                f"SmtGenerator encodes the linear template only, not "
+                f"{type(spec).__name__}; use generator='enum'"
+            )
         self.spec = spec
         self.cfg = cfg
         self.pruning = pruning
-        self.solver = Solver()
+        self.solver = SolverSession()
         self._trace_count = 0
         h = spec.history
         # hole variables

@@ -27,6 +27,7 @@ from ..cegis import (
     StopReason,
     Verifier,
 )
+from .conditional import Candidate, CandidateSpace
 from .generator_enum import EnumerativeGenerator
 from .generator_smt import SmtGenerator
 from .template import CandidateCCA, TemplateSpec
@@ -38,9 +39,13 @@ GeneratorBackend = Literal["smt", "enum"]
 @dataclass
 class SynthesisQuery:
     """One ∃∀ synthesis question (a Table 1 cell is one of these plus an
-    optimization configuration)."""
+    optimization configuration).  ``spec`` is a linear
+    :class:`~repro.core.template.TemplateSpec` or a guarded
+    :class:`~repro.core.conditional.ConditionalSpec`; the symbolic
+    generator encodes the linear template only, so a conditional space
+    needs ``generator="enum"``."""
 
-    spec: TemplateSpec
+    spec: CandidateSpace
     cfg: ModelConfig = field(default_factory=ModelConfig)
     pruning: PruningMode = PruningMode.RANGE
     worst_case_cex: bool = True
@@ -71,7 +76,7 @@ class SynthesisResult:
     """Solutions plus the bookkeeping Table 1 reports."""
 
     query: SynthesisQuery
-    solutions: list[CandidateCCA]
+    solutions: list[Candidate]
     iterations: int
     counterexamples: int
     generator_time: float
@@ -104,7 +109,7 @@ class SynthesisResult:
         return bool(self.solutions)
 
     @property
-    def first(self) -> Optional[CandidateCCA]:
+    def first(self) -> Optional[Candidate]:
         return self.solutions[0] if self.solutions else None
 
 

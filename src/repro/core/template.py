@@ -66,6 +66,23 @@ class CandidateCCA:
             total += self.betas[i] * Fraction(ack_hist[i])
         return max(total, Fraction(cwnd_min))
 
+    def replay_cwnd(self, trace, cfg) -> list[Fraction]:
+        """The rule's cwnd trajectory on a trace's ack observations: the
+        trace supplies the pre-history cwnds, the clamped rule fills
+        ``t >= 0``."""
+        cwnd: list[Fraction] = []
+        for t in range(cfg.T + 1):
+            total = Fraction(self.gamma)
+            for i in range(1, self.history + 1):
+                back = t - i
+                if self.alphas[i - 1] != 0:
+                    hist = cwnd[back] if back >= 0 else trace.cwnd_at(back)
+                    total += self.alphas[i - 1] * hist
+                if self.betas[i - 1] != 0:
+                    total += self.betas[i - 1] * trace.ack_at(back)
+            cwnd.append(max(total, cfg.cwnd_min))
+        return cwnd
+
     def cwnd_term(self, model: CcacModel, t: int) -> Term:
         """The rule as a linear SMT term over the model's variables at t
         (negative indices read the model's pre-history variables)."""

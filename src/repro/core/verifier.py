@@ -6,7 +6,10 @@ trace violates the desired property:
     SAT( environment /\\ sender /\\ template(candidate) /\\ not desired )
 
 SAT yields a counterexample trace; UNSAT *proves* the candidate achieves
-the property on every trace the model allows.
+the property on every trace the model allows.  One verifier serves every
+candidate type: ``template(candidate)`` is the candidate's own
+``constraints_for`` (the linear :class:`~repro.core.template.CandidateCCA`
+or the guarded :class:`~repro.core.conditional.ConditionalCCA`).
 
 **Environment matrix**: the verifier runs over a list of
 :class:`~repro.ccac.environments.EnvironmentSpec` values — one SMT model,
@@ -25,7 +28,7 @@ counterexample eliminate more candidates in the generator.  Each
 environment supplies its own interval widths (two-flow models measure
 aggregate service against the shared token bucket).
 
-**Independent validation** (on by default): because the reproduction
+**Independent validation** (always on): because the reproduction
 substitutes z3 with the from-scratch :mod:`repro.smt` solver, every SAT
 model is re-checked by :mod:`repro.runtime.validate` — an exact-arithmetic
 evaluator sharing no code with the solver — against all asserted
@@ -49,14 +52,14 @@ from ..obs import DEBUG, tracer
 from ..runtime.validate import validate_counterexample, validate_model
 from ..smt import CheckOptions, Or, Real, RealVal, SolverSession, Term, sat, unknown
 from ..smt.optimize import maximize
-from .template import CandidateCCA
+from .conditional import Candidate
 
 
 @dataclass
 class VerificationResult:
     """Outcome of one verifier call."""
 
-    candidate: CandidateCCA
+    candidate: Candidate
     verified: bool
     counterexample: Optional[object]
     wall_time: float
@@ -91,7 +94,7 @@ class _EnvState:
         self.net = None
         self.base: Optional[tuple[Term, ...]] = None
         #: the candidate whose template constraints ``session`` holds
-        self.candidate: Optional[CandidateCCA] = None
+        self.candidate: Optional[Candidate] = None
         self.session: Optional[SolverSession] = None
 
 
@@ -122,14 +125,12 @@ class CcacVerifier:
         self,
         cfg: ModelConfig,
         wce_precision: Fraction = Fraction(1, 8),
-        validate: bool = True,
         cache=None,
         certify: bool = False,
         environments: Sequence[EnvironmentSpec] = default_environments(),
     ):
         self.cfg = cfg
         self.wce_precision = wce_precision
-        self.validate = validate
         self.cache = cache
         self.certify = certify
         self.environments = tuple(environments)
@@ -179,7 +180,7 @@ class CcacVerifier:
     @contextmanager
     def _candidate_scope(
         self,
-        candidate: CandidateCCA,
+        candidate: Candidate,
         state: _EnvState,
         extra_constraints: Sequence[Term] = (),
         worst_case: bool = False,
@@ -207,20 +208,18 @@ class CcacVerifier:
             yield session, net
 
     def _extract_trace(
-        self, solver, state: _EnvState, model, candidate: CandidateCCA
+        self, solver, state: _EnvState, model, candidate: Candidate
     ):
         """Build the counterexample trace, independently validating both
-        the SAT model and the extracted trace first (when enabled)."""
-        if self.validate:
-            validate_model(solver.assertions(), model, context="verifier cex")
+        the SAT model and the extracted trace first."""
+        validate_model(solver.assertions(), model, context="verifier cex")
         trace = state.env.extract_trace(model, state.net)
-        if self.validate:
-            validate_counterexample(trace, candidate=candidate)
+        validate_counterexample(trace, candidate=candidate)
         return trace
 
     def find_counterexample(
         self,
-        candidate: CandidateCCA,
+        candidate: Candidate,
         worst_case: bool = False,
         max_conflicts: Optional[int] = None,
         deadline: Optional[float] = None,
@@ -387,6 +386,6 @@ class CcacVerifier:
             return None, opt.unknown
         return opt.model, False
 
-    def verify(self, candidate: CandidateCCA) -> bool:
+    def verify(self, candidate: Candidate) -> bool:
         """Convenience wrapper: True iff the candidate is proved correct."""
         return self.find_counterexample(candidate).verified

@@ -95,7 +95,7 @@ _WORKER_STATE: dict = {}
 
 
 def _pooled_verify_candidate_task(
-    cfg, precision, candidate, worst_case, time_limit, validate, cache_dir,
+    cfg, precision, candidate, worst_case, time_limit, cache_dir,
     certify=False, environments=default_environments(),
 ):
     """Runs inside a *persistent* pool worker: warm verifier, one candidate.
@@ -117,7 +117,6 @@ def _pooled_verify_candidate_task(
     key = (
         _json.dumps(encode_config(cfg), sort_keys=True),
         str(precision),
-        bool(validate),
         str(cache_dir or ""),
         bool(certify),
         tuple(env.key() for env in environments),
@@ -126,7 +125,7 @@ def _pooled_verify_candidate_task(
     if verifier is None:
         cache = QueryCache(cache_dir) if cache_dir else None
         verifier = CcacVerifier(
-            cfg, wce_precision=precision, validate=validate, cache=cache,
+            cfg, wce_precision=precision, cache=cache,
             certify=certify, environments=environments,
         )
         # bounded: at most one warm verifier per environment cell (the
@@ -184,7 +183,6 @@ class PortfolioVerifier:
         pool,
         wce_precision: Fraction = Fraction(1, 8),
         limits: WorkerLimits = WorkerLimits(),
-        validate: bool = True,
         cache_dir: Optional[str] = None,
         certify: bool = False,
         environments: Sequence[EnvironmentSpec] = default_environments(),
@@ -194,7 +192,6 @@ class PortfolioVerifier:
         self.pool = pool
         self.wce_precision = Fraction(wce_precision)
         self.limits = limits
-        self.validate = validate
         self.cache_dir = cache_dir
         self.certify = certify
         self.environments = tuple(environments)
@@ -217,7 +214,6 @@ class PortfolioVerifier:
                 candidate,
                 worst_case,
                 budget,
-                self.validate,
                 self.cache_dir,
                 self.certify,
                 (env,),

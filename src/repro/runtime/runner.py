@@ -66,8 +66,6 @@ class RuntimeOptions:
     retries: int = 1
     #: apply the degradation ladder (wce fallback / precision step-down)
     degrade: bool = True
-    #: independently validate every SAT model and counterexample
-    validate: bool = True
     #: precision of the worst-case counterexample binary search
     wce_precision: Fraction = Fraction(1, 8)
     #: advisory: run every solution through the discrete simulator and
@@ -137,7 +135,6 @@ def _build_verifier(query, options: RuntimeOptions, pool=None):
             pool,
             wce_precision=options.wce_precision,
             limits=_limits(options),
-            validate=options.validate,
             cache_dir=options.cache_dir,
             certify=options.certify,
             environments=environments,
@@ -151,7 +148,6 @@ def _build_verifier(query, options: RuntimeOptions, pool=None):
         base = CcacVerifier(
             query.cfg,
             wce_precision=options.wce_precision,
-            validate=options.validate,
             cache=cache,
             certify=options.certify,
             environments=environments,

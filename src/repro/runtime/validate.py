@@ -24,9 +24,10 @@ shares *no search code* with the solver —
   evaluation here.
 * :func:`validate_counterexample` replays a trace against the CCAC
   environment constraints numerically, re-derives the candidate's cwnd
-  trajectory from its coefficients, and confirms the trace actually
-  violates the desired property — a bogus counterexample fed to the
-  generator would silently prune correct candidates.
+  trajectory from its coefficients (linear or guarded rule), and
+  confirms the trace actually violates the desired property — a bogus
+  counterexample fed to the generator would silently prune correct
+  candidates.
 * :func:`cross_validate` (advisory) runs a synthesized CCA through the
   discrete-event simulator :mod:`repro.sim` as an end-to-end sanity
   check of verified solutions.
@@ -179,11 +180,15 @@ def _desired_holds(trace) -> bool:
 def _template_violations(trace, candidate) -> list[str]:
     """Re-derive the candidate's cwnd trajectory on the trace.
 
-    Uses the candidate's raw coefficients directly (not its own
-    ``next_cwnd`` helper) so the check stays independent of the
-    template's evaluation code as well as the SMT encoding.  A two-flow
-    trace runs the check once per flow (both flows execute the same
-    candidate on their own observations).
+    Uses the candidate's raw fields directly (not its own
+    ``next_cwnd``/``replay_cwnd`` helpers) so the check stays
+    independent of the template's evaluation code as well as the SMT
+    encoding: the linear rule from ``alphas``/``betas``/``gamma``, the
+    guarded rule (a candidate with a ``threshold``) from its threshold
+    and per-branch ``mu``/``nu``/``delta``.  Every step reads the
+    trace's recorded cwnd and acks.  A two-flow trace runs the check
+    once per flow (both flows execute the same candidate on their own
+    observations).
     """
     flows = getattr(trace, "flows", None)
     if flows is not None:
@@ -194,22 +199,46 @@ def _template_violations(trace, candidate) -> list[str]:
             )
         return errors
     cfg = trace.cfg
+    rule = _guarded_rule if hasattr(candidate, "threshold") else _linear_rule
     errors: list[str] = []
-    history = len(candidate.betas)
     for t in range(cfg.T + 1):
-        total = Fraction(candidate.gamma)
-        for i in range(1, history + 1):
-            back = t - i
-            if candidate.alphas[i - 1] != 0:
-                total += candidate.alphas[i - 1] * trace.cwnd_at(back)
-            if candidate.betas[i - 1] != 0:
-                total += candidate.betas[i - 1] * trace.ack_at(back)
-        expected = max(total, cfg.cwnd_min)
+        expected = max(rule(trace, candidate, t), cfg.cwnd_min)
         if trace.cwnd[t] != expected:
             errors.append(
                 f"cwnd({t}) = {trace.cwnd[t]} but template rule gives {expected}"
             )
     return errors
+
+
+def _linear_rule(trace, candidate, t: int) -> Fraction:
+    """``sum_i alpha_i*cwnd(t-i) + beta_i*ack(t-i) + gamma`` (unclamped)."""
+    total = Fraction(candidate.gamma)
+    for i in range(1, len(candidate.betas) + 1):
+        back = t - i
+        if candidate.alphas[i - 1] != 0:
+            total += candidate.alphas[i - 1] * trace.cwnd_at(back)
+        if candidate.betas[i - 1] != 0:
+            total += candidate.betas[i - 1] * trace.ack_at(back)
+    return total
+
+
+def _guarded_rule(trace, candidate, t: int) -> Fraction:
+    """The congested branch when ``cwnd(t-1) - (ack(t-1) - ack(t-2))``
+    exceeds the threshold, else the clear branch; each branch is
+    ``mu*cwnd(t-1) + nu*(ack(t-1) - ack(t-3)) + delta`` (unclamped)."""
+    cwnd_prev = trace.cwnd_at(t - 1)
+    queue_est = cwnd_prev - (trace.ack_at(t - 1) - trace.ack_at(t - 2))
+    acked2 = trace.ack_at(t - 1) - trace.ack_at(t - 3)
+    if queue_est > candidate.threshold:
+        mu, nu, delta = (
+            candidate.mu_congested, candidate.nu_congested,
+            candidate.delta_congested,
+        )
+    else:
+        mu, nu, delta = (
+            candidate.mu_clear, candidate.nu_clear, candidate.delta_clear,
+        )
+    return mu * cwnd_prev + nu * acked2 + delta
 
 
 def validate_counterexample(trace, candidate=None, must_violate: bool = True) -> None:

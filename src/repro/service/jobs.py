@@ -161,7 +161,6 @@ _OPTION_FIELDS = {
     "solver_mem_mb": (lambda v: v, lambda v: v),
     "retries": (int, int),
     "degrade": (bool, bool),
-    "validate": (bool, bool),
     "wce_precision": (str, Fraction),
     "cross_check": (bool, bool),
     "falsify": (int, int),

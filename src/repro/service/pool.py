@@ -181,23 +181,6 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    def set_prime(self, fn, args=(), kwargs=None) -> None:
-        """Warm-up call executed once on each (re)spawned worker."""
-        self._prime = (fn, tuple(args), dict(kwargs or {}))
-        if not self._started:
-            return
-        mine: list[_Lane] = []
-        with self._cond:
-            for lane in self._lanes:
-                if not lane.leased:
-                    lane.leased = True
-                    mine.append(lane)
-        try:
-            for lane in mine:
-                self._prime_lane(lane)
-        finally:
-            self._release(mine)
-
     def bind_cancel(self, scope: CancelScope) -> None:
         """Attach ``scope`` to the calling thread: every ``run_batch``
         issued from this thread (however deep in the call stack) polls it.

@@ -126,7 +126,7 @@ class TestValidateCounterexample:
     def test_real_counterexample_passes(self, fast_cfg):
         cand = constant_cwnd(Fraction(1))
         cfg = ModelConfig(T=5)
-        res = CcacVerifier(cfg, validate=False).find_counterexample(cand)
+        res = CcacVerifier(cfg).find_counterexample(cand)
         assert res.counterexample is not None
         validate_counterexample(res.counterexample, candidate=None)
 
@@ -155,7 +155,7 @@ class TestValidateCounterexample:
     def test_template_mismatch_rejected(self, fast_cfg):
         cand = constant_cwnd(Fraction(1))
         cfg = ModelConfig(T=5)
-        res = CcacVerifier(cfg, validate=False).find_counterexample(cand)
+        res = CcacVerifier(cfg).find_counterexample(cand)
         trace = res.counterexample
         assert trace is not None
         wrong = constant_cwnd(Fraction(2))
@@ -180,11 +180,10 @@ class TestValidateCounterexample:
         assert all(c.ok for c in result.cross_checks)
 
     def test_tier1_paths_validated_by_default(self):
-        """Validation is on by default in the verifier: both the refuted
-        and the verified path run under it without raising."""
+        """Validation is always on in the verifier: both the refuted and
+        the verified path run under it without raising."""
         cfg = ModelConfig(T=5)
         verifier = CcacVerifier(cfg)
-        assert verifier.validate
         assert verifier.find_counterexample(rocc()).verified
         refuted = verifier.find_counterexample(constant_cwnd(Fraction(1)))
         assert refuted.counterexample is not None

@@ -42,3 +42,11 @@ def test_simulate_example_runs(capsys):
     out = capsys.readouterr().out
     assert "rocc" in out
     assert "max_waste" in out
+
+
+def test_conditional_example_runs(capsys):
+    runpy.run_path(str(EXAMPLES_DIR / "conditional_synthesis.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "REFUTED" in out
+    assert "PROVED correct" in out
+    assert "synthesized:" in out
