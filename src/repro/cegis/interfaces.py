@@ -196,6 +196,7 @@ class CegisStats:
 
     iterations: int = 0
     counterexamples: int = 0
+    #: proposing plus pruning (``add_counterexample``)
     generator_time: float = 0.0
     verifier_time: float = 0.0
     verifier_calls: int = 0

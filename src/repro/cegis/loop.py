@@ -12,7 +12,8 @@ produce all possible solutions, implying that there are no other
 solutions in our search space").
 
 Every run is traced through :mod:`repro.obs`: per-iteration
-``cegis.generate``/``cegis.verify`` spans, ``cegis.propose`` /
+``cegis.generate``/``cegis.verify`` spans, a ``cegis.prune`` span per
+counterexample (pruning counts as generator time), ``cegis.propose`` /
 ``cegis.counterexample`` / ``cegis.solution`` events, and a final
 ``cegis.done`` event carrying the :class:`CegisStats` totals and the
 explicit :class:`StopReason`.  ``CegisOptions.verbose`` is sugar for
@@ -183,8 +184,10 @@ class CegisLoop:
                 if cex is None:
                     # verifier gave up (conflict or wall-clock budget);
                     # a degraded result means the runtime weakened the
-                    # search to get here — report that, not "budget"
-                    degraded = bool(getattr(result, "degraded", False))
+                    # search to get here — report that, not "budget",
+                    # unless the deadline has passed anyway
+                    expired = deadline is not None and time.perf_counter() > deadline
+                    degraded = not expired and bool(getattr(result, "degraded", False))
                     self._budget_exhausted(
                         tr, outcome, where="verifier",
                         reason=StopReason.DEGRADED if degraded else StopReason.BUDGET,
@@ -204,7 +207,12 @@ class CegisLoop:
                         + (f" [{env_key}]" if env_key else "")
                     ),
                 )
-                self.generator.add_counterexample(cex)
+                with tr.span("cegis.prune", level=DEBUG, iter=stats.iterations) as span:
+                    t0 = time.perf_counter()
+                    self.generator.add_counterexample(cex)
+                    dt = time.perf_counter() - t0
+                    span.set_duration(dt)
+                stats.generator_time += dt
                 if self.checkpoint is not None:
                     self._cex_log.append(cex)
             self._save(outcome)

@@ -287,25 +287,27 @@ def render_report(summary: TraceSummary) -> str:
                 f"  stop_reason: {reason}"
                 + (" (resumed from checkpoint)" if done.get("resumed") else "")
             )
-        for phase, key in (("cegis.generate", "generator_time"),
-                           ("cegis.verify", "verifier_time")):
+        # generator_time covers proposing and pruning
+        phases = (("cegis.generate+prune", ("cegis.generate", "cegis.prune"),
+                   "generator_time"),
+                  ("cegis.verify", ("cegis.verify",), "verifier_time"))
+        for label, names, key in phases:
             recorded = float(done.get(key, 0.0))
-            spanned = summary.span_total(phase)
+            spanned = sum(summary.span_total(n) for n in names)
             if recorded > 0:
                 pct = 100.0 * spanned / recorded
                 out.append(
-                    f"  {phase}: span total {spanned:.3f}s vs recorded "
+                    f"  {label}: span total {spanned:.3f}s vs recorded "
                     f"{key} {recorded:.3f}s ({pct:.1f}% agreement)"
                 )
         run_total = summary.span_total("cegis.run")
-        attributed = (
-            summary.span_total("cegis.generate")
-            + summary.span_total("cegis.verify")
+        attributed = sum(
+            summary.span_total(n) for _, names, _ in phases for n in names
         )
         if run_total > 0:
             out.append(
                 f"  wall-clock attribution: {attributed:.3f}s of "
-                f"{run_total:.3f}s inside generate/verify "
+                f"{run_total:.3f}s inside generate/prune/verify "
                 f"({100.0 * attributed / run_total:.1f}%)"
             )
 

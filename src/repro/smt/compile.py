@@ -172,16 +172,19 @@ class CompiledQuery:
     of the original assertion set.
     """
 
-    __slots__ = ("formulas", "eliminated", "stats", "_key", "_cnf", "_atoms")
+    __slots__ = ("formulas", "eliminated", "variables", "stats", "_key", "_cnf", "_atoms")
 
     def __init__(
         self,
         formulas: tuple[Term, ...],
         eliminated: tuple[tuple[Term, Term], ...],
+        variables: frozenset,
         stats: CompileStats,
     ):
         self.formulas = formulas
         self.eliminated = eliminated
+        #: every variable ``formulas`` mention (what a solver freezes)
+        self.variables = variables
         self.stats = stats
         self._key: Optional[str] = None
         self._cnf: Optional[Cnf] = None
@@ -288,21 +291,20 @@ def _stage(tr, name: str):
     return tr.span(name, level=DEBUG) if tr.enabled else nullcontext()
 
 
-def _count_nodes(formulas) -> int:
-    seen: set[int] = set()
-    for f in formulas:
-        for node in f.iter_dag():
-            seen.add(id(node))
-    return len(seen)
+def _nodes(formulas) -> list[Term]:
+    """Every distinct node across ``formulas``, each once."""
+    seen: dict[int, Term] = {}
+    stack = list(formulas)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t.args)
+    return list(seen.values())
 
 
-def _count_atoms(formulas) -> int:
-    seen: set[int] = set()
-    for f in formulas:
-        for node in f.iter_dag():
-            if node.kind in (Kind.LE, Kind.LT, Kind.EQ):
-                seen.add(id(node))
-    return len(seen)
+def _count_atoms(nodes: list[Term]) -> int:
+    return sum(1 for n in nodes if n.kind in (Kind.LE, Kind.LT, Kind.EQ))
 
 
 def _flatten_conjuncts(formulas: Iterable[Term]) -> list[Term]:
@@ -326,8 +328,8 @@ def _compile(fs: tuple[Term, ...], frozen_ids: frozenset) -> CompiledQuery:
     tr = tracer()
     reg = metrics()
     stats = CompileStats()
-    stats.nodes_before = _count_nodes(fs)
-    stats.atoms_before = _count_atoms(fs)
+    nodes = _nodes(fs)
+    stats.nodes_before, stats.atoms_before = len(nodes), _count_atoms(nodes)
     start = time.perf_counter()
 
     span = (
@@ -392,13 +394,14 @@ def _compile(fs: tuple[Term, ...], frozen_ids: frozenset) -> CompiledQuery:
                 break
             stats.rounds += 1
 
+        nodes = _nodes(conjuncts)
+        stats.nodes_after, stats.atoms_after = len(nodes), _count_atoms(nodes)
         out = CompiledQuery(
             tuple(conjuncts),
             tuple(sorted(eliminated.items(), key=lambda p: p[0].name or "")),
+            frozenset(n for n in nodes if n.kind is Kind.VAR),
             stats,
         )
-        stats.nodes_after = _count_nodes(out.formulas)
-        stats.atoms_after = _count_atoms(out.formulas)
         stats.vars_eliminated = len(eliminated)
 
         if isinstance(span, nullcontext):
@@ -646,18 +649,8 @@ def _entailment_folds(others: list[Term], intervals: dict[Term, _Interval]):
     """Nested single-variable atoms that the interval map already
     decides, mapped to their truth constant (for substitution)."""
     folds: dict[Term, Term] = {}
-    seen: set[int] = set()
     for c in others:
-        for node in c.iter_dag():
-            if node.kind not in (Kind.LE, Kind.LT) or id(node) in seen:
-                continue
-            seen.add(id(node))
-            try:
-                la = normalize_atom(node)
-            except NonLinearError:
-                continue
-            if isinstance(la, bool) or len(la.expr) != 1:
-                continue
+        for node, la in _bound_atoms(c):
             iv = intervals.get(la.expr[0][0])
             if iv is None:
                 continue
@@ -665,6 +658,29 @@ def _entailment_folds(others: list[Term], intervals: dict[Term, _Interval]):
             if verdict is not None:
                 folds[node] = TRUE if verdict else FALSE
     return folds
+
+
+#: conjunct -> its nested single-variable atoms, once per term
+_bound_atoms_memo: dict[Term, tuple[tuple[Term, LinAtom], ...]] = {}
+
+
+def _bound_atoms(c: Term) -> tuple[tuple[Term, LinAtom], ...]:
+    """``(atom term, LinAtom)`` for every single-variable ``<=``/``<``
+    atom in ``c``'s DAG."""
+    hit = _bound_atoms_memo.get(c)
+    if hit is None:
+        found = []
+        for node in c.iter_dag():
+            if node.kind not in (Kind.LE, Kind.LT):
+                continue
+            try:
+                la = normalize_atom(node)
+            except NonLinearError:
+                continue
+            if not isinstance(la, bool) and len(la.expr) == 1:
+                found.append((node, la))
+        hit = _bound_atoms_memo[c] = tuple(found)
+    return hit
 
 
 def _bounds_pass(

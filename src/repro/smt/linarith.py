@@ -103,12 +103,24 @@ class LinAtom:
         return total > self.bound if self.strict else total >= self.bound
 
 
+#: atom term -> its normal form, once per term per process
+_normal_forms: dict[Term, LinAtom | bool] = {}
+
+
 def normalize_atom(term: Term) -> LinAtom | bool:
     """Normalize a ``<=``/``<`` atom term into a :class:`LinAtom`.
 
     Returns a plain bool when the atom is ground (no variables).  ``==``
     atoms must be eliminated beforehand (see :mod:`repro.smt.preprocess`).
+    Memoised per term; a term that raises is not recorded.
     """
+    hit = _normal_forms.get(term)
+    if hit is None:
+        hit = _normal_forms[term] = _normalize(term)
+    return hit
+
+
+def _normalize(term: Term) -> LinAtom | bool:
     if term.kind not in (Kind.LE, Kind.LT):
         raise SortError(f"not a normalizable atom: {term!r}")
     lhs = LinExpr.from_term(term.args[0])

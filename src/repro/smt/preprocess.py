@@ -57,29 +57,28 @@ def lift_real_ites(formula: Term) -> Term:
     return And(body, *side)
 
 
+#: input term -> :func:`eliminate_eq` result, once per term per process
+_eq_free: dict[Term, Term] = {}
+
+
 def eliminate_eq(formula: Term) -> Term:
     """Rewrite every real equality atom into a conjunction of two ``<=`` atoms."""
-    cache: dict[int, Term] = {}
-
-    def walk(t: Term) -> Term:
-        hit = cache.get(id(t))
-        if hit is not None:
-            return hit
-        if t.kind is Kind.EQ:
-            lhs, rhs = t.args
-            out = And(lhs <= rhs, rhs <= lhs)
-        elif not t.args:
-            out = t
+    hit = _eq_free.get(formula)
+    if hit is not None:
+        return hit
+    if formula.kind is Kind.EQ:
+        lhs, rhs = formula.args
+        out = And(lhs <= rhs, rhs <= lhs)
+    elif not formula.args:
+        out = formula
+    else:
+        new_args = tuple(eliminate_eq(a) for a in formula.args)
+        if all(n is o for n, o in zip(new_args, formula.args)):
+            out = formula
         else:
-            new_args = tuple(walk(a) for a in t.args)
-            if all(n is o for n, o in zip(new_args, t.args)):
-                out = t
-            else:
-                out = _rebuild(t, new_args)
-        cache[id(t)] = out
-        return out
-
-    return walk(formula)
+            out = _rebuild(formula, new_args)
+    _eq_free[formula] = out
+    return out
 
 
 def preprocess(formula: Term) -> Term:

@@ -55,26 +55,26 @@ __all__ = [
 ]
 
 
-def bottom_up(term: Term, fn) -> Term:
+def bottom_up(term: Term, fn, memo: dict[Term, Term]) -> Term:
     """Rebuild ``term`` bottom-up, applying ``fn(node, new_args)`` at
     every node (children first).  ``fn`` receives the original node and
     its already-rewritten argument tuple and returns the replacement
-    term.  Iterative, so arbitrarily deep formulas are safe."""
-    cache: dict[int, Term] = {}
+    term.  ``memo`` (node -> result) is filled in place; a pure pass
+    hands in its module-level memo, so each node is rewritten once per
+    process.  Iterative, so arbitrarily deep formulas are safe."""
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
         t, ready = stack.pop()
-        if id(t) in cache:
+        if t in memo:
             continue
         if not ready and t.args:
             stack.append((t, True))
             for a in t.args:
-                if id(a) not in cache:
+                if a not in memo:
                     stack.append((a, False))
             continue
-        new_args = tuple(cache[id(a)] for a in t.args)
-        cache[id(t)] = fn(t, new_args)
-    return cache[id(term)]
+        memo[t] = fn(t, tuple(memo[a] for a in t.args))
+    return memo[term]
 
 
 def _same(args: tuple, orig: tuple) -> bool:
@@ -128,6 +128,10 @@ def _post_rules(t: Term) -> Term:
     return t
 
 
+#: input term -> :func:`simplify` result, once per term per process
+_simplified: dict[Term, Term] = {}
+
+
 def simplify(term: Term) -> Term:
     """Bottom-up fold: rebuilding through the smart constructors applies
     constant folding, flattening, and double-negation elimination;
@@ -139,7 +143,7 @@ def simplify(term: Term) -> Term:
         out = t if _same(args, t.args) else _rebuild(t, args)
         return _post_rules(out)
 
-    return bottom_up(term, fn)
+    return bottom_up(term, fn, _simplified)
 
 
 # -- real ITE lifting --------------------------------------------------------
@@ -181,7 +185,7 @@ def lift_real_ites(formula: Term, side: list, emitted: set) -> Term:
             return v
         return out
 
-    return bottom_up(formula, fn)
+    return bottom_up(formula, fn, {})
 
 
 # -- atom canonicalization ---------------------------------------------------
@@ -205,6 +209,10 @@ def atom_term(atom: LinAtom) -> Term:
     return Not(lhs <= bound) if atom.strict else Not(lhs < bound)
 
 
+#: input term -> :func:`canonicalize_atoms` result, once per term
+_canonicalized: dict[Term, Term] = {}
+
+
 def canonicalize_atoms(formula: Term) -> Term:
     """Rewrite every ``<=``/``<`` atom into linarith normal form (ground
     atoms fold to constants).  Equalities must already be eliminated
@@ -224,4 +232,4 @@ def canonicalize_atoms(formula: Term) -> Term:
             return atom_term(la)
         return out
 
-    return bottom_up(formula, fn)
+    return bottom_up(formula, fn, _canonicalized)

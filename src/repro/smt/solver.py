@@ -34,7 +34,7 @@ from .errors import UnknownResultError
 from .linarith import LinExpr
 from .preprocess import preprocess
 from .sat import SatSolver
-from .terms import Kind, Sort, Term, evaluate, interned_count, substitute
+from .terms import Sort, Term, evaluate, interned_count, substitute
 from .theory import LraTheory
 
 
@@ -275,11 +275,8 @@ class Solver:
         compiled = compile_query(inputs, frozen=self._frozen)
         self._assertions[-1].extend(formulas)
         self._encoded[-1].extend(compiled.formulas)
-        for f in compiled.formulas:
-            self._unencoded.append((f, guard))
-            for node in f.iter_dag():
-                if node.kind is Kind.VAR:
-                    self._frozen.add(node)
+        self._unencoded.extend((f, guard) for f in compiled.formulas)
+        self._frozen.update(compiled.variables)
         if compiled.eliminated:
             new = dict(compiled.eliminated)
             for v in list(self._elim):

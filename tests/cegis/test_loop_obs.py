@@ -5,8 +5,9 @@ import io
 import json
 import time
 
-from repro.cegis import CegisLoop, CegisOptions
+from repro.cegis import CegisLoop, CegisOptions, StopReason
 from repro.obs import JsonlSink, tracer
+from repro.runtime.degrade import ResilientVerifier
 
 from tests.cegis.test_loop import ToyGenerator, ToyVerifier
 
@@ -63,7 +64,7 @@ class TestEventSequence:
         stats = outcome.stats
         gen_total = sum(
             r["dur"] for r in records
-            if r["type"] == "span" and r["name"] == "cegis.generate"
+            if r["type"] == "span" and r["name"] in ("cegis.generate", "cegis.prune")
         )
         ver_total = sum(
             r["dur"] for r in records
@@ -150,3 +151,63 @@ class TestTimeBudget:
             ToyGenerator(), ToyVerifier(), CegisOptions(time_budget=30.0)
         ).run()
         assert outcome.found
+
+
+class SlowPruneGenerator(ToyGenerator):
+    """A generator whose pruning takes measurable time."""
+
+    DELAY = 0.02
+
+    def add_counterexample(self, x: int) -> None:
+        time.sleep(self.DELAY)
+        super().add_counterexample(x)
+
+
+class TestPruneTime:
+    def test_pruning_counts_as_generator_time(self):
+        outcome, records = run_traced(SlowPruneGenerator(), ToyVerifier())
+        stats = outcome.stats
+        assert outcome.found and stats.counterexamples >= 1
+        assert stats.generator_time >= SlowPruneGenerator.DELAY * stats.counterexamples
+        prunes = [
+            r for r in records
+            if r["type"] == "span" and r["name"] == "cegis.prune"
+        ]
+        assert len(prunes) == stats.counterexamples
+        assert all(r["dur"] >= SlowPruneGenerator.DELAY for r in prunes)
+
+
+class GaveUp:
+    verified = False
+    counterexample = None
+    unknown = True
+
+
+class GivingUpVerifier(ToyVerifier):
+    """Answers ``unknown`` after ``delay`` seconds; the ladder in
+    :class:`ResilientVerifier` marks every such result degraded."""
+
+    def __init__(self, delay: float = 0.0):
+        super().__init__()
+        self.delay = delay
+
+    def find_counterexample(self, cand, worst_case=False, deadline=None):
+        time.sleep(self.delay)
+        return GaveUp()
+
+
+class TestStopReason:
+    def test_unknown_after_deadline_is_budget(self):
+        verifier = ResilientVerifier(GivingUpVerifier(delay=0.05))
+        outcome = CegisLoop(
+            ToyGenerator(), verifier, CegisOptions(time_budget=0.02)
+        ).run()
+        assert outcome.stats.iterations == 1
+        assert outcome.stop_reason is StopReason.BUDGET
+
+    def test_unknown_before_deadline_is_degraded(self):
+        verifier = ResilientVerifier(GivingUpVerifier())
+        outcome = CegisLoop(
+            ToyGenerator(), verifier, CegisOptions(time_budget=30.0)
+        ).run()
+        assert outcome.stop_reason is StopReason.DEGRADED

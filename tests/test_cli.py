@@ -196,8 +196,10 @@ class TestObservability:
         done = [r for r in records
                 if r["type"] == "event" and r["name"] == "cegis.done"]
         assert len(done) == 1
+        # generator_time counts proposing and pruning
         gen_total = sum(r["dur"] for r in records
-                        if r["type"] == "span" and r["name"] == "cegis.generate")
+                        if r["type"] == "span"
+                        and r["name"] in ("cegis.generate", "cegis.prune"))
         ver_total = sum(r["dur"] for r in records
                         if r["type"] == "span" and r["name"] == "cegis.verify")
         attrs = done[0]["attrs"]
