@@ -14,9 +14,9 @@ between releases.
   question end to end (:mod:`repro.core`).
 * :func:`verify` — one-shot verification of a concrete candidate CCA
   against the CCAC model.
-* :class:`Solver` / :class:`CheckOptions` / :class:`SolverSession` — the
-  QF-LRA SMT solver (:mod:`repro.smt`); sessions are the incremental
-  entry point.
+* :class:`Solver` / :class:`CheckOptions` — the QF-LRA SMT solver
+  (:mod:`repro.smt`); one incremental solver, with ``scope()`` and an
+  optional query cache.
 * :class:`CegisLoop` / :class:`CegisOptions` / :class:`StopReason` — the
   generic CEGIS loop (:mod:`repro.cegis`).
 * :class:`QueryCache` / :class:`PortfolioVerifier` — the performance
@@ -39,7 +39,6 @@ Subpackages:
   queue, persistent worker pool, progress streams, shared cache store.
 * :mod:`repro.ccas`, :mod:`repro.sim` — concrete CCAs and a discrete-time
   simulator for empirical validation.
-* :mod:`repro.netcal` — network-calculus curve algebra.
 * :mod:`repro.abr` — the adaptive-bitrate extension sketched in §5.
 """
 
@@ -60,7 +59,6 @@ __all__ = [
     "Result",
     "ServiceClient",
     "Solver",
-    "SolverSession",
     "StopReason",
     "SynthesisQuery",
     "SynthesisResult",
@@ -88,7 +86,6 @@ _LAZY = {
     "Result": "repro.smt",
     "ServiceClient": "repro.service",
     "Solver": "repro.smt",
-    "SolverSession": "repro.smt",
     "StopReason": "repro.cegis",
     "SynthesisQuery": "repro.core.synthesizer",
     "SynthesisResult": "repro.core.synthesizer",

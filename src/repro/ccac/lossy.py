@@ -33,7 +33,7 @@ drops every RTT and fails the loss budget.)
 
 Lossy queries run through :class:`~repro.core.verifier.CcacVerifier`
 with a ``lossy`` :class:`~repro.ccac.environments.EnvironmentSpec`, so
-they get independent validation, query caching, session reuse and
+they get independent validation, query caching, solver reuse and
 UNSAT certification exactly like the lossless path.
 """
 

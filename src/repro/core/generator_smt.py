@@ -1,6 +1,6 @@
 """The CEGIS generator as an incremental SMT query (paper §3.1).
 
-One solver session lives across the whole CEGIS run.  The template's
+One incremental solver lives across the whole CEGIS run.  The template's
 holes are real variables restricted to the discrete coefficient domain;
 every counterexample trace adds a block of constraints describing how a
 candidate *would have behaved* on that trace and requiring the
@@ -37,7 +37,7 @@ from ..smt import (
     Or,
     Real,
     RealVal,
-    SolverSession,
+    Solver,
     Sum,
     Term,
     encode_max,
@@ -63,7 +63,7 @@ class SmtGenerator:
         self.spec = spec
         self.cfg = cfg
         self.pruning = pruning
-        self.solver = SolverSession()
+        self.solver = Solver()
         self._trace_count = 0
         h = spec.history
         # hole variables

@@ -13,7 +13,7 @@ or the guarded :class:`~repro.core.conditional.ConditionalCCA`).
 
 **Environment matrix**: the verifier runs over a list of
 :class:`~repro.ccac.environments.EnvironmentSpec` values — one SMT model,
-one solver session (rebuilt per distinct candidate), and one verdict per
+one solver (rebuilt per distinct candidate), and one verdict per
 environment.  A candidate is *verified* only when **every** environment
 answers UNSAT; the first environment to answer SAT short-circuits the
 loop and yields a counterexample tagged with its origin environment, so
@@ -50,7 +50,7 @@ from ..ccac import ModelConfig
 from ..ccac.environments import EnvironmentSpec, default_environments
 from ..obs import DEBUG, tracer
 from ..runtime.validate import validate_counterexample, validate_model
-from ..smt import CheckOptions, Or, Real, RealVal, SolverSession, Term, sat, unknown
+from ..smt import CheckOptions, Or, Real, RealVal, Solver, Term, sat, unknown
 from ..smt.optimize import maximize
 from .conditional import Candidate
 
@@ -85,7 +85,7 @@ class VerificationResult:
 class _EnvState:
     """Lazily built per-environment solver state."""
 
-    __slots__ = ("env", "cfg", "prefix", "net", "base", "candidate", "session")
+    __slots__ = ("env", "cfg", "prefix", "net", "base", "candidate", "solver")
 
     def __init__(self, env: EnvironmentSpec, cfg: ModelConfig, prefix: str):
         self.env = env
@@ -93,24 +93,23 @@ class _EnvState:
         self.prefix = prefix
         self.net = None
         self.base: Optional[tuple[Term, ...]] = None
-        #: the candidate whose template constraints ``session`` holds
+        #: the candidate whose template constraints ``solver`` holds
         self.candidate: Optional[Candidate] = None
-        self.session: Optional[SolverSession] = None
+        self.solver: Optional[Solver] = None
 
 
 class CcacVerifier:
     """The per-candidate CCAC verifier.
 
-    Each environment keeps one :class:`~repro.smt.SolverSession` built
-    over the candidate-independent encoding (environment + negated
-    desired property) *and* the current candidate's template
-    constraints, both asserted unguarded at the root as in a fresh
-    solver.  The session is reused while the same candidate
-    (by value) comes back — assumption probes, repeated WCE searches —
-    and dropped and rebuilt when the candidate changes.  Per-call
-    extras (``extra_constraints`` and the worst-case objective) always
-    go into a pushed scope, so a reused session only ever holds base +
-    candidate between calls.
+    Each environment keeps one :class:`~repro.smt.Solver` built over
+    the candidate-independent encoding (environment + negated desired
+    property) *and* the current candidate's template constraints, both
+    asserted unguarded at the root as in a fresh solver.  The solver is
+    reused while the same candidate (by value) comes back — assumption
+    probes, repeated WCE searches — and dropped and rebuilt when the
+    candidate changes.  Per-call extras (``extra_constraints`` and the
+    worst-case objective) always go into a :meth:`~repro.smt.Solver.scope`,
+    so a reused solver only ever holds base + candidate between calls.
 
     ``cache`` (``QueryCacheProtocol``-shaped, e.g.
     :class:`repro.engine.cache.QueryCache`): conclusive subquery verdicts
@@ -166,7 +165,7 @@ class CcacVerifier:
         """The candidate-independent encoding, built once per environment.
 
         Terms are immutable and interned, so the same environment terms
-        are shared by every per-candidate session; because the compile
+        are shared by every per-candidate solver; because the compile
         memo (:mod:`repro.smt.compile`) keys on term identity, the
         shared-environment compile work is done once, not per candidate.
         """
@@ -185,11 +184,11 @@ class CcacVerifier:
         extra_constraints: Sequence[Term] = (),
         worst_case: bool = False,
     ):
-        """Yields ``(session, net)`` with the environment's session for
+        """Yields ``(solver, net)`` with the environment's solver for
         ``candidate``, inside a scope for whatever the call adds
         (``extra_constraints``, the worst-case objective).
 
-        The session is reused when the candidate repeats and rebuilt
+        The solver is reused when the candidate repeats and rebuilt
         when it changes (base and candidate asserted as separate
         batches, so the base compile is memo-amortized).  A plain check
         adds nothing and opens no scope: an empty push would force the
@@ -197,15 +196,14 @@ class CcacVerifier:
         """
         net, base = self._ensure_net(state)
         if state.candidate != candidate:
-            session = SolverSession(
-                base, cache=self.cache, produce_proofs=self.certify
-            )
-            session.add(*state.env.candidate_constraints(net, candidate))
-            state.session, state.candidate = session, candidate
-        session = state.session
+            solver = Solver(cache=self.cache, produce_proofs=self.certify)
+            solver.add(*base)
+            solver.add(*state.env.candidate_constraints(net, candidate))
+            state.solver, state.candidate = solver, candidate
+        solver = state.solver
         adds = bool(extra_constraints) or worst_case
-        with session.scope(*extra_constraints) if adds else nullcontext():
-            yield session, net
+        with solver.scope(*extra_constraints) if adds else nullcontext():
+            yield solver, net
 
     def _extract_trace(
         self, solver, state: _EnvState, model, candidate: Candidate
@@ -232,7 +230,7 @@ class CcacVerifier:
         wall-clock the underlying SMT search may consume; an expired
         deadline yields an inconclusive result (``unknown=True``), never
         a false "verified".  ``extra_constraints`` are asserted in a
-        scope over the candidate's session (assumption-synthesis probes
+        scope over the candidate's solver (assumption-synthesis probes
         use this to restrict the adversary without rebuilding the
         encoding).
 
@@ -257,26 +255,26 @@ class CcacVerifier:
             for state in states:
                 with self._candidate_scope(
                     candidate, state, extra_constraints, worst_case
-                ) as (session, net):
-                    # a reused session's stats are cumulative; report
-                    # this call's delta
-                    base_checks = session.solver.stats.checks
+                ) as (solver, net):
+                    # a reused solver's count is cumulative; report this
+                    # call's delta
+                    base_checks = solver.checks
                     inconclusive = False
                     if worst_case:
                         model, inconclusive = self._solve_worst_case(
-                            session, net, state, opts
+                            solver, net, state, opts
                         )
                     else:
-                        outcome = session.check(opts)
+                        outcome = solver.check(opts)
                         if outcome is unknown:
                             model, inconclusive = None, True
                         elif outcome is sat:
-                            model = session.model()
+                            model = solver.model()
                         else:
                             model = None
                     if model is not None:
                         outcome_trace = self._extract_trace(
-                            session, state, model, candidate
+                            solver, state, model, candidate
                         )
                     summary = None
                     if (
@@ -288,11 +286,11 @@ class CcacVerifier:
                         # scope is still active (pop would disable its
                         # guard)
                         summary, inconclusive = self._certify_unsat(
-                            session, worst_case, opts
+                            solver, worst_case, opts
                         )
                     if summary is not None:
                         summaries.append(summary)
-                    total_checks += session.solver.stats.checks - base_checks
+                    total_checks += solver.checks - base_checks
                 any_unknown = any_unknown or inconclusive
                 if outcome_trace is not None:
                     break

@@ -72,7 +72,7 @@ def tune_verifier(
     probes = 0
     tr = tracer()
     # one verifier per panel member: probes alternate between members,
-    # so each member keeps its own candidate session warm across theta
+    # so each member keeps its own candidate solver warm across theta
     verifiers = [CcacVerifier(cfg) for _ in panel]
 
     def panel_holds(theta: Fraction) -> bool:

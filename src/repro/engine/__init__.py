@@ -1,4 +1,4 @@
-"""The performance engine: parallelism, session reuse, and caching.
+"""The performance engine: parallelism, solver reuse, and caching.
 
 This package is the "runs as fast as the hardware allows" layer on top
 of the CEGIS + SMT stack.  Three independent multipliers compose:
@@ -8,12 +8,12 @@ of the CEGIS + SMT stack.  Three independent multipliers compose:
   pool; the first conclusive verdict (counterexample or proof)
   wins the round and the losers are cancelled.  Enabled with
   ``SynthesisQuery(jobs=N)`` / ``ccmatic synthesize --jobs N``.
-* **Session reuse** (:class:`repro.smt.SolverSession`) — the verifier
-  keeps one session per environment over the CCAC encoding plus the
-  current candidate, reused while that candidate repeats (assumption
-  probes, WCE searches) and rebuilt when it changes; per-call extras
-  are push/popped, so CNF conversion, theory atoms, and learned clauses
-  are amortized across the calls on one candidate.
+* **Solver reuse** (:class:`repro.smt.Solver`) — the verifier keeps
+  one solver per environment over the CCAC encoding plus the current
+  candidate, reused while that candidate repeats (assumption probes,
+  WCE searches) and rebuilt when it changes; per-call extras go into a
+  ``Solver.scope``, so CNF conversion, theory atoms, and learned
+  clauses are amortized across the calls on one candidate.
 * **Query caching** (:mod:`~repro.engine.cache`) — conclusive verdicts
   are content-addressed by the canonical hash of the assertion set, so
   repeated subqueries (common under range pruning and binary-search
@@ -25,7 +25,6 @@ portfolio activity as ``engine.portfolio.*`` counters and
 ``engine.portfolio.round`` trace events.
 """
 
-from ..smt.session import SessionStats, SolverSession
 from .cache import CACHE_VERSION, QueryCache
 from .portfolio import PortfolioOutcome, PortfolioVerifier, verifier_pool
 
@@ -34,7 +33,5 @@ __all__ = [
     "PortfolioOutcome",
     "PortfolioVerifier",
     "QueryCache",
-    "SessionStats",
-    "SolverSession",
     "verifier_pool",
 ]

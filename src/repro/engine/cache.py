@@ -46,7 +46,7 @@ from ..smt.terms import Bool, Real
 #: part of every key so stale disk entries can never be misread.
 #: v2: keys hash the *post-compile* assertion form (the simplified,
 #: atom-canonicalized formulas from :mod:`repro.smt.compile`), not the
-#: raw assertion set — see ``SolverSession.check``.
+#: raw assertion set — see ``Solver.check``.
 CACHE_VERSION = 2
 
 #: persisted cumulative counters for a shared cache directory; cheap to
@@ -96,9 +96,9 @@ def _decode_model(data: dict) -> Model:
 class QueryCache:
     """In-memory + optional on-disk cache of conclusive SMT verdicts.
 
-    Satisfies the :class:`repro.smt.session.QueryCacheProtocol`; plug it
-    into a :class:`~repro.smt.session.SolverSession` (or a
-    :class:`~repro.core.verifier.CcacVerifier` via ``cache=``).
+    Satisfies the :class:`repro.smt.solver.QueryCacheProtocol`; plug it
+    into a :class:`~repro.smt.solver.Solver` (or a
+    :class:`~repro.core.verifier.CcacVerifier`) via ``cache=``.
     """
 
     def __init__(

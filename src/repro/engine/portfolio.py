@@ -102,10 +102,10 @@ def _pooled_verify_candidate_task(
 
     Keeps one :class:`~repro.core.verifier.CcacVerifier` alive in
     ``_WORKER_STATE`` across tasks — the CCAC network is built once and
-    a repeated candidate reuses its session.  Soundness: any abnormal
+    a repeated candidate reuses its solver.  Soundness: any abnormal
     exit (cancellation via ``TaskCancelled``, solver crash,
     ``SoundnessError``) drops the warm verifier before re-raising, so a
-    session that might be stuck mid-scope is never reused; the
+    solver that might be stuck mid-scope is never reused; the
     independent model validator checks each verdict regardless.
     """
     import json as _json

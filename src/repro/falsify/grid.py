@@ -24,13 +24,14 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from ..obs import metrics, tracer
 from ..runtime.errors import WorkerError
+from ..runtime.serialize import decode_config, encode_config
 from .oracle import PropertyOracle
 from .schedule import SEGMENT_POLICIES, constant_schedule, run_schedule
 
@@ -187,25 +188,6 @@ class ExperimentManifest:
         )
 
 
-def _cfg_to_dict(cfg) -> dict:
-    return {f.name: str(getattr(cfg, f.name)) for f in dataclass_fields(cfg)}
-
-
-def _cfg_from_dict(data: dict):
-    from ..ccac import ModelConfig
-
-    kwargs = {}
-    for f in dataclass_fields(ModelConfig):
-        if f.name not in data:
-            continue
-        raw = data[f.name]
-        kwargs[f.name] = (
-            int(raw) if f.name in ("T", "D", "jitter", "history")
-            else Fraction(raw)
-        )
-    return ModelConfig(**kwargs)
-
-
 def _grid_task(
     cca_spec: str, cfg_data: dict, point_dicts: list, ticks: int, seed: int
 ) -> list:
@@ -219,7 +201,7 @@ def _grid_task(
 
     from ..ccac.environments import lossy_environment
 
-    cfg = _cfg_from_dict(cfg_data)
+    cfg = decode_config(cfg_data)
     # covered windows only: a "violated" cell means a *model-admissible*
     # window failed the property — boot transients and states the model
     # cannot reach (e.g. a huge queue under a tiny window) are terrain,
@@ -281,7 +263,7 @@ def run_grid(
     reg = metrics()
     start = time.perf_counter()
     manifest = ExperimentManifest(
-        cca=cca_spec, cfg=_cfg_to_dict(cfg), grid=grid.to_dict(), jobs=jobs
+        cca=cca_spec, cfg=encode_config(cfg), grid=grid.to_dict(), jobs=jobs
     )
     if jobs <= 0:
         manifest.records = _grid_task(

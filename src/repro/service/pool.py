@@ -57,7 +57,7 @@ Soundness note (see DESIGN "The control plane"): pooled tasks keep
 interned terms and verifier state warm between tasks, because warm
 state *is* the speedup.  A task that is
 cancelled or errors clears its process-global verifier cache before the
-worker serves the next task, so a half-popped solver session is never
+worker serves the next task, so a half-popped solver is never
 reused — and the independent model validator still checks every verdict
 regardless of which process produced it.
 """

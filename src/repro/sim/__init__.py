@@ -1,7 +1,7 @@
 """Discrete-time network simulator matching the CCAC-lite semantics."""
 
 from .link import AdversaryPolicy, JitteryLink, LinkState
-from .runner import SimResult, compare_ccas, run_simulation
+from .runner import SimResult, run_simulation
 from .workloads import (
     Workload,
     constant_rate,
@@ -16,7 +16,6 @@ __all__ = [
     "JitteryLink",
     "LinkState",
     "SimResult",
-    "compare_ccas",
     "run_simulation",
     "Workload",
     "constant_rate",

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from ..ccas.base import CongestionControl
-from .link import AdversaryPolicy, JitteryLink, JitterLike, PolicyLike
+from .link import JitteryLink, JitterLike, PolicyLike
 
 
 @dataclass
@@ -97,21 +96,3 @@ def run_simulation(
         result.cap_cum.append(link.capacity_cum(t))
         S_prev = state.S
     return result
-
-
-def compare_ccas(
-    ccas: list[CongestionControl],
-    ticks: int = 200,
-    policies: Optional[list[AdversaryPolicy]] = None,
-    **kwargs,
-) -> dict[tuple[str, str], SimResult]:
-    """Run a matrix of CCAs x adversary policies; keys are
-    ``(cca_name, policy)``."""
-    policies = policies or ["ideal", "lazy", "max_waste"]
-    out: dict[tuple[str, str], SimResult] = {}
-    for cca in ccas:
-        for policy in policies:
-            out[(cca.name, policy)] = run_simulation(
-                cca, ticks=ticks, policy=policy, **kwargs
-            )
-    return out

@@ -10,31 +10,26 @@ available offline).  It provides:
 * a CDCL SAT core with theory hooks (:mod:`repro.smt.sat`),
 * an exact-arithmetic incremental Simplex for LRA
   (:mod:`repro.smt.simplex`, :mod:`repro.smt.theory`),
-* an incremental z3-flavoured frontend (:mod:`repro.smt.solver`),
+* an incremental z3-flavoured frontend with an optional query cache
+  (:mod:`repro.smt.solver`),
 * binary-search optimization (:mod:`repro.smt.optimize`).
 """
 
-from .encodings import (
-    at_most_one,
-    bool_indicator,
-    encode_abs,
-    encode_max,
-    encode_min,
-    exactly_one,
-    select_product,
-    selected_constant,
-)
+from .encodings import at_most_one, encode_max, exactly_one
 from .compile import CompiledQuery, CompileStats, compile_query
-from .errors import (
-    BudgetExceededError,
-    NonLinearError,
-    SmtError,
-    SortError,
-    UnknownResultError,
+from .errors import NonLinearError, SmtError, SortError, UnknownResultError
+from .optimize import OptimizeResult, maximize
+from .solver import (
+    CheckOptions,
+    Model,
+    QueryCacheProtocol,
+    Result,
+    Solver,
+    check_formulas,
+    sat,
+    unknown,
+    unsat,
 )
-from .optimize import OptimizeResult, maximize, minimize
-from .session import SessionStats, SolverSession
-from .solver import CheckOptions, Model, Result, Solver, check_formulas, sat, unknown, unsat
 from .terms import (
     FALSE,
     TRUE,
@@ -63,15 +58,15 @@ from .terms import (
 )
 
 __all__ = [
-    "Add", "And", "Bool", "BoolVal", "BudgetExceededError", "CheckOptions",
+    "Add", "And", "Bool", "BoolVal", "CheckOptions",
     "CompileStats", "CompiledQuery",
     "Eq", "FALSE", "FreshBool", "FreshReal", "Iff", "Implies", "Ite",
     "Model", "NonLinearError", "Not",
-    "OptimizeResult", "Or", "Real", "RealVal", "Result", "SessionStats",
-    "SmtError", "Solver", "SolverSession", "SortError", "Sum", "TRUE",
-    "Term", "UnknownResultError", "at_most_one", "bool_indicator",
+    "OptimizeResult", "Or", "QueryCacheProtocol", "Real", "RealVal",
+    "Result", "SmtError", "Solver", "SortError", "Sum", "TRUE",
+    "Term", "UnknownResultError", "at_most_one",
     "canonical_hash", "canonical_key", "check_formulas", "compile_query",
-    "encode_abs", "encode_max", "encode_min", "evaluate", "exactly_one",
-    "intern_stats", "interned_count", "maximize", "minimize", "sat",
-    "select_product", "selected_constant", "substitute", "unknown", "unsat",
+    "encode_max", "evaluate", "exactly_one",
+    "intern_stats", "interned_count", "maximize", "sat",
+    "substitute", "unknown", "unsat",
 ]

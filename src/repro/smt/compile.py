@@ -2,7 +2,7 @@
 
 Every query used to go from raw CCAC terms straight into Tseitin CNF.
 This module is the single audited path that sits in front of the encoder
-for the Solver, SolverSession, QueryCache, and CcacVerifier:
+for the Solver, QueryCache, and CcacVerifier:
 
 1. **fold** — bottom-up constant folding, duplicate / complementary
    literal elimination, absorption (:func:`repro.smt.rewrite.simplify`).

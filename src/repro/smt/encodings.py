@@ -2,21 +2,19 @@
 
 These are the gadgets the CCmatic encodings rely on:
 
-* ``encode_max`` / ``encode_min`` — define a variable as the max/min of
-  finitely many terms;
-* ``exactly_one`` / ``at_most_one`` — one-hot selector constraints;
-* ``select_product`` — the CCmatic paper's linearization of a product
-  ``v * u`` where ``v`` ranges over a finite set ``A``:
-  ``sum(ite(v == a, a * u, 0) for a in A)`` (§3.1.2 of the paper), expressed
-  here with one-hot booleans so the result stays in QF-LRA.
+* ``encode_max`` — define a variable as the max of finitely many terms;
+* ``exactly_one`` / ``at_most_one`` — one-hot selector constraints.
+
+The paper's linearization of a product ``v * u`` with ``v`` ranging over
+a finite set (§3.1.2) is the case split in
+:meth:`repro.core.generator_smt.SmtGenerator._rule_term`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .terms import And, Implies, Not, Or, RealVal, Sum, Term
+from .terms import And, Not, Or, Term
 
 
 def encode_max(result: Term, operands: Sequence[Term]) -> Term:
@@ -24,22 +22,6 @@ def encode_max(result: Term, operands: Sequence[Term]) -> Term:
     parts = [result >= op for op in operands]
     parts.append(Or(*[result <= op for op in operands]))
     return And(*parts)
-
-
-def encode_min(result: Term, operands: Sequence[Term]) -> Term:
-    """Constraint stating ``result == min(operands)``."""
-    parts = [result <= op for op in operands]
-    parts.append(Or(*[result >= op for op in operands]))
-    return And(*parts)
-
-
-def encode_abs(result: Term, operand: Term) -> Term:
-    """Constraint stating ``result == |operand|``."""
-    return And(
-        result >= operand,
-        result >= -operand,
-        Or(result <= operand, result <= -operand),
-    )
 
 
 def at_most_one(selectors: Sequence[Term]) -> Term:
@@ -54,47 +36,3 @@ def at_most_one(selectors: Sequence[Term]) -> Term:
 def exactly_one(selectors: Sequence[Term]) -> Term:
     """Exactly-one over boolean selectors (one-hot)."""
     return And(Or(*selectors), at_most_one(selectors))
-
-
-def selected_constant(selectors: Sequence[Term], values: Sequence, unknown: Term) -> Term:
-    """Constraint: ``unknown`` equals the constant selected by the one-hot.
-
-    ``And(sel_i => unknown == values[i])`` — with :func:`exactly_one` this
-    pins ``unknown`` to exactly one domain value.
-    """
-    return And(*[Implies(sel, unknown.eq(RealVal(v))) for sel, v in zip(selectors, values)])
-
-
-def select_product(
-    selectors: Sequence[Term],
-    values: Sequence,
-    other: Term,
-    result: Term,
-) -> Term:
-    """CCmatic's if-then-else product linearization.
-
-    Encodes ``result == v * other`` where ``v`` is the domain value chosen
-    by the one-hot ``selectors`` over ``values``:
-    ``And(sel_i => result == values[i] * other)``.  Because ``values[i]``
-    is a rational constant, every branch is linear.
-    """
-    return And(
-        *[
-            Implies(sel, result.eq(RealVal(v) * other))
-            for sel, v in zip(selectors, values)
-        ]
-    )
-
-
-def bool_indicator(flag: Term, indicator: Term) -> Term:
-    """Couple a boolean ``flag`` to a 0/1 real ``indicator`` (for counting
-    booleans inside arithmetic, e.g. MaxSAT relaxation sums)."""
-    return And(
-        Implies(flag, indicator.eq(RealVal(1))),
-        Implies(Not(flag), indicator.eq(RealVal(0))),
-    )
-
-
-def totals(indicators: Sequence[Term]) -> Term:
-    """Sum of 0/1 indicator variables."""
-    return Sum(indicators)

@@ -13,15 +13,11 @@ class NonLinearError(SmtError):
     """An arithmetic term could not be normalized to a linear expression.
 
     The solver implements QF-LRA only; products of two non-constant terms
-    must be linearized by the caller (e.g. with the if-then-else expansion
-    described in the CCmatic paper, available as
-    :func:`repro.smt.encodings.select_product`).
+    must be linearized by the caller (e.g. with the case split over a
+    finite coefficient domain described in the CCmatic paper, as
+    :meth:`repro.core.generator_smt.SmtGenerator._rule_term` does).
     """
 
 
 class UnknownResultError(SmtError):
     """A model or core was requested but the last check did not produce one."""
-
-
-class BudgetExceededError(SmtError):
-    """A resource budget (conflicts, propagations, wall clock) was exhausted."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..obs import DEBUG, tracer
-from .solver import CheckOptions, Model, Result, _require_options, sat, unknown, unsat
+from .solver import CheckOptions, Model, Result, Solver, _require_options, sat, unknown
 from .terms import Term
 
 
@@ -45,7 +45,7 @@ class OptimizeResult:
 
 
 def maximize(
-    solver,
+    solver: Solver,
     objective: Term,
     lo: Fraction,
     hi: Fraction,
@@ -54,12 +54,8 @@ def maximize(
 ) -> OptimizeResult:
     """Maximize ``objective`` over the solver's current assertions.
 
-    ``solver`` is anything with the incremental interface
-    (``push``/``pop``/``add``/``check``/``model``) — a raw
-    :class:`~repro.smt.solver.Solver` or a
-    :class:`~repro.smt.session.SolverSession` (probes issued through a
-    session hit its query cache).  Per-probe budgets go through
-    ``options`` (:class:`CheckOptions`).
+    A solver with a query cache answers repeated probes from it.
+    Per-probe budgets go through ``options`` (:class:`CheckOptions`).
 
     ``lo`` must be a value for which feasibility is *unknown or likely*;
     ``hi`` an upper limit of the search.  The solver is used through
@@ -114,23 +110,3 @@ def maximize(
         else:
             high = mid
     return OptimizeResult(True, best_value, best_model, probes)
-
-
-def minimize(
-    solver,
-    objective: Term,
-    lo: Fraction,
-    hi: Fraction,
-    precision: Fraction = Fraction(1, 64),
-    options: Optional[CheckOptions] = None,
-) -> OptimizeResult:
-    """Minimize ``objective`` (dual of :func:`maximize`)."""
-    opts = _require_options(options, "minimize")
-    result = maximize(solver, -objective, -hi, -lo, precision, opts)
-    # NB: test fields explicitly — OptimizeResult refuses truthiness
-    if result.best_value is not None:
-        return OptimizeResult(
-            result.feasible, -result.best_value, result.model, result.probes,
-            result.unknown,
-        )
-    return result

@@ -15,16 +15,35 @@ Example::
 inside a frame is guarded by that frame's activation literal, checks pass
 the active guards as assumptions, and ``pop`` permanently disables the
 guard.  This keeps the CDCL core fully incremental (learned clauses are
-never invalidated).
+never invalidated).  :meth:`Solver.scope` wraps one push/pop around a
+query's extra assertions::
+
+    s = Solver(cache=QueryCache(".qcache"))
+    s.add(*base)
+    for candidate in candidates:
+        with s.scope(*candidate_constraints):
+            if s.check() is sat:
+                cex = s.model()
+
+With a **content-addressed query cache** attached (any object with
+``lookup(key)``/``store(key, result, model)``; see
+:class:`repro.engine.cache.QueryCache`), :meth:`Solver.check` keys on the
+canonical hash (:func:`repro.smt.terms.canonical_hash`) of the active
+assertion set in its *post-compile* form (:meth:`Solver.compiled_assertions`),
+so queries that differ only in assertion order, term construction order,
+folded structure, or atom spelling are answered without a solve.
+``unknown`` results are never cached (they describe a budget, not the
+formula).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Protocol
 
 from ..obs import DEBUG, metrics, tracer
 from ..trust.proof import NeutralAtom, ProofError, ProofLog, UnsatCertificate
@@ -34,7 +53,7 @@ from .errors import UnknownResultError
 from .linarith import LinExpr
 from .preprocess import preprocess
 from .sat import SatSolver
-from .terms import Sort, Term, evaluate, interned_count, substitute
+from .terms import Sort, Term, canonical_hash, evaluate, interned_count, substitute
 from .theory import LraTheory
 
 
@@ -60,27 +79,20 @@ class CheckOptions:
 
     This frozen dataclass is the one way to configure a check — it
     replaces the kwarg pile that ``Solver.check`` had started to grow.
-    Pass it to :meth:`Solver.check` / :meth:`SolverSession.check`::
+    Pass it to :meth:`Solver.check`::
 
         s.check(CheckOptions(max_conflicts=10_000))
 
     ``deadline`` is a ``time.perf_counter()`` timestamp; the search
     aborts with :data:`unknown` once it has passed (checked at each
-    conflict, like ``max_conflicts``).
-
-    ``produce_proofs`` arms DRAT/Farkas proof logging so an UNSAT
-    verdict can be certified (:meth:`Solver.certificate`).  It can only
-    be turned on while the solver is still pristine — proofs must cover
-    every clause from the start — otherwise the check raises
-    :class:`~repro.trust.proof.ProofError`.
+    conflict, like ``max_conflicts``).  Proof logging is armed at
+    construction (``Solver(produce_proofs=True)``), not per check.
     """
 
     #: give up (-> unknown) after this many conflicts; None = unbounded
     max_conflicts: Optional[int] = None
     #: give up (-> unknown) past this ``time.perf_counter()`` timestamp
     deadline: Optional[float] = None
-    #: log a checkable proof (DRAT clauses + Farkas lemmas) of UNSAT results
-    produce_proofs: bool = False
 
     def with_deadline(self, deadline: Optional[float]) -> "CheckOptions":
         """A copy with ``deadline`` replaced (options are immutable)."""
@@ -151,34 +163,18 @@ class Model:
         return f"Model({', '.join(parts)}{'...' if len(self._reals) > 8 else ''})"
 
 
-@dataclass
-class SolverStats:
-    """Statistics over the life of a solver.
+class QueryCacheProtocol(Protocol):
+    """What a solver needs from a query cache (implemented by
+    :class:`repro.engine.cache.QueryCache`)."""
 
-    The cumulative fields (``conflicts``, ``decisions``, ...) are sums of
-    per-check *deltas*, so they stay meaningful when stats from several
-    short-lived ``Solver`` instances are aggregated (the CEGIS verifier
-    builds a fresh solver per call).  ``last_check_*`` holds the delta of
-    the most recent :meth:`Solver.check` alone.
-    """
+    def lookup(self, key: str):
+        """``(Result, Optional[Model])`` for a previously stored query,
+        or None on miss."""
+        ...
 
-    checks: int = 0
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    pivots: int = 0
-    restarts: int = 0
-    solve_time: float = 0.0
-    last_check_conflicts: int = 0
-    last_check_decisions: int = 0
-    last_check_propagations: int = 0
-    last_check_pivots: int = 0
-    last_check_restarts: int = 0
-    last_check_time: float = 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict export (for traces, snapshots, BENCH_*.json)."""
-        return asdict(self)
+    def store(self, key: str, result: Result, model: Optional[Model]) -> None:
+        """Record a conclusive (sat/unsat) verdict for ``key``."""
+        ...
 
 
 class Solver:
@@ -193,6 +189,10 @@ class Solver:
     rewriting code with it.  :meth:`assertions` always returns the raw
     formulas as asserted; :meth:`compiled_assertions` returns what was
     encoded.
+
+    ``cache`` (a :class:`QueryCacheProtocol`) answers repeated queries
+    without a solve; ``produce_proofs`` logs a checkable proof of every
+    UNSAT verdict (:meth:`certificate`) and never takes a cached one.
     """
 
     def __init__(
@@ -200,6 +200,7 @@ class Solver:
         *,
         compile_pipeline: bool = True,
         produce_proofs: bool = False,
+        cache: Optional[QueryCacheProtocol] = None,
     ):
         self.theory = LraTheory()
         self._core = SatSolver(self.theory)
@@ -211,7 +212,9 @@ class Solver:
         self._assertions: list[list[Term]] = [[]]
         self._last_result: Optional[Result] = None
         self._model: Optional[Model] = None
-        self.stats = SolverStats()
+        self.cache = cache
+        #: checks that reached the SAT core (cache hits are not solves)
+        self.checks = 0
         self._pipeline = compile_pipeline
         #: eliminated var -> resolved defining term (never references
         #: another eliminated var), for model reconstruction
@@ -230,7 +233,9 @@ class Solver:
         self._disabled_guards: list[int] = []
         self._proof: Optional[ProofLog] = None
         if produce_proofs:
-            self._arm_proofs()
+            self._proof = ProofLog()
+            self._core.proof = self._proof
+            self.encoder.record_defs = True
 
     @property
     def sat_core(self) -> SatSolver:
@@ -247,11 +252,6 @@ class Solver:
             for f, guard in pending:
                 self.encoder.assert_formula(f, guard)
         return self._core
-
-    def _arm_proofs(self) -> None:
-        self._proof = ProofLog()
-        self.sat_core.proof = self._proof
-        self.encoder.record_defs = True
 
     # -- assertions -----------------------------------------------------------
 
@@ -324,6 +324,21 @@ class Solver:
         self.sat_core.simplify()
         self._last_result = None
 
+    @contextmanager
+    def scope(self, *formulas: Term):
+        """One query's worth of extra assertions, popped on exit::
+
+            with s.scope(extra1, extra2):
+                s.check()
+        """
+        self.push()
+        try:
+            if formulas:
+                self.add(*formulas)
+            yield self
+        finally:
+            self.pop()
+
     # -- solving --------------------------------------------------------------
 
     #: emit an ``smt.progress`` event every this many conflicts while tracing
@@ -339,19 +354,32 @@ class Solver:
 
         The 1.x ``max_conflicts``/``deadline`` keyword and positional-int
         forms were removed in 2.0.
+
+        With a cache attached, a hit returns the stored verdict (and, for
+        sat, the stored model) without encoding or solving anything;
+        conclusive misses are stored back.
         """
         opts = _require_options(options, "Solver.check")
-        max_conflicts = opts.max_conflicts
-        deadline = opts.deadline
+        if self.cache is None:
+            return self._solve(opts)
+        # Key on the compiled form: semantically identical queries that
+        # differ pre-simplification share an entry.
+        key = canonical_hash(self.compiled_assertions())
+        # Proof mode never takes a cached verdict: a stored UNSAT carries
+        # no certificate, and certification is the point.
+        hit = None if self.proof_mode else self.cache.lookup(key)
+        if hit is not None:
+            metrics().counter("engine.cache.hits").inc()
+            self._last_result, self._model = hit
+            return self._last_result
+        metrics().counter("engine.cache.misses").inc()
+        result = self._solve(opts)
+        if result is not unknown:
+            self.cache.store(key, result, self._model)
+        return result
+
+    def _solve(self, opts: CheckOptions) -> Result:
         core = self.sat_core
-        if opts.produce_proofs and self._proof is None:
-            if core.nvars != 0 or core.clauses:
-                raise ProofError(
-                    "produce_proofs requested on a solver that has already "
-                    "encoded clauses; proofs must cover every clause from "
-                    "the start (construct with Solver(produce_proofs=True))"
-                )
-            self._arm_proofs()
         base_conflicts = core.conflicts
         base_decisions = core.decisions
         base_propagations = core.propagations
@@ -386,9 +414,9 @@ class Solver:
         try:
             outcome = core.solve(
                 assumptions=list(self._frames),
-                max_conflicts=max_conflicts,
+                max_conflicts=opts.max_conflicts,
                 on_progress=on_progress,
-                deadline=deadline,
+                deadline=opts.deadline,
             )
         except BaseException as exc:
             if span is not None:
@@ -397,27 +425,18 @@ class Solver:
             raise
         finally:
             elapsed = time.perf_counter() - start
-            st = self.stats
-            st.checks += 1
-            st.solve_time += elapsed
-            st.last_check_conflicts = core.conflicts - base_conflicts
-            st.last_check_decisions = core.decisions - base_decisions
-            st.last_check_propagations = core.propagations - base_propagations
-            st.last_check_restarts = core.restarts - base_restarts
-            st.last_check_pivots = self.theory.simplex.pivots - base_pivots
-            st.last_check_time = elapsed
-            st.conflicts += st.last_check_conflicts
-            st.decisions += st.last_check_decisions
-            st.propagations += st.last_check_propagations
-            st.restarts += st.last_check_restarts
-            st.pivots += st.last_check_pivots
+            self.checks += 1
+            deltas = {
+                "conflicts": core.conflicts - base_conflicts,
+                "decisions": core.decisions - base_decisions,
+                "propagations": core.propagations - base_propagations,
+                "restarts": core.restarts - base_restarts,
+                "pivots": self.theory.simplex.pivots - base_pivots,
+            }
             reg = metrics()
             reg.counter("smt.checks").inc()
-            reg.counter("smt.conflicts").inc(st.last_check_conflicts)
-            reg.counter("smt.decisions").inc(st.last_check_decisions)
-            reg.counter("smt.propagations").inc(st.last_check_propagations)
-            reg.counter("smt.restarts").inc(st.last_check_restarts)
-            reg.counter("smt.pivots").inc(st.last_check_pivots)
+            for name, delta in deltas.items():
+                reg.counter(f"smt.{name}").inc(delta)
             reg.gauge("smt.clauses").set(len(core.clauses))
             reg.gauge("smt.terms.interned").set(interned_count())
             reg.histogram("smt.check_time").observe(elapsed)
@@ -433,14 +452,7 @@ class Solver:
             self._model = None
         metrics().counter(f"smt.result.{self._last_result.value}").inc()
         if span is not None:
-            span.set(
-                result=self._last_result.value,
-                conflicts=self.stats.last_check_conflicts,
-                decisions=self.stats.last_check_decisions,
-                propagations=self.stats.last_check_propagations,
-                pivots=self.stats.last_check_pivots,
-                restarts=self.stats.last_check_restarts,
-            )
+            span.set(result=self._last_result.value, **deltas)
             span.__exit__(None, None, None)
         return self._last_result
 
@@ -488,8 +500,8 @@ class Solver:
         """
         if self._proof is None:
             raise ProofError(
-                "solver is not in proof mode; pass produce_proofs=True "
-                "at construction or in CheckOptions before any assertion"
+                "solver is not in proof mode; construct it with "
+                "Solver(produce_proofs=True)"
             )
         if self._last_result is not unsat:
             raise ProofError(
@@ -521,7 +533,7 @@ class Solver:
             frames=tuple(frames),
             disabled_guards=frozenset(self._disabled_guards),
             assumptions=tuple(self._frames),
-            info={"checks": self.stats.checks},
+            info={"checks": self.checks},
         )
 
 

@@ -410,7 +410,8 @@ def Mul(a, b) -> Term:
 
     Non-constant * non-constant is represented structurally but rejected at
     linear-arithmetic normalization time; callers that need products of two
-    unknowns should linearize (see :func:`repro.smt.encodings.select_product`).
+    unknowns should linearize (see
+    :meth:`repro.core.generator_smt.SmtGenerator._rule_term`).
     """
     ta = a if isinstance(a, Term) else RealVal(a)
     tb = b if isinstance(b, Term) else RealVal(b)

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from repro.smt import CheckOptions, Real, Solver, SolverSession, sat, unknown, unsat
+from repro.smt import CheckOptions, Real, Solver, sat, unknown, unsat
 
 pytestmark = pytest.mark.engine
 
@@ -50,7 +50,11 @@ def test_legacy_positional_int_removed():
 
 
 def test_session_rejects_legacy_forms():
-    session = SolverSession()
+    """A cache-backed solver (the incremental entry point) rejects the
+    1.x forms before it consults the cache."""
+    from repro.engine import QueryCache
+
+    session = Solver(cache=QueryCache())
     with pytest.raises(TypeError, match="CheckOptions"):
         session.check(5_000)
     with pytest.raises(TypeError):
@@ -140,5 +144,13 @@ def test_migrated_callers_emit_no_deprecation_warnings(fast_cfg):
 
 
 def test_session_is_exported_from_smt():
-    from repro.smt import SessionStats, SolverSession  # noqa: F401
+    """One solver object: ``Solver`` (with ``scope``) and the cache
+    protocol it takes are exported, and no second session or stats type
+    is."""
+    import repro.smt
+    from repro.smt import QueryCacheProtocol, Solver  # noqa: F401
     from repro.smt.terms import canonical_hash, canonical_key  # noqa: F401
+
+    assert callable(Solver.scope)
+    for gone in ("SolverSession", "SessionStats", "SolverStats"):
+        assert not hasattr(repro.smt, gone), gone

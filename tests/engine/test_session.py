@@ -1,4 +1,5 @@
-"""SolverSession: push/pop equivalence with fresh solvers, clause retention."""
+"""Incremental Solver: scope (push/pop) equivalence with fresh solvers,
+clause retention, and the query cache."""
 
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from repro.smt import (
     Real,
     RealVal,
     Solver,
-    SolverSession,
     sat,
     unsat,
 )
@@ -22,9 +22,16 @@ from repro.smt.errors import UnknownResultError
 pytestmark = pytest.mark.engine
 
 
+def _session(base=(), **kwargs) -> Solver:
+    """A solver with ``base`` asserted at the root."""
+    s = Solver(**kwargs)
+    s.add(*base)
+    return s
+
+
 def _queries():
     """(base, [(extra_formulas, expected)]) — a shared base plus deltas
-    whose verdicts a fresh solver and a session must agree on."""
+    whose verdicts a fresh solver and one reused solver must agree on."""
     x, y, z = Real("sx"), Real("sy"), Real("sz")
     base = [x >= 0, y >= 0, x + y <= 10]
     deltas = [
@@ -39,9 +46,9 @@ def _queries():
 
 def test_incremental_matches_fresh_verdicts():
     """The same base+delta queries must get identical verdicts whether
-    solved incrementally in one session or by fresh solvers."""
+    solved incrementally in one solver or by fresh solvers."""
     base, deltas = _queries()
-    session = SolverSession(base)
+    session = _session(base)
     for extra, expected in deltas:
         with session.scope(*extra):
             incremental = session.check()
@@ -53,7 +60,7 @@ def test_incremental_matches_fresh_verdicts():
 
 def test_scope_restores_assertions():
     x = Real("sc_x")
-    session = SolverSession([x >= 0])
+    session = _session([x >= 0])
     before = list(session.assertions())
     with session.scope(x <= 5, x >= 5):
         assert len(session.assertions()) == 3
@@ -66,7 +73,7 @@ def test_scope_restores_assertions():
 
 def test_nested_scopes():
     x = Real("nest_x")
-    session = SolverSession([x >= 0])
+    session = _session([x >= 0])
     with session.scope(x <= 10):
         with session.scope(x >= 20):
             assert session.check() is unsat
@@ -75,7 +82,7 @@ def test_nested_scopes():
 
 def test_model_after_sat_check():
     x = Real("m_x")
-    session = SolverSession([x >= 3, x <= 3])
+    session = _session([x >= 3, x <= 3])
     assert session.check() is sat
     assert session.model().value(x) == Fraction(3)
 
@@ -85,21 +92,21 @@ def test_learned_clauses_survive_pop():
     a query that was sat before an unrelated unsat excursion stays sat."""
     ps = [Bool(f"lc_p{i}") for i in range(6)]
     base = [Or(ps[0], ps[1]), Or(Not(ps[0]), ps[2]), Or(Not(ps[1]), ps[2])]
-    session = SolverSession(base)
+    session = _session(base)
     assert session.check() is sat
     with session.scope(Not(ps[2])):
         assert session.check() is unsat  # forces conflicts -> learning
-    retained = session.solver.sat_core.learned_retained
+    retained = session.sat_core.learned_retained
     assert session.check() is sat  # soundness after retention
     with session.scope(ps[2], ps[3]):
         assert session.check() is sat
-    assert session.solver.sat_core.learned_retained >= 0
+    assert session.sat_core.learned_retained >= 0
     assert retained >= 0
 
 
 def test_check_options_accepted():
     x = Real("co_x")
-    session = SolverSession([x >= 0, x <= 1])
+    session = _session([x >= 0, x <= 1])
     assert session.check(CheckOptions()) is sat
     assert session.check(CheckOptions(max_conflicts=10_000)) is sat
 
@@ -111,13 +118,19 @@ def test_session_cache_roundtrip():
 
     x = Real("scr_x")
     cache = QueryCache()
-    session = SolverSession([x >= 2, x <= 2], cache=cache)
+    session = _session([x >= 2, x <= 2], cache=cache)
     assert session.check() is sat
-    solved_before = session.stats.solved
+    solved_before = session.checks
     assert session.check() is sat
-    assert session.stats.solved == solved_before
-    assert session.stats.cache_hits == 1
+    assert session.checks == solved_before
+    assert cache.stats()["hits"] == 1
     assert session.model().value(x) == Fraction(2)
+    # a new solver over the same formulas: answered from its compiled
+    # form, so the SAT core stays empty (nothing was Tseitin-encoded)
+    fresh = _session([x >= 2, x <= 2], cache=cache)
+    assert fresh.check() is sat
+    assert fresh.checks == 0 and fresh._core.nvars == 0
+    assert fresh.model().value(x) == Fraction(2)
 
 
 def test_cached_unsat_has_no_model():
@@ -125,22 +138,30 @@ def test_cached_unsat_has_no_model():
 
     x = Real("cu_x")
     cache = QueryCache()
-    session = SolverSession([x >= 1, x <= 0], cache=cache)
+    session = _session([x >= 1, x <= 0], cache=cache)
     assert session.check() is unsat
     assert session.check() is unsat  # hit
     with pytest.raises(UnknownResultError):
         session.model()
 
 
-def test_verifier_session_per_candidate(fast_cfg):
-    """End to end: one verifier reusing its session across a repeated
+def test_verifier_session_per_candidate(fast_cfg, monkeypatch):
+    """End to end: one verifier reusing its solver across a repeated
     candidate gives the same verdicts as a new verifier per call, plain
-    and worst-case, and rebuilds the session exactly when the candidate
+    and worst-case, and rebuilds the solver exactly when the candidate
     changes."""
     from repro.core import constant_cwnd, rocc
     from repro.core.queries import total_waste_budget
     from repro.core.verifier import CcacVerifier
 
+    scoped = []
+    real_scope = Solver.scope
+
+    def counting_scope(self, *formulas):
+        scoped.append(self)
+        return real_scope(self, *formulas)
+
+    monkeypatch.setattr(Solver, "scope", counting_scope)
     h = fast_cfg.history
     candidates = [
         rocc(h), constant_cwnd(1, h), constant_cwnd(0, h), rocc(h), rocc(h),
@@ -160,9 +181,10 @@ def test_verifier_session_per_candidate(fast_cfg):
             )
             assert rs.verified == rf.verified
             assert (rs.counterexample is None) == (rf.counterexample is None)
-            sessions.append(shared._env_states()[0].session)
-        # a new candidate gets a new session; a repeated one keeps it
+            sessions.append(shared._env_states()[0].solver)
+        # a new candidate gets a new solver; a repeated one keeps it
         assert len({id(s) for s in sessions[:4]}) == 4
         assert sessions[3] is sessions[4]
         # only calls that add something (extras, a WCE objective) push
-        assert sessions[4].stats.scopes == (2 if worst_case else 1)
+        opened = sum(s is sessions[4] for s in scoped)
+        assert opened == (2 if worst_case else 1)

@@ -1,162 +1,21 @@
-"""Network-calculus tests: curve evaluation, classic bounds, properties."""
+"""Network-calculus view of the simulated link: every trace of the
+operational jittery link sits inside the waste-adjusted service envelope
+``C*(t-j) - W[t-j] <= S[t] <= C*t - W[t]`` that ``JitteryLink.validate``
+checks."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
-
-from repro.netcal import (
-    Curve,
-    backlog_bound_rate_latency,
-    constant_rate,
-    delay_bound_rate_latency,
-    horizontal_deviation,
-    min_plus_convolve,
-    rate_latency,
-    token_bucket,
-    vertical_deviation,
-)
-
-pos_fracs = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4), max_denominator=4)
-
-
-class TestCurveEvaluation:
-    def test_token_bucket(self):
-        g = token_bucket(rate=2, burst=3)
-        assert g(0) == 3
-        assert g(1) == 5
-        assert g(Fraction(1, 2)) == 4
-
-    def test_rate_latency(self):
-        b = rate_latency(rate=2, latency=3)
-        assert b(0) == 0
-        assert b(3) == 0
-        assert b(5) == 4
-
-    def test_constant_rate(self):
-        c = constant_rate(3)
-        assert c(2) == 6
-
-    def test_negative_time_is_zero(self):
-        assert rate_latency(1, 1)(-5) == 0
-
-    def test_invalid_curves_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Curve(points=((Fraction(1), Fraction(0)),), final_slope=Fraction(1))
-        with pytest.raises(ValueError):
-            Curve(
-                points=((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))),
-                final_slope=Fraction(0),
-            )
-
-
-class TestClassicBounds:
-    def test_delay_bound_formula(self):
-        """Token bucket (r, b) through rate-latency (R, T): d = T + b/R."""
-        d = horizontal_deviation(token_bucket(Fraction(1, 2), 2), rate_latency(1, 1), 20)
-        expected = delay_bound_rate_latency(Fraction(1, 2), 2, 1, 1)
-        assert abs(d - expected) < Fraction(1, 1000)
-
-    def test_backlog_bound_formula(self):
-        v = vertical_deviation(token_bucket(Fraction(1, 2), 2), rate_latency(1, 1), 20)
-        assert v == backlog_bound_rate_latency(Fraction(1, 2), 2, 1, 1)
-
-    def test_unstable_raises(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            delay_bound_rate_latency(2, 1, 1, 0)
-
-    @given(r=pos_fracs, b=pos_fracs, T=pos_fracs)
-    @settings(max_examples=25, deadline=None)
-    def test_backlog_matches_closed_form(self, r, b, T):
-        R = r + 1  # stable by construction
-        v = vertical_deviation(token_bucket(r, b), rate_latency(R, T), 30)
-        assert v == backlog_bound_rate_latency(r, b, R, T)
-
-
-class TestConvolution:
-    def test_convolution_of_rate_latencies(self):
-        """beta_{R1,T1} conv beta_{R2,T2} = beta_{min(R1,R2), T1+T2}."""
-        samples = min_plus_convolve(rate_latency(2, 1), rate_latency(3, 2), 10)
-        expected = rate_latency(2, 3)
-        for t, v in samples:
-            assert v == expected(t)
-
-    def test_convolution_dominated_by_operands(self):
-        f, g = token_bucket(1, 1), rate_latency(2, 1)
-        for t, v in min_plus_convolve(f, g, 8):
-            assert v <= f(t) + g(0)
-            assert v <= f(0) + g(t)
-
-    def test_commutative_on_samples(self):
-        f, g = token_bucket(1, 2), rate_latency(1, 1)
-        s1 = dict(min_plus_convolve(f, g, 6))
-        s2 = dict(min_plus_convolve(g, f, 6))
-        for t in s1:
-            assert s1[t] == s2[t]
+from repro.sim import JitteryLink
 
 
 class TestModelConnection:
     def test_service_envelope_brackets_simulated_link(self):
         """Every simulated link trace sits inside the waste-adjusted
         network-calculus envelope."""
-        from repro.netcal import check_service_within_envelope
-        from repro.sim import JitteryLink
-
         for policy in ("ideal", "lazy", "max_waste"):
             link = JitteryLink(policy=policy)
             A = Fraction(0)
             for i in range(25):
                 A += Fraction(1, 2) if i % 3 else Fraction(2)
                 link.step(A)
-            errors = check_service_within_envelope(
-                link.S_hist, link.W_hist, link.C, link.jitter
-            )
-            assert errors == []
-
-    def test_utilization_lower_bound_formula(self):
-        from repro.netcal import utilization_lower_bound
-
-        assert utilization_lower_bound(1, 1, 1) == Fraction(1, 2)
-        assert utilization_lower_bound(3, 1, 1) == Fraction(3, 4)
-
-    def test_max_queue_bound(self):
-        from repro.netcal import max_queue_bound
-
-        assert max_queue_bound(3, 1, 1) == 4
-
-
-class TestCurveSampling:
-    def test_sample_xs_includes_breakpoints(self):
-        c = rate_latency(1, 3)
-        xs = c.sample_xs(10)
-        assert Fraction(0) in xs and Fraction(3) in xs and Fraction(10) in xs
-
-    def test_curve_is_nondecreasing_on_grid(self):
-        c = token_bucket(Fraction(1, 2), 2)
-        values = [c(Fraction(i, 4)) for i in range(0, 40)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_service_envelope_ordering(self):
-        from repro.netcal import service_envelope
-
-        lower, upper = service_envelope(1, 2)
-        for i in range(0, 20):
-            t = Fraction(i, 2)
-            assert lower(t) <= upper(t)
-
-    def test_convolution_with_zero_latency_identity(self):
-        """beta_{R,0} conv beta_{R,T} = beta_{R,T}."""
-        f = rate_latency(2, 0)
-        g = rate_latency(2, 1)
-        for t, v in min_plus_convolve(f, g, 6):
-            assert v == g(t)
-
-    def test_horizontal_deviation_zero_when_dominated(self):
-        """If service is always >= arrival, the delay bound is ~0."""
-        arrival = rate_latency(1, 2)  # starts late, slow
-        service = rate_latency(2, 0)
-        d = horizontal_deviation(arrival, service, 10)
-        assert d <= Fraction(1, 1000)
+            assert link.validate() == []

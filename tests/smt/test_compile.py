@@ -17,7 +17,6 @@ from repro.smt import (
     Real,
     RealVal,
     Solver,
-    SolverSession,
     canonical_hash,
     compile_query,
     sat,
@@ -202,25 +201,31 @@ class _DictCache:
         self.store_[key] = (result, model)
 
 
+def _cached_solver(cache, *base) -> Solver:
+    s = Solver(cache=cache)
+    s.add(*base)
+    return s
+
+
 class TestSessionCacheKeys:
     def test_semantically_equal_queries_share_entry(self):
         cache = _DictCache()
-        s1 = SolverSession([x <= y, p], cache=cache)
+        s1 = _cached_solver(cache, x <= y, p)
         assert s1.check() is sat
         # different spelling of the same half-space: cache hit
-        s2 = SolverSession([RealVal(0) <= y - x, p], cache=cache)
+        s2 = _cached_solver(cache, RealVal(0) <= y - x, p)
         assert s2.check() is sat
-        assert s2.stats.cache_hits == 1
-        assert s2.stats.solved == 0
+        assert cache.lookups == 2
+        assert s2.checks == 0
 
     def test_scope_keys_are_per_delta(self):
         cache = _DictCache()
-        sess = SolverSession([y >= 0], cache=cache)
+        sess = _cached_solver(cache, y >= 0)
         with sess.scope(y <= 5):
             assert sess.check() is sat
         with sess.scope(y <= 5):
             assert sess.check() is sat
-        assert sess.stats.cache_hits == 1
+        assert sess.checks == 1
 
 
 class TestInternManagement:

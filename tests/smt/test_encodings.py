@@ -5,20 +5,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
-    And,
     Bool,
     Real,
     RealVal,
     Solver,
     at_most_one,
-    bool_indicator,
-    encode_abs,
     encode_max,
-    encode_min,
     exactly_one,
     sat,
-    select_product,
-    selected_constant,
     unsat,
 )
 
@@ -36,22 +30,6 @@ class TestMinMaxAbs:
         s.add(encode_max(r, [RealVal(a), RealVal(b)]))
         assert s.check() is sat
         assert s.model().value(r) == max(a, b)
-
-    @given(a=fracs, b=fracs, c=fracs)
-    @settings(max_examples=20, deadline=None)
-    def test_min_three_way(self, a, b, c):
-        s = Solver()
-        s.add(encode_min(r, [RealVal(a), RealVal(b), RealVal(c)]))
-        assert s.check() is sat
-        assert s.model().value(r) == min(a, b, c)
-
-    @given(a=fracs)
-    @settings(max_examples=20, deadline=None)
-    def test_abs(self, a):
-        s = Solver()
-        s.add(encode_abs(r, RealVal(a)))
-        assert s.check() is sat
-        assert s.model().value(r) == abs(a)
 
     def test_max_with_variables(self):
         s = Solver()
@@ -80,35 +58,3 @@ class TestSelectors:
         s = Solver()
         s.add(at_most_one(sels), *[~b for b in sels])
         assert s.check() is sat
-
-    def test_selected_constant(self):
-        sels = [Bool(f"sel4{i}") for i in range(3)]
-        values = [Fraction(-1), Fraction(0), Fraction(2)]
-        s = Solver()
-        s.add(exactly_one(sels), selected_constant(sels, values, r), sels[2])
-        assert s.check() is sat
-        assert s.model().value(r) == 2
-
-    def test_select_product(self):
-        sels = [Bool(f"sel5{i}") for i in range(3)]
-        values = [Fraction(-1), Fraction(0), Fraction(2)]
-        s = Solver()
-        s.add(
-            exactly_one(sels),
-            p >= 3, p <= 3,
-            select_product(sels, values, p, r),
-            sels[0],
-        )
-        assert s.check() is sat
-        assert s.model().value(r) == -3
-
-    def test_bool_indicator(self):
-        flag = Bool("flag_ind")
-        s = Solver()
-        s.add(bool_indicator(flag, r), flag)
-        assert s.check() is sat
-        assert s.model().value(r) == 1
-        s2 = Solver()
-        s2.add(bool_indicator(flag, r), ~flag)
-        assert s2.check() is sat
-        assert s2.model().value(r) == 0

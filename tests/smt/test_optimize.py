@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from repro.smt import Or, Real, Solver
-from repro.smt.optimize import maximize, minimize
+from repro.smt.optimize import maximize
 
 x, y = Real("x"), Real("y")
 
@@ -48,18 +48,3 @@ class TestMaximize:
         res = maximize(s, x, Fraction(0), Fraction(10), Fraction(1, 16))
         assert res.model is not None
         assert res.model.value(x) == res.best_value
-
-
-class TestMinimize:
-    def test_simple(self):
-        s = Solver()
-        s.add(x >= 3, x <= 10)
-        res = minimize(s, x, Fraction(0), Fraction(20), Fraction(1, 64))
-        assert res.feasible
-        assert res.best_value - Fraction(3) <= Fraction(1, 64)
-
-    def test_infeasible(self):
-        s = Solver()
-        s.add(x >= 100)
-        res = minimize(s, x, Fraction(0), Fraction(10))
-        assert not res.feasible

@@ -1,10 +1,16 @@
-"""SolverStats delta semantics, as_dict export, and deadline aborts."""
+"""Per-check solver counts (``Solver.checks`` and the metrics registry's
+deltas) and deadline aborts."""
 
 import time
 
 import pytest
 
+from repro.obs import metrics
 from repro.smt import CheckOptions, Real, Solver, sat, unknown, unsat
+
+
+def _conflicts() -> int:
+    return metrics().snapshot()["counters"].get("smt.conflicts", 0)
 
 
 def _hard_instance(solver: Solver, n: int = 9, prefix: str = "ph") -> None:
@@ -25,41 +31,30 @@ def _hard_instance(solver: Solver, n: int = 9, prefix: str = "ph") -> None:
 
 class TestStatsDeltas:
     def test_cumulative_is_sum_of_deltas(self):
+        """Each check adds its own conflict delta to the registry: the
+        core's cumulative count moves by exactly the registry's total."""
         s = Solver()
         x, y = Real("sd_x"), Real("sd_y")
         s.add(x >= 1, y >= 2)
+        core = s.sat_core
+        before, core_before = _conflicts(), core.conflicts
         assert s.check() is sat
-        first = s.stats.last_check_conflicts
+        first = _conflicts() - before
         s.add(x + y <= 2)  # now unsat
         assert s.check() is unsat
-        second = s.stats.last_check_conflicts
-        assert s.stats.checks == 2
-        assert s.stats.conflicts == first + second
-
-    def test_as_dict_round_trips_all_fields(self):
-        s = Solver()
-        x = Real("sd_d")
-        s.add(x >= 0)
-        s.check()
-        d = s.stats.as_dict()
-        for key in (
-            "checks", "conflicts", "decisions", "propagations", "pivots",
-            "restarts", "solve_time", "last_check_conflicts",
-            "last_check_decisions", "last_check_propagations",
-            "last_check_pivots", "last_check_restarts", "last_check_time",
-        ):
-            assert key in d
-        assert d["checks"] == 1
+        second = _conflicts() - before - first
+        assert s.checks == 2
+        assert core.conflicts - core_before == first + second
 
     def test_two_instances_do_not_share_stats(self):
         a, b = Solver(), Solver()
         x = Real("sd_two")
         a.add(x >= 1)
         a.check()
-        assert b.stats.checks == 0
+        assert b.checks == 0
         b.add(x >= 1)
         b.check()
-        assert a.stats.checks == 1 and b.stats.checks == 1
+        assert a.checks == 1 and b.checks == 1
 
 
 class TestDeadline:
@@ -78,6 +73,21 @@ class TestDeadline:
         s = Solver()
         _hard_instance(s, n=8, prefix="dl2")
         assert s.check(CheckOptions(max_conflicts=1)) is unknown
+
+    def test_unknown_is_never_cached(self):
+        stored = []
+
+        class Recorder:
+            def lookup(self, key):
+                return None
+
+            def store(self, key, result, model):
+                stored.append(result)
+
+        s = Solver(cache=Recorder())
+        _hard_instance(s, n=8, prefix="dl4")
+        assert s.check(CheckOptions(max_conflicts=1)) is unknown
+        assert stored == []
 
     def test_legacy_kwargs_removed(self):
         # the 1.x deprecation shim was deleted in 2.0: the keyword form

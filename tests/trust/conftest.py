@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.smt import And, Bool, CheckOptions, Implies, Not, Or, Real, Solver, unsat
-
-PROOF_OPTS = CheckOptions(produce_proofs=True)
+from repro.smt import And, Bool, Implies, Not, Or, Real, Solver, unsat
 
 
 def _unsat_solver() -> Solver:
@@ -31,5 +29,5 @@ def _unsat_solver() -> Solver:
 @pytest.fixture
 def certificate():
     s = _unsat_solver()
-    assert s.check(PROOF_OPTS) is unsat
+    assert s.check() is unsat
     return s.certificate()

@@ -6,10 +6,10 @@ import pytest
 
 from repro.ccac import ModelConfig
 from repro.core import CcacVerifier, constant_cwnd, rocc
-from repro.smt import CheckOptions, Real, Solver, SolverSession, sat, unsat
+from repro.smt import CheckOptions, Real, Solver, sat, unsat
 from repro.trust import ProofError, certify_certificate, check_certificate
 
-from .conftest import PROOF_OPTS, _unsat_solver
+from .conftest import _unsat_solver
 
 
 class TestCertificateLifecycle:
@@ -29,26 +29,17 @@ class TestCertificateLifecycle:
         x = Real("tm_x")
         s = Solver(produce_proofs=True)
         s.add(x >= 1)
-        assert s.check(PROOF_OPTS) is sat
+        assert s.check() is sat
         with pytest.raises(ProofError):
             s.certificate()
 
-    def test_arming_a_used_solver_is_refused(self):
-        x = Real("tm_y")
-        s = Solver()
-        s.add(x >= 1)
-        assert s.check() is sat
-        # the existing clauses were never logged; a late proof would lie
-        with pytest.raises(ProofError):
-            s.check(PROOF_OPTS)
 
-    def test_lazy_arming_on_pristine_solver(self):
-        x = Real("tm_z")
-        s = Solver()  # proofs not requested at construction
-        assert s.check(PROOF_OPTS) is sat  # arms the pristine solver
-        s.add(x >= 1, x <= 0)
-        assert s.check(PROOF_OPTS) is unsat
-        check_certificate(s.certificate())
+    def test_proofs_are_armed_at_construction_only(self):
+        # one way to arm proofs: a check cannot turn them on later
+        with pytest.raises(TypeError):
+            CheckOptions(produce_proofs=True)
+        assert not Solver().proof_mode
+        assert Solver(produce_proofs=True).proof_mode
 
 
 class TestPushPop:
@@ -58,11 +49,11 @@ class TestPushPop:
         s.add(x >= 0)
         s.push()
         s.add(x >= 10)
-        assert s.check(PROOF_OPTS) is sat
+        assert s.check() is sat
         s.pop()
         s.push()
         s.add(x <= -1)
-        assert s.check(PROOF_OPTS) is unsat
+        assert s.check() is unsat
         cert = s.certificate()
         assert cert.disabled_guards  # one popped frame
         check_certificate(cert)
@@ -73,10 +64,13 @@ class TestPushPop:
         from repro.engine import QueryCache
 
         cache = QueryCache(str(tmp_path))
-        plain = SolverSession(base, cache=cache)
+        plain = Solver(cache=cache)
+        plain.add(*base)
         assert plain.check() is unsat  # populates the cache
-        proving = SolverSession(base, cache=cache, produce_proofs=True)
+        proving = Solver(cache=cache, produce_proofs=True)
+        proving.add(*base)
         assert proving.check() is unsat  # must re-solve: cached unsat has no proof
+        assert proving.checks == 1
         check_certificate(proving.certificate())
 
 
@@ -102,7 +96,7 @@ class TestVerifierCertify:
         assert res.verified and res.certified
 
     def test_reused_session_certifies(self, fast_cfg):
-        """Two probes on one candidate share its session; each gets its
+        """Two probes on one candidate share its solver; each gets its
         own checked certificate."""
         from repro.core.queries import total_waste_budget
 
@@ -116,7 +110,7 @@ class TestVerifierCertify:
                 cand, extra_constraints=[budget.build(net, theta)]
             )
             assert res.verified and res.certified
-            sessions.append(verifier._env_states()[0].session)
+            sessions.append(verifier._env_states()[0].solver)
         assert sessions[0] is sessions[1]
         assert verifier.certified == 2
 
@@ -125,6 +119,6 @@ class TestDeterminism:
     def test_same_query_same_proof(self):
         a = _unsat_solver()
         b = _unsat_solver()
-        assert a.check(PROOF_OPTS) is unsat
-        assert b.check(PROOF_OPTS) is unsat
+        assert a.check() is unsat
+        assert b.check() is unsat
         assert a.certificate().steps == b.certificate().steps
