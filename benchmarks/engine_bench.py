@@ -305,11 +305,10 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     from repro.service import WorkerPool
 
     environments = [lossless_environment(), lossy_environment(buffer=8)]
-    precision = Fraction(1, 8)
     cells = [(cand, env) for cand in candidates for env in environments]
     tasks = [
         (_pooled_verify_candidate_task,
-         (cfg, precision, cand, False, None, None, False, [env]))
+         (cfg, cand, False, None, None, False, [env]))
         for cand, env in cells
     ]
 
@@ -359,10 +358,9 @@ def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     from repro.engine.portfolio import _pooled_verify_candidate_task
     from repro.service import WorkerPool
 
-    precision = Fraction(1, 8)
     tasks = [
         (_pooled_verify_candidate_task,
-         (cfg, precision, cand, False, None, None, False))
+         (cfg, cand, False, None, None, False))
         for cand in candidates
     ]
 

@@ -10,8 +10,10 @@ Generates random small QF-LRA formulas and, for each one, checks
   the *raw* asserted formulas under the independent exact evaluator
   (:func:`repro.runtime.validate.validate_assignment`), which exercises
   the pipeline's variable-elimination reconstruction map;
-* **compile idempotence** — recompiling a compiled query's formulas
-  must not change the verdict.
+* **optimum parity** — for a sat formula, maximizing a bounded
+  variable (:func:`repro.smt.optimize.maximize`) must give the same
+  exact optimum on both paths, with a model that passes the same
+  independent evaluator.
 
 Run directly::
 
@@ -41,11 +43,15 @@ from repro.smt import (
     Real,
     RealVal,
     Solver,
+    sat,
     unknown,
 )
+from repro.smt.optimize import maximize
 
 REAL_VARS = [Real(n) for n in ("fa", "fb", "fc", "fd")]
 BOOL_VARS = [Bool(n) for n in ("fp", "fq")]
+#: the maximized variable, capped by a formula variable and a constant
+OBJECTIVE = Real("fz")
 
 
 def random_real(rng: random.Random, depth: int):
@@ -130,6 +136,37 @@ def check_one(seed: int, depth: int) -> str | None:
             validate_assignment(formulas, bools, reals, context=f"fuzz[{name}]")
         except SoundnessError as exc:
             return f"invalid model ({name}): {exc}"
+    if v_compiled is sat:
+        return check_optimum(rng, formulas, compiled, raw)
+    return None
+
+
+def check_optimum(rng: random.Random, formulas, compiled, raw) -> str | None:
+    """Maximize a fresh variable capped by a formula variable and a
+    constant on both paths; the optima must agree and the models hold."""
+    cap = [
+        OBJECTIVE <= rng.choice(REAL_VARS),
+        OBJECTIVE <= RealVal(rng.randint(-8, 8)),
+    ]
+    optima = []
+    for name, solver in (("pipeline", compiled), ("raw", raw)):
+        with solver.scope(*cap):
+            res = maximize(solver, OBJECTIVE)
+        if not res.feasible:
+            return f"optimum infeasible ({name}) on a sat formula"
+        bools, reals = res.model.assignment()
+        try:
+            validate_assignment(
+                formulas + cap, bools, reals, context=f"fuzz-opt[{name}]"
+            )
+        except SoundnessError as exc:
+            return f"invalid optimum model ({name}): {exc}"
+        optima.append(res.best_value)
+    if optima[0] != optima[1]:
+        return (
+            f"optimum divergence: pipeline={optima[0]} raw={optima[1]} "
+            f"formulas={formulas}"
+        )
     return None
 
 
@@ -157,7 +194,7 @@ def main() -> int:
     if failures:
         print(f"{failures}/{args.n} cases diverged", file=sys.stderr)
         return 1
-    print(f"all {args.n} cases agree (pipeline vs raw, models valid)")
+    print(f"all {args.n} cases agree (pipeline vs raw, models and optima valid)")
     return 0
 
 

@@ -23,7 +23,9 @@ default matrix is the paper's fragment: a single lossless environment.
 It also implements the paper's **worst-case counterexample** optimization:
 instead of any counterexample, find one that maximizes
 ``min_t (u_t - l_t)`` — the narrowest width of the range-pruning intervals
-— "we maximize using binary search" (§3.1.2).  Wider intervals let each
+(§3.1.2).  The paper maximizes by binary search; here
+:func:`repro.smt.optimize.maximize` computes the exact optimum with a
+primal Simplex phase per Boolean region.  Wider intervals let each
 counterexample eliminate more candidates in the generator.  Each
 environment supplies its own interval widths (two-flow models measure
 aggregate service against the shared token bucket).
@@ -113,8 +115,9 @@ class CcacVerifier:
 
     ``cache`` (``QueryCacheProtocol``-shaped, e.g.
     :class:`repro.engine.cache.QueryCache`): conclusive subquery verdicts
-    are content-addressed and reused, which pays off under worst-case
-    binary search and across portfolio workers sharing a ``cache_dir``.
+    are content-addressed and reused, which pays off on repeated
+    worst-case searches and across portfolio workers sharing a
+    ``cache_dir``.
 
     ``environments`` selects the cells of the CCAC matrix to verify
     against (in order); the default is the paper's lossless fragment.
@@ -123,13 +126,11 @@ class CcacVerifier:
     def __init__(
         self,
         cfg: ModelConfig,
-        wce_precision: Fraction = Fraction(1, 8),
         cache=None,
         certify: bool = False,
         environments: Sequence[EnvironmentSpec] = default_environments(),
     ):
         self.cfg = cfg
-        self.wce_precision = wce_precision
         self.cache = cache
         self.certify = certify
         self.environments = tuple(environments)
@@ -276,20 +277,11 @@ class CcacVerifier:
                         outcome_trace = self._extract_trace(
                             solver, state, model, candidate
                         )
-                    summary = None
-                    if (
-                        self.certify
-                        and model is None
-                        and not inconclusive
-                    ):
+                    if self.certify and model is None and not inconclusive:
                         # snapshot + check the proof while the call's
                         # scope is still active (pop would disable its
                         # guard)
-                        summary, inconclusive = self._certify_unsat(
-                            solver, worst_case, opts
-                        )
-                    if summary is not None:
-                        summaries.append(summary)
+                        summaries.append(self._certify_unsat(solver))
                     total_checks += solver.checks - base_checks
                 any_unknown = any_unknown or inconclusive
                 if outcome_trace is not None:
@@ -326,29 +318,22 @@ class CcacVerifier:
             certificate=certificate,
         )
 
-    def _certify_unsat(self, solver, worst_case: bool, opts: CheckOptions):
-        """Independently check the proof of the current UNSAT verdict.
+    def _certify_unsat(self, solver):
+        """Independently check the proof of the current UNSAT verdict
+        and return its summary.
 
-        Returns ``(summary, inconclusive)``.  In worst-case mode the
-        binary search ends by popping its probe frames, so the solver's
-        last verdict is not the final UNSAT — one extra plain check
-        re-derives it under the active frames (with the proof still
-        accumulating); if budgets expire there the result degrades to an
-        honest ``unknown`` rather than an uncertified "verified".
-
-        A proof that fails to check raises
-        :class:`~repro.runtime.errors.SoundnessError` — like independent
-        model validation, certification gaps are never degraded.
+        In worst-case mode the UNSAT verdict is the search's first probe,
+        a plain check under the call's frames, so the solver's last
+        verdict is the one to certify.  A proof that fails to check
+        raises :class:`~repro.runtime.errors.SoundnessError` — like
+        independent model validation, certification gaps are never
+        degraded.
         """
         from ..trust.certify import certify_certificate
-        from ..smt import unsat
 
-        if worst_case and solver.check(opts) is not unsat:
-            return None, True
-        cert = solver.certificate()
-        summary = certify_certificate(cert)
+        summary = certify_certificate(solver.certificate())
         self.certified += 1
-        return summary, False
+        return summary
 
     def _solve_worst_case(
         self, solver, net, state: _EnvState, opts: CheckOptions
@@ -359,7 +344,8 @@ class CcacVerifier:
         lossless/lossy width is ``(C*t - W_t) - S_t`` at steps where the
         waste grew; the two-flow width measures aggregate service).  A
         fresh objective variable ``m`` is tied below every finite width
-        and maximized by binary search.
+        and maximized exactly (the paper bisects; see
+        :mod:`repro.smt.optimize`).
 
         Returns ``(model, inconclusive)``: ``(None, False)`` proves no
         counterexample exists, ``(None, True)`` means the search budget
@@ -372,17 +358,8 @@ class CcacVerifier:
         solver.add(m <= RealVal(hi))
         for flat, width in state.env.wce_widths(net):
             solver.add(Or(flat, width >= m))
-        opt = maximize(
-            solver,
-            m,
-            lo=Fraction(0),
-            hi=hi,
-            precision=self.wce_precision,
-            options=opts,
-        )
-        if not opt.feasible or opt.model is None:
-            return None, opt.unknown
-        return opt.model, False
+        opt = maximize(solver, m, options=opts)
+        return opt.model, opt.unknown
 
     def verify(self, candidate: Candidate) -> bool:
         """Convenience wrapper: True iff the candidate is proved correct."""

@@ -16,8 +16,8 @@ of the CEGIS + SMT stack.  Three independent multipliers compose:
   clauses are amortized across the calls on one candidate.
 * **Query caching** (:mod:`~repro.engine.cache`) — conclusive verdicts
   are content-addressed by the canonical hash of the assertion set, so
-  repeated subqueries (common under range pruning and binary-search
-  optimization) are answered without a solve; an on-disk layer
+  repeated subqueries (common under range pruning and repeated
+  worst-case searches) are answered without a solve; an on-disk layer
   (``--cache-dir``) is shared across runs and worker processes.
 
 Observability: cache traffic is exported as ``engine.cache.*`` counters,

@@ -30,7 +30,6 @@ import contextlib
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from ..ccac.environments import EnvironmentSpec, default_environments
@@ -95,7 +94,7 @@ _WORKER_STATE: dict = {}
 
 
 def _pooled_verify_candidate_task(
-    cfg, precision, candidate, worst_case, time_limit, cache_dir,
+    cfg, candidate, worst_case, time_limit, cache_dir,
     certify=False, environments=default_environments(),
 ):
     """Runs inside a *persistent* pool worker: warm verifier, one candidate.
@@ -116,7 +115,6 @@ def _pooled_verify_candidate_task(
 
     key = (
         _json.dumps(encode_config(cfg), sort_keys=True),
-        str(precision),
         str(cache_dir or ""),
         bool(certify),
         tuple(env.key() for env in environments),
@@ -125,8 +123,7 @@ def _pooled_verify_candidate_task(
     if verifier is None:
         cache = QueryCache(cache_dir) if cache_dir else None
         verifier = CcacVerifier(
-            cfg, wce_precision=precision, cache=cache,
-            certify=certify, environments=environments,
+            cfg, cache=cache, certify=certify, environments=environments,
         )
         # bounded: at most one warm verifier per environment cell (the
         # grid dispatch hands each worker a single-environment task, so
@@ -181,7 +178,6 @@ class PortfolioVerifier:
         self,
         cfg,
         pool,
-        wce_precision: Fraction = Fraction(1, 8),
         limits: WorkerLimits = WorkerLimits(),
         cache_dir: Optional[str] = None,
         certify: bool = False,
@@ -190,7 +186,6 @@ class PortfolioVerifier:
     ):
         self.cfg = cfg
         self.pool = pool
-        self.wce_precision = Fraction(wce_precision)
         self.limits = limits
         self.cache_dir = cache_dir
         self.certify = certify
@@ -210,7 +205,6 @@ class PortfolioVerifier:
             _pooled_verify_candidate_task,
             (
                 self.cfg,
-                self.wce_precision,
                 candidate,
                 worst_case,
                 budget,

@@ -14,7 +14,7 @@ answer.  This package handles both classes explicitly:
   with escalated budgets by
   :class:`~repro.engine.portfolio.PortfolioVerifier`.
 - :mod:`~repro.runtime.degrade` — the degradation ladder: recorded,
-  structured weakenings (worst-case fallback, precision step-down) so a
+  structured weakenings (worst-case fallback, worst-case disable) so a
   stuck run still terminates with a verdict.
 - :mod:`~repro.runtime.validate` — independent result validation: an
   exact-arithmetic evaluator re-checks every SAT model against the
@@ -32,7 +32,7 @@ module load — the runner is exposed lazily via PEP 562.
 """
 
 from .checkpoint import SCHEMA_VERSION, CheckpointState, CheckpointStore
-from .degrade import ResilientVerifier, default_precision_ladder
+from .degrade import ResilientVerifier
 from .errors import (
     CheckpointError,
     CheckpointMismatchError,
@@ -77,7 +77,6 @@ __all__ = [
     "decode_candidate",
     "decode_query",
     "decode_trace",
-    "default_precision_ladder",
     "encode_candidate",
     "encode_query",
     "encode_trace",

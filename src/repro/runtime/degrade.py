@@ -1,18 +1,14 @@
 """Graceful degradation ladder: finish with *some* verdict, honestly.
 
 A long synthesis should not die because the worst-case-counterexample
-search (an expensive binary-search maximization) times out, nor loop
-forever on a verifier that keeps answering ``unknown``.  The ladder
+search (a maximization of several solves) times out.  The ladder
 weakens the search in controlled, recorded steps:
 
 1. **worst-case fallback** — a worst-case search that comes back
    ``unknown`` is retried as a plain counterexample search (any
    counterexample still makes progress, it just prunes less);
 2. **worst-case disable** — after ``wce_fail_limit`` fallbacks the
-   worst-case search is skipped outright;
-3. **precision step-down** — after ``unknown_threshold`` consecutive
-   inconclusive calls, ``wce_precision`` is coarsened (doubled, up to 1)
-   so future binary searches need fewer probes.
+   worst-case search is skipped outright.
 
 Every step emits a structured ``runtime.degrade`` event and is appended
 to :attr:`ResilientVerifier.degradations`, so a run that finishes
@@ -27,20 +23,9 @@ handled anywhere in this module: validation failures must crash the run.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
-
 from ..obs import WARN, metrics, tracer
 
-__all__ = ["ResilientVerifier", "default_precision_ladder"]
-
-
-def default_precision_ladder(start: Fraction) -> tuple[Fraction, ...]:
-    """Coarsening schedule for ``wce_precision``: double up to 1."""
-    rungs = [Fraction(start)]
-    while rungs[-1] < 1:
-        rungs.append(min(rungs[-1] * 2, Fraction(1)))
-    return tuple(rungs)
+__all__ = ["ResilientVerifier"]
 
 
 def _mark_degraded(result):
@@ -56,32 +41,17 @@ class ResilientVerifier:
     """Wraps a verifier with the degradation ladder.
 
     ``base`` is any object with the :class:`repro.cegis.interfaces.Verifier`
-    shape whose results carry ``unknown``; ``wce_precision`` is stepped on
-    the base when it exposes that attribute (both
+    shape whose results carry ``unknown`` (both
     :class:`repro.core.CcacVerifier` and
-    :class:`repro.engine.portfolio.PortfolioVerifier` do).
+    :class:`repro.engine.portfolio.PortfolioVerifier` do).  Every
+    ``unknown`` result it hands back is flagged degraded.
     """
 
-    def __init__(
-        self,
-        base,
-        precision_ladder: Optional[Sequence[Fraction]] = None,
-        unknown_threshold: int = 2,
-        wce_fail_limit: int = 3,
-    ):
+    def __init__(self, base, wce_fail_limit: int = 3):
         self.base = base
-        if precision_ladder is None:
-            start = getattr(base, "wce_precision", None)
-            precision_ladder = (
-                default_precision_ladder(start) if start is not None else ()
-            )
-        self.precision_ladder = tuple(Fraction(p) for p in precision_ladder)
-        self.unknown_threshold = unknown_threshold
         self.wce_fail_limit = wce_fail_limit
         self.degradations: list[dict] = []
         self.calls = 0
-        self._rung = 0
-        self._unknown_streak = 0
         self._wce_failures = 0
         self._wce_disabled = False
 
@@ -94,25 +64,6 @@ class ResilientVerifier:
         tr = tracer()
         if tr.enabled:
             tr.event("runtime.degrade", level=WARN, msg=f"[runtime] {msg}", **event)
-
-    def _step_precision(self) -> bool:
-        """Coarsen the base's ``wce_precision`` one rung; False at bottom."""
-        if self._rung + 1 >= len(self.precision_ladder):
-            return False
-        if not hasattr(self.base, "wce_precision"):
-            return False
-        old = self.precision_ladder[self._rung]
-        self._rung += 1
-        new = self.precision_ladder[self._rung]
-        self.base.wce_precision = new
-        self._degrade(
-            "wce_precision",
-            f"stepping wce_precision {old} -> {new} after "
-            f"{self._unknown_streak} consecutive unknowns",
-            old=str(old),
-            new=str(new),
-        )
-        return True
 
     # -- the ladder -----------------------------------------------------------
 
@@ -147,16 +98,7 @@ class ResilientVerifier:
                     f"disabling worst-case search after "
                     f"{self._wce_failures} failures",
                 )
-        if getattr(result, "unknown", False):
-            self._unknown_streak += 1
-            degraded_call = True
-            if self._unknown_streak >= self.unknown_threshold:
-                # rung 2: repeated unknowns -> coarsen the wce precision
-                if self._step_precision():
-                    self._unknown_streak = 0
-        else:
-            self._unknown_streak = 0
-        if degraded_call:
+        if degraded_call or getattr(result, "unknown", False):
             _mark_degraded(result)
         return outcome
 

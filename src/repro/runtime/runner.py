@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 from ..obs import tracer
@@ -64,10 +63,8 @@ class RuntimeOptions:
     solver_mem_mb: Optional[int] = None
     #: extra attempts after a killed worker
     retries: int = 1
-    #: apply the degradation ladder (wce fallback / precision step-down)
+    #: apply the degradation ladder (wce fallback / wce disable)
     degrade: bool = True
-    #: precision of the worst-case counterexample binary search
-    wce_precision: Fraction = Fraction(1, 8)
     #: advisory: run every solution through the discrete simulator and
     #: attach the reports to ``SynthesisResult.cross_checks``
     cross_check: bool = False
@@ -133,7 +130,6 @@ def _build_verifier(query, options: RuntimeOptions, pool=None):
         base = PortfolioVerifier(
             query.cfg,
             pool,
-            wce_precision=options.wce_precision,
             limits=_limits(options),
             cache_dir=options.cache_dir,
             certify=options.certify,
@@ -147,7 +143,6 @@ def _build_verifier(query, options: RuntimeOptions, pool=None):
             cache = QueryCache(options.cache_dir)
         base = CcacVerifier(
             query.cfg,
-            wce_precision=options.wce_precision,
             cache=cache,
             certify=options.certify,
             environments=environments,
@@ -180,7 +175,7 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
 
     Returns a :class:`repro.core.synthesizer.SynthesisResult` whose
     ``degradations`` aggregates every recorded weakening (worker kills,
-    worst-case fallbacks, precision step-downs) across the verifier
+    worst-case fallbacks and disables) across the verifier
     stack.  A worker pool this call starts is stopped before it returns
     or raises; an injected ``options.worker_pool`` is left running.
     """

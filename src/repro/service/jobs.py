@@ -32,7 +32,6 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from ..ccac.environments import default_environments
@@ -155,13 +154,14 @@ def spec_deadline(spec: JobSpec) -> Optional[float]:
 #: RuntimeOptions fields carried in a synthesis spec, with their codecs.
 #: checkpoint_path is deliberately NOT part of a spec — where state lives
 #: is the executor's business (the server keeps it under its state dir).
+#: Decoding ignores keys not listed here, so a stored spec that carries
+#: an option since removed still runs.
 _OPTION_FIELDS = {
     "isolate": (bool, bool),
     "solver_timeout": (float, float),
     "solver_mem_mb": (lambda v: v, lambda v: v),
     "retries": (int, int),
     "degrade": (bool, bool),
-    "wce_precision": (str, Fraction),
     "cross_check": (bool, bool),
     "falsify": (int, int),
     "falsify_seed": (int, int),

@@ -12,7 +12,9 @@ available offline).  It provides:
   (:mod:`repro.smt.simplex`, :mod:`repro.smt.theory`),
 * an incremental z3-flavoured frontend with an optional query cache
   (:mod:`repro.smt.solver`),
-* binary-search optimization (:mod:`repro.smt.optimize`).
+* exact maximization of a real variable: a primal Simplex phase per
+  Boolean region and OMT linear search (:mod:`repro.smt.optimize`;
+  the paper's CCmatic bisects with Z3 instead).
 """
 
 from .encodings import at_most_one, encode_max, exactly_one

@@ -1,28 +1,42 @@
-"""Objective optimization by binary search over a rational objective.
+"""Exact maximization of a real variable (OMT linear search).
 
 The CCmatic *worst-case counterexample* optimization asks the verifier to
-maximize ``min_t (u_t - l_t)`` (paper §3.1.2) — "we maximize using binary
-search".  This module provides exactly that primitive, generalized: given a
-satisfiable constraint system and a real objective term, find (to a given
-precision) the largest value ``m`` such that the system plus
-``objective >= m`` is satisfiable, returning the maximizing model.
+maximize ``min_t (u_t - l_t)`` (paper §3.1.2).  The paper drives Z3 by
+binary search over the objective; this module computes the exact
+optimum instead, as OptiMathSAT-style linear search:
+
+* every SAT probe ends with a primal Simplex phase
+  (:meth:`repro.smt.simplex.Simplex.maximize`) that pushes the objective
+  to the optimum of the probe's Boolean region before the model is
+  taken;
+* the next probe asserts ``objective > r``, with ``r`` the real part of
+  that optimum, which excludes the whole region (an optimum's δ-part is
+  never positive);
+* the first UNSAT probe proves ``r`` is the supremum.
+
+Each Boolean region is visited at most once, so the search ends after
+(number of regions that improve the objective) + 1 solves.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ..obs import DEBUG, tracer
-from .solver import CheckOptions, Model, Result, Solver, _require_options, sat, unknown
-from .terms import Term
+from .solver import CheckOptions, Model, Solver, _require_options, sat, unknown
+from .terms import Sort, Term
 
 
 @dataclass
 class OptimizeResult:
-    """Outcome of a binary-search optimization.
+    """Outcome of a maximization.
 
+    ``best_value`` is the supremum of the objective (exact once the
+    search ended on UNSAT); ``model`` is the last SAT probe's model,
+    which attains it unless the supremum sits on a strict bound.
     ``unknown`` is True when the *initial* feasibility probe was
     inconclusive (conflict or wall-clock budget exhausted), i.e. the
     caller must not interpret ``feasible=False`` as a proof of
@@ -45,68 +59,71 @@ class OptimizeResult:
 
 
 def maximize(
-    solver: Solver,
-    objective: Term,
-    lo: Fraction,
-    hi: Fraction,
-    precision: Fraction = Fraction(1, 64),
-    options: Optional[CheckOptions] = None,
+    solver: Solver, objective: Term, options: Optional[CheckOptions] = None
 ) -> OptimizeResult:
-    """Maximize ``objective`` over the solver's current assertions.
+    """Maximize the real variable ``objective`` over the solver's assertions.
 
-    A solver with a query cache answers repeated probes from it.
-    Per-probe budgets go through ``options`` (:class:`CheckOptions`).
+    The first probe is a plain :meth:`Solver.check` under the current
+    assertions; later probes each assert ``objective > r`` in a scope,
+    so the assertion stack is unchanged on return.  The search stops at
+    the first UNSAT probe, or at an inconclusive one (budgets go through
+    ``options``), returning the best model so far.  ``feasible=False``
+    means the first probe found no model (``unknown=True`` when it was
+    inconclusive rather than unsat).  A cache hit carries no δ-part, so
+    its probe bounds on the model's value instead (at worst one re-solved
+    probe).  Each probe is emitted as an ``opt.probe`` event when tracing
+    is enabled.
 
-    ``lo`` must be a value for which feasibility is *unknown or likely*;
-    ``hi`` an upper limit of the search.  The solver is used through
-    push/pop, so its assertion stack is unchanged on return.  Returns the
-    best model found; ``feasible=False`` when even ``objective >= lo`` has
-    no model (with ``unknown=True`` when that probe was inconclusive
-    rather than unsat).  Each binary-search step is emitted as an
-    ``opt.probe`` event when tracing is enabled.
+    ``objective`` must be a real variable that survives compilation (tie
+    an expression to a fresh variable with ``v <= expr``); an unbounded
+    objective raises :class:`ValueError`.
     """
     opts = _require_options(options, "maximize")
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    probes = 0
+    if not objective.is_var() or objective.sort is not Sort.REAL:
+        raise ValueError(f"maximize needs a real variable, got {objective}")
+    if objective in solver._elim:
+        raise ValueError(
+            f"objective {objective} was eliminated by the compile pipeline; "
+            f"bound it before defining it"
+        )
+    theory = solver.theory
     tr = tracer()
-
-    def probe(value: Fraction) -> tuple[Result, Optional[Model]]:
-        nonlocal probes
-        probes += 1
-        solver.push()
-        solver.add(objective >= value)
-        outcome = solver.check(opts)
-        model = solver.model() if outcome is sat else None
-        solver.pop()
-        if tr.enabled:
-            tr.event(
-                "opt.probe",
-                level=DEBUG,
-                probe=probes,
-                value=str(value),
-                result=outcome.value,
+    probes = 0
+    best_value: Optional[Fraction] = None
+    best_model: Optional[Model] = None
+    theory.objective = objective
+    try:
+        while True:
+            probes += 1
+            solves = solver.checks
+            frame = (
+                nullcontext() if best_value is None
+                else solver.scope(objective > best_value)
             )
-        return outcome, model
-
-    outcome, model = probe(lo)
-    if outcome is not sat:
+            with frame:
+                outcome = solver.check(opts)
+                if outcome is sat:
+                    model = solver.model()
+                    if solver.checks == solves:  # cache hit: no δ-part
+                        value = model.value(objective)
+                    elif theory.optimum is None:
+                        raise ValueError(f"objective {objective} is unbounded")
+                    else:
+                        rn, _, q = theory.optimum
+                        value = Fraction(rn, q)
+            if tr.enabled:
+                tr.event(
+                    "opt.probe",
+                    level=DEBUG,
+                    probe=probes,
+                    bound=None if best_value is None else str(best_value),
+                    result=outcome.value,
+                )
+            if outcome is not sat:
+                break
+            best_value, best_model = value, model
+    finally:
+        theory.objective = None
+    if best_model is None:
         return OptimizeResult(False, None, None, probes, unknown=outcome is unknown)
-    best_value = model.value(objective)
-    best_model = model
-
-    # best_value may already exceed lo; start the search from it.
-    low = max(lo, best_value)
-    high = hi
-    while high - low > precision:
-        mid = (low + high) / 2
-        outcome, model = probe(mid)
-        if outcome is sat:
-            achieved = model.value(objective)
-            low = max(mid, achieved)
-            if achieved > best_value:
-                best_value = achieved
-                best_model = model
-        else:
-            high = mid
     return OptimizeResult(True, best_value, best_model, probes)

@@ -32,6 +32,11 @@ All arithmetic is exact and runs on Python ints:
 Conflicts carry Farkas multipliers ``num/den`` read off the stuck row
 (see :class:`Conflict`), as exact :class:`~fractions.Fraction` values.
 
+:meth:`Simplex.maximize` is a primal phase on the same tableau: from
+the feasible assignment :meth:`Simplex.check` leaves, it raises one
+variable to its optimum under the asserted bounds (see
+:mod:`repro.smt.optimize`).
+
 The design follows "A Fast Linear-Arithmetic Solver for DPLL(T)"
 (Dutertre & de Moura, CAV 2006): backtracking only restores bounds — the
 tableau and the current assignment are kept, so pops are O(#bounds).
@@ -333,6 +338,56 @@ class Simplex:
             target = lower[b] if below else upper[b]
             assert target is not None
             self._pivot_and_update(b, pivot_var, target)
+
+    def maximize(self, obj: int) -> Optional[tuple]:
+        """Primal phase: raise ``obj`` as far as the asserted bounds allow.
+
+        Call after a successful :meth:`check`.  Every step keeps every
+        bound, so the assignment stays feasible and each atom keeps its
+        truth value.  Entering and leaving variables follow Bland's rule
+        (smallest index; a tie between a basic and the entering
+        variable's own bound moves to the bound without a pivot), which
+        rules out cycling.  Returns the optimal value triple of ``obj``,
+        or None when ``obj`` is unbounded above.
+        """
+        assign, lower, upper = self.assign, self.lower, self.upper
+        rows, den = self.rows, self.den
+        while True:
+            # entering variable j and its direction s (+1 up, -1 down)
+            if obj in self.basic:
+                row = rows[obj]
+                moves = [(j, 1 if row[j] > 0 else -1) for j in sorted(row)]
+            else:
+                moves = [(obj, 1)]
+            for j, s in moves:
+                bound = upper[j] if s > 0 else lower[j]
+                if bound is None or (
+                    _lt(assign[j], bound) if s > 0 else _lt(bound, assign[j])
+                ):
+                    break
+            else:
+                return assign[obj]
+            # ratio test over δ-rationals: the longest step theta of j
+            # that keeps j's own bound and every basic's bounds
+            theta = None
+            if bound is not None:
+                theta = _axpy(bound, -1, 1, assign[j]) if s > 0 else _axpy(assign[j], -1, 1, bound)
+            leave, target = -1, None
+            for b in sorted(self.cols[j]):
+                n = rows[b][j] * s  # b moves by n/den[b] per unit of theta
+                lim = upper[b] if n > 0 else lower[b]
+                if lim is None:
+                    continue
+                gap = _axpy(lim, -1, 1, assign[b]) if n > 0 else _axpy(assign[b], -1, 1, lim)
+                gap = _axpy(ZERO, den[b], abs(n), gap)
+                if theta is None or _lt(gap, theta):
+                    theta, leave, target = gap, b, lim
+            if theta is None:
+                return None
+            if leave < 0:
+                self._update(j, bound)
+            else:
+                self._pivot_and_update(leave, j, target)
 
     def _explain(self, b: int, below: bool) -> Conflict:
         # Farkas multipliers: the row says b - sum(a_j * x_j) = 0, so when b is

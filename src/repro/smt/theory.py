@@ -34,6 +34,11 @@ class LraTheory(TheoryHook):
         # Farkas certificate of the most recent conflict, consumed once by
         # the SAT core when proof logging is armed (see TheoryHook.take_farkas).
         self._farkas: Optional[tuple] = None
+        #: real variable to maximize before each model snapshot (armed by
+        #: :func:`repro.smt.optimize.maximize`), and its optimum there: a
+        #: value triple, or None when it is unbounded or never registered
+        self.objective: Optional[Term] = None
+        self.optimum: Optional[tuple] = None
 
     # -- registration ------------------------------------------------------
 
@@ -82,6 +87,11 @@ class LraTheory(TheoryHook):
             self._farkas = getattr(conflict, "farkas", None)
             return list(conflict)
         if final:
+            if self.objective is not None:
+                # moving inside the asserted bounds keeps every atom's
+                # truth value, so the SAT assignment stays a model
+                svar = self.var_of_term.get(self.objective)
+                self.optimum = None if svar is None else self.simplex.maximize(svar)
             self._model_values = self.simplex.model()
         return None
 

@@ -85,7 +85,3 @@ class TestWorstCase:
         v = CcacVerifier(fast_cfg)
         assert v.find_counterexample(rocc(fast_cfg.history), worst_case=True).verified
 
-    def test_wce_precision_configurable(self, fast_cfg):
-        v = CcacVerifier(fast_cfg, wce_precision=Fraction(1, 2))
-        res = v.find_counterexample(constant_cwnd(1, fast_cfg.history), worst_case=True)
-        assert not res.verified

@@ -82,14 +82,12 @@ def test_with_deadline_helper():
 
 
 def test_optimize_result_truthiness_is_an_error():
-    from fractions import Fraction
-
     from repro.smt.optimize import maximize
 
     x = Real("tg_x")
     s = Solver()
     s.add(x >= 0, x <= 4)
-    result = maximize(s, x, lo=Fraction(0), hi=Fraction(8))
+    result = maximize(s, x)
     assert result.feasible
     with pytest.raises(TypeError):
         bool(result)

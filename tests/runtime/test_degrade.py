@@ -1,10 +1,9 @@
 """The degradation ladder: recorded weakenings, never silent ones."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.cegis import BatchVerdict, CegisLoop, StopReason
-from repro.runtime import ResilientVerifier, default_precision_ladder
+from repro.runtime import ResilientVerifier
 
 
 @dataclass
@@ -18,9 +17,8 @@ class FakeResult:
 class ScriptedVerifier:
     """Returns queued results; records the calls it received."""
 
-    def __init__(self, script, wce_precision=Fraction(1, 8)):
+    def __init__(self, script):
         self.script = list(script)
-        self.wce_precision = wce_precision
         self.seen = []
 
     def find_counterexample(self, candidate, worst_case=False, deadline=None):
@@ -64,15 +62,6 @@ class _BatchEntry:
         return rv.verify_batch([candidate], worst_case=worst_case).result
 
 
-class TestPrecisionLadder:
-    def test_doubles_up_to_one(self):
-        rungs = default_precision_ladder(Fraction(1, 8))
-        assert rungs == (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1))
-
-    def test_start_at_one_is_single_rung(self):
-        assert default_precision_ladder(Fraction(1)) == (Fraction(1),)
-
-
 class TestWorstCaseFallback(_SingleEntry):
     def test_unknown_wce_falls_back_to_plain_search(self):
         base = self.base_cls([
@@ -113,44 +102,6 @@ class TestWorstCaseFallbackBatch(_BatchEntry, TestWorstCaseFallback):
     pass
 
 
-class TestPrecisionStepDown(_SingleEntry):
-    def test_consecutive_unknowns_coarsen_precision(self):
-        base = self.base_cls(
-            [FakeResult(unknown=True)] * 4, wce_precision=Fraction(1, 4)
-        )
-        rv = ResilientVerifier(base, unknown_threshold=2)
-        for _ in range(4):
-            self.call(rv, "cand")
-        kinds = [d["kind"] for d in rv.degradations]
-        assert kinds.count("wce_precision") == 2
-        assert base.wce_precision == Fraction(1)
-
-    def test_streak_resets_on_conclusive_answer(self):
-        base = self.base_cls([
-            FakeResult(unknown=True),
-            FakeResult(counterexample="c"),
-            FakeResult(unknown=True),
-            FakeResult(counterexample="c"),
-        ])
-        rv = ResilientVerifier(base, unknown_threshold=2)
-        for _ in range(4):
-            self.call(rv, "cand")
-        assert all(d["kind"] != "wce_precision" for d in rv.degradations)
-
-    def test_bottom_of_ladder_stops_stepping(self):
-        base = self.base_cls(
-            [FakeResult(unknown=True)] * 6, wce_precision=Fraction(1, 2)
-        )
-        rv = ResilientVerifier(base, unknown_threshold=1)
-        for _ in range(6):
-            self.call(rv, "cand")
-        assert base.wce_precision == Fraction(1)
-
-
-class TestPrecisionStepDownBatch(_BatchEntry, TestPrecisionStepDown):
-    pass
-
-
 class TestBatchSupportMirrorsBase:
     def test_verify_batch_only_over_a_batch_base(self):
         assert not hasattr(ResilientVerifier(ScriptedVerifier([])), "verify_batch")
@@ -174,8 +125,6 @@ class TestDegradeEvents:
         StopReason.DEGRADED, not a silent budget stop."""
 
         class AlwaysUnknown:
-            wce_precision = Fraction(1, 2)
-
             def find_counterexample(self, candidate, worst_case=False, deadline=None):
                 return FakeResult(unknown=True)
 
@@ -189,7 +138,7 @@ class TestDegradeEvents:
             def block(self, cand):
                 pass
 
-        rv = ResilientVerifier(AlwaysUnknown(), unknown_threshold=1)
+        rv = ResilientVerifier(AlwaysUnknown())
         outcome = CegisLoop(OneCandidate(), rv).run()
         assert outcome.stop_reason is StopReason.DEGRADED
         assert not outcome.found

@@ -49,12 +49,10 @@ class TestJobSpec:
         options = RuntimeOptions(
             isolate=True,
             solver_timeout=12.5,
-            wce_precision=Fraction(1, 1024),
             falsify=250,
             certify=True,
         )
         back = _decode_options(json.loads(json.dumps(_encode_options(options))))
-        assert back.wce_precision == Fraction(1, 1024)
         assert back.isolate is True
         assert back.solver_timeout == 12.5
         assert back.falsify == 250
@@ -212,6 +210,23 @@ class TestResultPayload:
         )
         wire = json.loads(json.dumps(synthesis_spec(query).to_json()))
         wire["params"]["options"]["incremental"] = True
+        payload = execute_job(JobSpec.from_json(wire))
+        assert payload["solutions"] == tiny_payload["solutions"]
+        assert payload["iterations"] == tiny_payload["iterations"]
+
+    def test_stored_spec_with_wce_precision_still_runs(self, tiny_payload):
+        """Specs stored while the worst-case search bisected carry
+        ``"wce_precision": "1/8"``; new specs do not, decoding ignores
+        the key and the job runs to the same answer."""
+        query = SynthesisQuery(
+            spec=table1_spaces()["no_cwnd_small"],
+            cfg=ModelConfig(T=5),
+            generator="enum",
+            worst_case_cex=False,
+        )
+        wire = json.loads(json.dumps(synthesis_spec(query).to_json()))
+        assert "wce_precision" not in wire["params"]["options"]
+        wire["params"]["options"]["wce_precision"] = "1/8"
         payload = execute_job(JobSpec.from_json(wire))
         assert payload["solutions"] == tiny_payload["solutions"]
         assert payload["iterations"] == tiny_payload["iterations"]

@@ -95,6 +95,14 @@ class TestVerifierCertify:
         res = verifier.find_counterexample(rocc(fast_cfg.history), worst_case=True)
         assert res.verified and res.certified
 
+    def test_worst_case_proof_takes_one_check(self, fast_cfg):
+        """The worst-case search's first probe is a plain check under
+        the call's frames, so its UNSAT verdict is certified as is."""
+        verifier = CcacVerifier(fast_cfg, certify=True)
+        res = verifier.find_counterexample(rocc(fast_cfg.history), worst_case=True)
+        assert res.verified and res.certified
+        assert res.solver_checks == 1
+
     def test_reused_session_certifies(self, fast_cfg):
         """Two probes on one candidate share its solver; each gets its
         own checked certificate."""
