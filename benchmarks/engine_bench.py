@@ -44,6 +44,11 @@ pipeline; only the compile workload also runs the raw reference.  Exit
 status is non-zero when any equivalence or speedup assertion fails, so
 CI can gate on it.
 
+The report records ``calib_unit_s``, the median time of the e2e
+benchmark's calibration unit (``benchmarks/e2e/sample.calibrate``)
+timed before and after the workloads, so ``ccmatic bench-diff`` can
+compare runs taken in different host states.
+
 ``--out`` refuses to overwrite a committed *trajectory* file (a
 ``{"history": [...]}`` document; see :mod:`repro.obs.trajectory`) —
 write the single-run report elsewhere and fold it into the history with
@@ -60,6 +65,9 @@ import time
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e")
 )
 
 from fractions import Fraction  # noqa: E402
@@ -79,6 +87,7 @@ from repro.smt import Solver, compile_query  # noqa: E402
 from repro.smt.cnf import TseitinEncoder  # noqa: E402
 from repro.smt.compile import _SatSink, _TheorySink  # noqa: E402
 from repro.smt.preprocess import preprocess  # noqa: E402
+from sample import calibrate  # noqa: E402
 
 
 def _candidates(history: int, n: int) -> list:
@@ -526,6 +535,7 @@ def main(argv=None) -> int:
         cfg = ModelConfig(T=5)
         history, n_cands, budget, rounds = 3, 6, 240.0, 4
     candidates = _candidates(history, n_cands)
+    units = calibrate()
 
     report = {
         "bench": "engine",
@@ -584,6 +594,9 @@ def main(argv=None) -> int:
           f"(need {r['required_speedup']}x on {r['cores']} core(s)) "
           f"identical={r['fingerprints_identical']}  "
           f"[{'ok' if r['ok'] else 'FAIL'}]")
+
+    report[traj.CALIB_UNIT] = median(units + calibrate())
+    print(f"  calibration: unit={report[traj.CALIB_UNIT]:.5f}s")
 
     report["ok"] = all(
         report[k]["ok"]

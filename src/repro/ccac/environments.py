@@ -46,13 +46,30 @@ property on that trace decides feasibly and soundly.  A candidate whose
 replay diverges is simply not pruned by that trace (conservative, never
 unsound): a lossy counterexample can never eliminate behaviour that only
 exists in the lossless cell.
+
+**The replay kernel.**  :meth:`EnvironmentSpec.replay_mask` replays a
+whole batch of candidates on one trace in exact Python ints.  The trace
+is compiled once: every value the replay reads (acks with pre-history and
+offset, pre-history cwnds, ``A``, ``S``, ``L``, range bounds,
+``cwnd_min`` and the delay limit) is held as ``value * unit`` over one
+common denominator ``unit`` (:class:`ScaledObservations` for what a cwnd
+rule reads).  A candidate arrives already compiled to ints over its
+space's coefficient denominator ``q`` (``int_rule``) and returns its cwnd
+trajectory at ``unit * m``; the kind compares it with the trace values
+lifted to the same scale, so each survivor costs int adds, multiplies
+and compares only.  The property legs that depend on the trace alone
+(utilization, loss, a flow's throughput, and the queue under exact
+replay) are decided once per trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, replace as _dc_replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
+from ..cegis.interfaces import PruningMode
 from ..smt import And, Not, Or, RealVal, Term
 from .config import ModelConfig
 from .model import CcacModel
@@ -120,11 +137,36 @@ class _Kind:
 
         return CexTrace.from_model(model, net, spec)
 
-    def replay_satisfies(self, candidate, trace, pruning) -> bool:
-        """``feasible => desired`` for this candidate on this trace."""
-        from ..core.generator_enum import satisfies_spec
-
-        return satisfies_spec(candidate, trace, trace.cfg, pruning)
+    def replay_mask(self, rules, trace, pruning) -> list[bool]:
+        """``feasible => desired`` of each compiled rule on a lossless-
+        family trace: eager sends from the trace's ``A_0``, feasibility
+        by exact arrivals or range membership, the paper's property."""
+        cfg = trace.cfg
+        T = cfg.T
+        limit = cfg.delay_thresh * cfg.C * cfg.D
+        bounds = trace.range_bounds()[1:]
+        unit = _common_denominator(
+            *_observed(trace), *trace.A, limit,
+            *(b.upper for b in bounds if b.upper is not None),
+        )
+        obs = ScaledObservations(trace, unit)
+        sends = _Sends(trace, unit, trace.S[:-1], bounds, limit)
+        util_ok = trace.S[T] - trace.S[0] >= cfg.util_thresh * cfg.C * T
+        # exact feasibility pins the sends to the trace's arrivals
+        queue_ok = all(trace.queue(t) <= limit for t in range(T + 1))
+        exact = pruning is PruningMode.EXACT
+        mask = []
+        for rule in rules:
+            m, cw = rule.cwnd(obs)
+            lead = util_ok or cw[T] > cw[0]
+            if lead and cw[T] < cw[0]:
+                mask.append(True)  # desired whatever the sends
+            elif exact:
+                mask.append(not sends.replays(m, cw) or (lead and queue_ok))
+            else:
+                feasible, q_ok = sends.within_ranges(m, cw)
+                mask.append(not feasible or (lead and q_ok))
+        return mask
 
 
 class _Lossless(_Kind):
@@ -193,16 +235,32 @@ class _Lossy(_Kind):
 
         return LossyCexTrace.from_model(model, net, spec)
 
-    def replay_satisfies(self, candidate, trace, pruning) -> bool:
+    def replay_mask(self, rules, trace, pruning) -> list[bool]:
         # Exact replay regardless of the requested pruning mode (see the
         # module docstring's soundness argument); RANGE intervals are a
-        # lossless-only construction.
-        cwnd = candidate.replay_cwnd(trace, trace.cfg)
-        if not _replays_exactly(
-            trace, cwnd, lambda t: trace.S[t - 1] + trace.L[t - 1]
-        ):
-            return True
-        return _dc_replace(trace, cwnd=tuple(cwnd)).desired_holds()
+        # lossless-only construction.  An exact replay keeps the trace's
+        # arrivals and losses, so only the cwnd legs depend on the rule.
+        cfg = trace.cfg
+        T = cfg.T
+        unit = _common_denominator(*_observed(trace), *trace.A, *trace.L)
+        obs = ScaledObservations(trace, unit)
+        base = [s + l for s, l in zip(trace.S[:-1], trace.L[:-1])]
+        sends = _Sends(trace, unit, base)
+        util_ok = trace.S[T] - trace.S[0] >= cfg.util_thresh * cfg.C * T
+        limit = cfg.delay_thresh * cfg.C * cfg.D
+        queue_ok = all(trace.queue(t) <= limit for t in range(T + 1))
+        loss_ok = trace.L[T] <= trace.loss_thresh * cfg.C * cfg.D
+        mask = []
+        for rule in rules:
+            m, cw = rule.cwnd(obs)
+            if not sends.replays(m, cw):
+                mask.append(True)
+                continue
+            inc, dec = cw[T] > cw[0], cw[T] < cw[0]
+            mask.append(
+                (util_ok or inc) and (queue_ok or dec) and (loss_ok or dec)
+            )
+        return mask
 
 
 class _Multiflow(_Kind):
@@ -240,29 +298,171 @@ class _Multiflow(_Kind):
 
         return TwoFlowCexTrace.from_model(model, net, spec)
 
-    def replay_satisfies(self, candidate, trace, pruning) -> bool:
-        replayed = []
-        for flow in trace.flows:
-            cwnd = candidate.replay_cwnd(flow, trace.cfg)
-            if not _replays_exactly(flow, cwnd, lambda t, f=flow: f.S[t - 1]):
-                return True
-            replayed.append(_dc_replace(flow, cwnd=tuple(cwnd)))
-        return _dc_replace(trace, flows=tuple(replayed)).desired_holds()
+    def replay_mask(self, rules, trace, pruning) -> list[bool]:
+        # exact replay of both flows under one rule (see _Lossy); a flow
+        # that starves unless its window still grows decides the property
+        cfg = trace.cfg
+        T = cfg.T
+        unit = _common_denominator(
+            *(v for f in trace.flows for v in (*_observed(f), *f.A))
+        )
+        share = trace.phi * cfg.C * cfg.T / 2
+        flows = [
+            (
+                ScaledObservations(f, unit),
+                _Sends(f, unit, f.S[:-1]),
+                f.S[T] - f.S[0] >= share,
+            )
+            for f in trace.flows
+        ]
+        mask = []
+        for rule in rules:
+            replayed, desired = True, True
+            for obs, sends, thr_ok in flows:
+                m, cw = rule.cwnd(obs)
+                if not sends.replays(m, cw):
+                    replayed = False
+                    break
+                if not (thr_ok or cw[T] > cw[0]):
+                    desired = False
+            mask.append(not replayed or desired)
+        return mask
 
 
-def _replays_exactly(trace, cwnd, window_base) -> bool:
-    """Exact replay of the eager sender: the candidate's initial window
-    admits the recorded initial queue, and sending up to
-    ``window_base(t) + cwnd[t]`` at each step ``t >= 1`` reproduces the
-    recorded arrivals step for step."""
-    if trace.S_pre and trace.A[0] > trace.S_pre[0] + cwnd[0]:
-        return False
-    sent = trace.A[0]
-    for t in range(1, trace.cfg.T + 1):
-        sent = max(sent, window_base(t) + cwnd[t])
-        if sent != trace.A[t]:
+class ScaledObservations:
+    """What a candidate's cwnd rule reads from one flow of a trace, as
+    Python ints over the trace's common denominator: a value ``v`` is
+    held as ``v * unit``.
+
+    ``windows[t]`` is ``(ack(t-1), ..., ack(t-h))`` for ``t = 0..T``
+    (negative times read the pre-history; acks include the offset),
+    ``cwnd_pre[i-1]`` is ``cwnd(-i)`` and ``cwnd_min`` is the floor.
+    """
+
+    __slots__ = ("unit", "windows", "cwnd_pre", "cwnd_min", "_lifted", "_sums")
+
+    def __init__(self, flow, unit: int):
+        h = len(flow.S_pre)
+        ack = _scaled(
+            [flow.ack_at(j) for j in range(-h, flow.cfg.T + 1)], unit
+        )
+        self.unit = unit
+        self.windows = [tuple(reversed(ack[t : t + h])) for t in range(len(ack) - h)]
+        self.cwnd_pre = _scaled(flow.cwnd_pre, unit)
+        self.cwnd_min = _scaled1(flow.cfg.cwnd_min, unit)
+        self._lifted: dict[int, tuple] = {}
+        self._sums: dict[tuple, list[int]] = {}
+
+    def ack_sums(self, betas: tuple) -> list[int]:
+        """``sum_i betas[i-1] * ack(t-i)`` for ``t = 0..T``, at scale
+        ``unit`` times the betas' own scale.  Memoised per coefficient
+        tuple: the rules of a space that differ only in their constant
+        share it."""
+        got = self._sums.get(betas)
+        if got is None:
+            got = self._sums[betas] = [sum(map(mul, betas, w)) for w in self.windows]
+        return got
+
+    def lifted(self, q: int) -> tuple[int, list[tuple]]:
+        """``(m, steps)`` for a rule that reads its own cwnd history with
+        coefficients over ``q``: its cwnd(t) is exact at ``unit *
+        q**(t+1)``, so step ``t`` reads its inputs at ``u = unit * q**t``.
+        ``steps[t]`` is ``(u, windows[t] * q**t, q**(T-t))``; the last
+        factor lifts cwnd(t) to the common output scale ``unit * m``,
+        ``m = q**(T+1)``."""
+        got = self._lifted.get(q)
+        if got is None:
+            T = len(self.windows) - 1
+            steps = []
+            for t, w in enumerate(self.windows):
+                k = q**t
+                steps.append((self.unit * k, tuple(a * k for a in w), q ** (T - t)))
+            got = self._lifted[q] = (q ** (T + 1), steps)
+        return got
+
+
+class _Sends:
+    """The eager sender on one flow's recorded values: from the recorded
+    ``A_0``, step ``t >= 1`` sends up to ``base[t-1] + cwnd(t)``.  The
+    values are ints over ``unit``, lifted once per rule output scale
+    ``m``.  ``bounds`` and ``limit`` (lossless range replay) are the
+    per-step ``RangeBound`` for ``t >= 1`` and the queue limit."""
+
+    def __init__(self, flow, unit: int, base, bounds=(), limit=0):
+        A = _scaled(flow.A, unit)
+        # the rule's initial window must admit the recorded initial queue
+        self._need0 = A[0] - _scaled1(flow.S_pre[0], unit) if flow.S_pre else None
+        self._values = (
+            A, _scaled(base, unit),
+            _scaled((b.lower for b in bounds), unit),
+            [None if b.upper is None else _scaled1(b.upper, unit) for b in bounds],
+            [s + _scaled1(limit, unit) for s in _scaled(flow.S, unit)],
+        )
+        self._memo: dict[int, tuple] = {}
+
+    def _at(self, m: int) -> tuple:
+        got = self._memo.get(m)
+        if got is None:
+            A, base, lo, hi, qlim = self._values
+            got = self._memo[m] = (
+                None if self._need0 is None else self._need0 * m,
+                [a * m for a in A], [b * m for b in base],
+                [x * m for x in lo],
+                [None if x is None else x * m for x in hi],
+                [x * m for x in qlim],
+            )
+        return got
+
+    def replays(self, m: int, cw: list[int]) -> bool:
+        """Does the rule (cwnd ``cw`` at ``unit * m``) reproduce the
+        recorded arrivals exactly, step for step?"""
+        need0, A, base = self._at(m)[:3]
+        if need0 is not None and cw[0] < need0:
             return False
-    return True
+        sent = A[0]
+        for b, c, a in zip(base, cw[1:], A[1:]):
+            if b + c > sent:
+                sent = b + c
+            if sent != a:
+                return False
+        return True
+
+    def within_ranges(self, m: int, cw: list[int]) -> tuple[bool, bool]:
+        """``(feasible, queue_ok)``: do the rule's sends stay inside every
+        step's range bound, and under the queue limit?"""
+        need0, A, base, lo, hi, qlim = self._at(m)
+        if need0 is not None and cw[0] < need0:
+            return False, True
+        sent = A[0]
+        queue_ok = sent <= qlim[0]
+        for b, c, low, up, q in zip(base, cw[1:], lo, hi, qlim[1:]):
+            if b + c > sent:
+                sent = b + c
+            if sent < low or (up is not None and sent > up):
+                return False, queue_ok
+            if sent > q:
+                queue_ok = False
+        return True, queue_ok
+
+
+def _observed(flow) -> list:
+    """The values of one flow a cwnd rule reads (see
+    :class:`ScaledObservations`), for its common denominator."""
+    return [*flow.S_pre, *flow.S, flow.ack_offset, *flow.cwnd_pre, flow.cfg.cwnd_min]
+
+
+def _common_denominator(*values) -> int:
+    """The least common denominator of exact rational values."""
+    return lcm(1, *(Fraction(v).denominator for v in values))
+
+
+def _scaled1(value, unit: int) -> int:
+    value = Fraction(value)
+    return value.numerator * (unit // value.denominator)
+
+
+def _scaled(values, unit: int) -> list[int]:
+    return [_scaled1(v, unit) for v in values]
 
 
 _REGISTRY: dict[str, _Kind] = {
@@ -392,10 +592,11 @@ class EnvironmentSpec:
         model, tagged with this spec as its origin."""
         return self._impl.extract_trace(self, model, net)
 
-    def replay_satisfies(self, candidate, trace, pruning) -> bool:
-        """Numeric ``feasible => desired`` replay for generator pruning
-        (applies *this* environment's send recurrence and property)."""
-        return self._impl.replay_satisfies(candidate, trace, pruning)
+    def replay_mask(self, rules, trace, pruning) -> list[bool]:
+        """Exact ``feasible => desired`` replay of each compiled rule
+        (a candidate's ``int_rule``) on a trace, for generator pruning:
+        *this* environment's send recurrence and property, in ints."""
+        return self._impl.replay_mask(rules, trace, pruning)
 
 
 # ---------------------------------------------------------------------------

@@ -883,6 +883,9 @@ def cmd_bench_diff(args) -> int:
         f"(baseline sha {baseline.get('git_sha', '?')}, "
         f"gate {args.max_regress:.0f}%)"
     )
+    scale = next((r["scale"] for r in rows if r["kind"] == "timing"), 1.0)
+    if scale != 1.0:
+        print(f"  timings scaled x{scale:.3f} by the host calibration unit")
     for row in rows:
         if row["kind"] == "timing":
             print(

@@ -19,7 +19,7 @@ from .conditional import (
     aimd_candidate,
     rocc_conditional,
 )
-from .generator_enum import EnumerativeGenerator, satisfies_spec, simulate_on_trace
+from .generator_enum import EnumerativeGenerator, satisfies_spec
 from .generator_smt import SmtGenerator
 from .queries import (
     AssumptionResult,
@@ -100,7 +100,6 @@ __all__ = [
     "initial_queue_budget",
     "rocc",
     "satisfies_spec",
-    "simulate_on_trace",
     "steady_state",
     "summarize",
     "synthesize",

@@ -25,8 +25,8 @@ delta=gamma`` and RoCC is both branches ``mu=0, nu=1, delta=1``.
 The synthesis query is identical in shape to the linear one.  A
 :class:`ConditionalCCA` owns the same two semantics a linear
 :class:`~repro.core.template.CandidateCCA` does — the SMT encoding
-(:meth:`~ConditionalCCA.constraints_for`) and the exact numeric replay
-(:meth:`~ConditionalCCA.replay_cwnd`) — so the shared
+(:meth:`~ConditionalCCA.constraints_for`) and the exact integer replay
+(:meth:`~ConditionalCCA.int_rule`) — so the shared
 :class:`~repro.core.verifier.CcacVerifier`,
 :class:`~repro.core.generator_enum.EnumerativeGenerator` and
 :func:`~repro.core.synthesizer.synthesize` (with ``generator="enum"``)
@@ -40,9 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from ..ccac import CcacModel, ModelConfig
+from ..ccac import CcacModel
 from ..smt import Ite, RealVal, Term, encode_max
-from .template import CandidateCCA, TemplateSpec
+from .template import (
+    CandidateCCA,
+    TemplateSpec,
+    coefficient_denominator,
+    scale_coefficients,
+)
 
 #: domains used by the conditional search spaces
 MU_DOMAIN: tuple[Fraction, ...] = (
@@ -137,23 +142,14 @@ class ConditionalCCA:
             raw = self.mu_clear * cwnd_prev + self.nu_clear * acked2 + self.delta_clear
         return max(raw, Fraction(cwnd_min))
 
-    def replay_cwnd(self, trace, cfg: ModelConfig) -> list[Fraction]:
-        """The rule's cwnd trajectory on a trace's ack observations: the
-        trace supplies the pre-history cwnd, the clamped rule fills
-        ``t >= 0``."""
-        cwnd: list[Fraction] = []
-        for t in range(cfg.T + 1):
-            prev_cwnd = cwnd[t - 1] if t >= 1 else trace.cwnd_at(t - 1)
-            cwnd.append(
-                self.next_cwnd(
-                    prev_cwnd,
-                    trace.ack_at(t - 1),
-                    trace.ack_at(t - 2),
-                    trace.ack_at(t - 3),
-                    cfg.cwnd_min,
-                )
-            )
-        return cwnd
+    def int_rule(self, q: int | None = None) -> "IntGuardedRule":
+        """The rule with its threshold and branch coefficients as ints
+        over the denominator ``q`` (by default the least one of its own
+        values), for the generator's exact integer replay."""
+        values = self.key()
+        q = q or coefficient_denominator(values)
+        thr, mu_c, d_c, mu_o, d_o, nu_c, nu_o = scale_coefficients(values, q)
+        return IntGuardedRule(q, thr, (mu_c, nu_c, d_c), (mu_o, nu_o, d_o))
 
     # -- SMT semantics ---------------------------------------------------------
 
@@ -180,6 +176,41 @@ class ConditionalCCA:
             rule = Ite(congested, hi, lo)
             cons.append(encode_max(model.cwnd[t], [rule, floor]))
         return cons
+
+
+class IntGuardedRule:
+    """A :class:`ConditionalCCA` compiled for exact integer replay: the
+    threshold and each branch's ``(mu, nu, delta)`` are ints over ``q``."""
+
+    __slots__ = ("q", "threshold", "congested", "clear")
+
+    def __init__(self, q: int, threshold: int, congested: tuple, clear: tuple):
+        self.q, self.threshold = q, threshold
+        self.congested, self.clear = congested, clear
+
+    def cwnd(self, obs) -> tuple[int, list[int]]:
+        """``(m, cwnd)``: the clamped guarded rule's cwnd(0..T) on a
+        trace's :class:`~repro.ccac.environments.ScaledObservations`,
+        each value held as ``value * obs.unit * m``.  The rule reads
+        cwnd(t-1), so its scale grows by ``q`` per step."""
+        q, thr = self.q, self.threshold
+        m, steps = obs.lifted(q)
+        prev = obs.cwnd_pre[0]  # cwnd(t-1) at the step's input scale u
+        floor = obs.cwnd_min * q
+        out = []
+        for u, w, lift in steps:
+            ack1, ack2, ack3 = w[0], w[1], w[2]
+            # queue_est > threshold, both sides times u * q
+            mu, nu, delta = (
+                self.congested if q * (prev - ack1 + ack2) > thr * u else self.clear
+            )
+            c = mu * prev + nu * (ack1 - ack3) + delta * u
+            if c < floor:
+                c = floor
+            out.append(c * lift)
+            prev = c
+            floor *= q
+        return m, out
 
 
 def aimd_candidate(
@@ -221,6 +252,14 @@ class ConditionalSpec:
     nu_domain: tuple[Fraction, ...] = NU_DOMAIN
 
     @property
+    def denominator(self) -> int:
+        """The coefficient denominator every candidate compiles over."""
+        return coefficient_denominator((
+            *self.threshold_domain, *self.mu_domain,
+            *self.delta_domain, *self.nu_domain,
+        ))
+
+    @property
     def search_space_size(self) -> int:
         return (
             len(self.threshold_domain)
@@ -252,7 +291,7 @@ class ConditionalSpec:
 
 
 #: every candidate type owns its SMT semantics (``constraints_for``) and
-#: its numeric semantics (``replay_cwnd``), so one verifier, generator
+#: its numeric semantics (``int_rule``), so one verifier, generator
 #: and CEGIS driver serve both template shapes
 Candidate = Union[CandidateCCA, ConditionalCCA]
 CandidateSpace = Union[TemplateSpec, ConditionalSpec]

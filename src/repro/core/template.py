@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import lcm
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from ..ccac import CcacModel
 from ..smt import RealVal, Sum, Term, encode_max
@@ -66,22 +68,16 @@ class CandidateCCA:
             total += self.betas[i] * Fraction(ack_hist[i])
         return max(total, Fraction(cwnd_min))
 
-    def replay_cwnd(self, trace, cfg) -> list[Fraction]:
-        """The rule's cwnd trajectory on a trace's ack observations: the
-        trace supplies the pre-history cwnds, the clamped rule fills
-        ``t >= 0``."""
-        cwnd: list[Fraction] = []
-        for t in range(cfg.T + 1):
-            total = Fraction(self.gamma)
-            for i in range(1, self.history + 1):
-                back = t - i
-                if self.alphas[i - 1] != 0:
-                    hist = cwnd[back] if back >= 0 else trace.cwnd_at(back)
-                    total += self.alphas[i - 1] * hist
-                if self.betas[i - 1] != 0:
-                    total += self.betas[i - 1] * trace.ack_at(back)
-            cwnd.append(max(total, cfg.cwnd_min))
-        return cwnd
+    def int_rule(self, q: int | None = None) -> "IntLinearRule":
+        """The rule with its coefficients as ints over the denominator
+        ``q`` (by default the least one of its own coefficients), for
+        the generator's exact integer replay."""
+        coeffs = (*self.alphas, *self.betas, self.gamma)
+        q = q or coefficient_denominator(coeffs)
+        ints = scale_coefficients(coeffs, q)
+        h = self.history
+        alphas = ints[:h] if any(ints[:h]) else None
+        return IntLinearRule(q, alphas, tuple(ints[h:-1]), ints[-1])
 
     def cwnd_term(self, model: CcacModel, t: int) -> Term:
         """The rule as a linear SMT term over the model's variables at t
@@ -138,6 +134,56 @@ class CandidateCCA:
     def key(self) -> tuple:
         """Hashable identity used for blocking clauses and dedup."""
         return (self.alphas, self.betas, self.gamma)
+
+
+def coefficient_denominator(values: Iterable[Fraction]) -> int:
+    """The least common denominator of a candidate's or a space's
+    coefficients."""
+    return lcm(1, *(v.denominator for v in values))
+
+
+def scale_coefficients(values: Sequence[Fraction], q: int) -> list[int]:
+    """Each coefficient ``v`` as the int ``v * q``."""
+    if any(q % v.denominator for v in values):
+        raise ValueError(f"denominator {q} does not clear {values}")
+    return [v.numerator * (q // v.denominator) for v in values]
+
+
+class IntLinearRule:
+    """A :class:`CandidateCCA` compiled for exact integer replay: its
+    coefficients are ints over ``q`` (``alpha_i = alphas[i-1] / q``;
+    ``alphas`` is None when the rule reads no cwnd history)."""
+
+    __slots__ = ("q", "alphas", "betas", "gamma")
+
+    def __init__(self, q: int, alphas, betas, gamma: int):
+        self.q, self.alphas, self.betas, self.gamma = q, alphas, betas, gamma
+
+    def cwnd(self, obs) -> tuple[int, list[int]]:
+        """``(m, cwnd)``: the clamped rule's cwnd(0..T) on a trace's
+        :class:`~repro.ccac.environments.ScaledObservations`, each value
+        held as ``value * obs.unit * m``."""
+        q, betas = self.q, self.betas
+        floor = obs.cwnd_min * q
+        if self.alphas is None:
+            # sums of acks: every step is exact at unit * q
+            g = self.gamma * obs.unit
+            return q, [
+                c if (c := g + s) > floor else floor for s in obs.ack_sums(betas)
+            ]
+        # cwnd(t) is exact at unit * q**(t+1): lift the history by q per step
+        m, steps = obs.lifted(q)
+        alphas, gamma = self.alphas, self.gamma
+        hist = obs.cwnd_pre  # cwnd(t-i) at the step's input scale u
+        out = []
+        for u, w, lift in steps:
+            c = gamma * u + sum(map(mul, alphas, hist)) + sum(map(mul, betas, w))
+            if c < floor:
+                c = floor
+            out.append(c * lift)
+            hist = [c, *(x * q for x in hist[:-1])]
+            floor *= q
+        return m, out
 
 
 def rocc(history: int = 4) -> CandidateCCA:
@@ -204,6 +250,11 @@ class TemplateSpec:
     @property
     def gamma_domain(self) -> tuple[Fraction, ...]:
         return self.const_domain if self.const_domain is not None else self.coeff_domain
+
+    @property
+    def denominator(self) -> int:
+        """The coefficient denominator every candidate compiles over."""
+        return coefficient_denominator((*self.coeff_domain, *self.gamma_domain))
 
     @property
     def parameter_count(self) -> int:

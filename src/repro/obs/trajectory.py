@@ -15,9 +15,13 @@ append-only, git-sha-stamped *history* of ``engine_bench`` runs:
   clobber a history file with a single-run report.
 
 Tracked metrics are wall-clock timings (lower is better).  Absolute
-seconds are noisy across machines; the trajectory is most meaningful
-when consecutive entries come from comparable hardware (CI runners), and
-the regression gate's threshold (default 25%) absorbs normal jitter.
+seconds are noisy across machines, and a shared host swings between a
+fast state and one about 1.9x slower for seconds at a time.  A report
+therefore carries ``calib_unit_s``, the median thread-CPU time of a
+fixed ``Fraction`` loop (the e2e benchmark's calibration unit) timed on
+the same host around the run; when both sides of a diff carry it, the
+gate compares timings rescaled to the baseline's unit.  The gate's
+threshold (default 25%) absorbs the jitter that remains.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import time
 from typing import Optional, Union
 
 __all__ = [
+    "CALIB_UNIT",
     "TRACKED_TIMINGS",
     "append_entry",
     "current_git_sha",
@@ -70,6 +75,10 @@ TRACKED_RATIOS = (
 )
 
 
+#: the host calibration unit a report and an entry may carry (seconds)
+CALIB_UNIT = "calib_unit_s"
+
+
 def _dig(data: dict, path: str):
     node = data
     for part in path.split("."):
@@ -99,11 +108,14 @@ def summarize_report(report: dict) -> dict:
         value = _dig(report, path)
         if value is not None:
             metrics[path] = value
-    return {
+    entry = {
         "ok": bool(report.get("ok", False)),
         "quick": bool(report.get("quick", False)),
         "metrics": metrics,
     }
+    if _dig(report, CALIB_UNIT) is not None:
+        entry[CALIB_UNIT] = report[CALIB_UNIT]
+    return entry
 
 
 def is_trajectory(data: Union[dict, str]) -> bool:
@@ -203,9 +215,17 @@ def regressions(
     breaches the gate — a timing more than ``max_regress_pct`` percent
     slower, a guard-rail ratio that fell below 1.0, or the report's own
     ``ok`` gate false.
+
+    When both sides carry a calibration unit, a timing's delta is taken
+    after scaling it by ``baseline unit / current unit`` (each timing
+    row records that ``scale``): a run on a host state twice as slow
+    counts half its seconds.  When either side lacks a unit, timings
+    compare unscaled.
     """
     current = summarize_report(report)
     base_metrics = baseline_entry.get("metrics", {})
+    base_unit, cur_unit = baseline_entry.get(CALIB_UNIT), current.get(CALIB_UNIT)
+    scale = base_unit / cur_unit if base_unit and cur_unit else 1.0
     rows: list[dict] = []
     failures: list[dict] = []
     for path in TRACKED_TIMINGS:
@@ -213,9 +233,9 @@ def regressions(
         cur = current["metrics"].get(path)
         if base is None or cur is None or base <= 0:
             continue
-        pct = 100.0 * (cur - base) / base
+        pct = 100.0 * (cur * scale - base) / base
         row = {"metric": path, "baseline": base, "current": cur,
-               "delta_pct": pct, "kind": "timing"}
+               "delta_pct": pct, "kind": "timing", "scale": scale}
         rows.append(row)
         if pct > max_regress_pct:
             failures.append(row)

@@ -181,7 +181,7 @@ def _template_violations(trace, candidate) -> list[str]:
     """Re-derive the candidate's cwnd trajectory on the trace.
 
     Uses the candidate's raw fields directly (not its own
-    ``next_cwnd``/``replay_cwnd`` helpers) so the check stays
+    ``next_cwnd``/``int_rule`` helpers) so the check stays
     independent of the template's evaluation code as well as the SMT
     encoding: the linear rule from ``alphas``/``betas``/``gamma``, the
     guarded rule (a candidate with a ``threshold``) from its threshold

@@ -16,7 +16,6 @@ from repro.core import (
     EnumerativeGenerator,
     SynthesisQuery,
     satisfies_spec,
-    simulate_on_trace,
     synthesize,
 )
 from repro.core.conditional import (
@@ -27,6 +26,7 @@ from repro.core.conditional import (
 )
 from repro.runtime.errors import SoundnessError
 from repro.runtime.validate import validate_counterexample
+from tests.core.replay_oracle import simulate_on_trace
 
 #: the small space the synthesis tests search (contains RoCC's branch form)
 SYNTH_SPEC = ConditionalSpec(
@@ -123,7 +123,9 @@ class TestVerifier:
         assert not res.verified
         assert res.environment == env
         validate_counterexample(res.counterexample, candidate=cand)
-        assert not env.replay_satisfies(cand, res.counterexample, PruningMode.EXACT)
+        assert env.replay_mask(
+            [cand.int_rule()], res.counterexample, PruningMode.EXACT
+        ) == [False]
 
 
 class TestGenerator:

@@ -17,8 +17,8 @@ from repro.core import (
     TemplateSpec,
     constant_cwnd,
     satisfies_spec,
-    simulate_on_trace,
 )
+from tests.core.replay_oracle import simulate_on_trace
 
 
 @pytest.fixture

@@ -122,6 +122,48 @@ class TestRegressionGate:
         failures, _ = regressions(bad, self.baseline())
         assert any(f["kind"] == "gate" for f in failures)
 
+    def test_calibration_unit_scales_a_slow_host_state(self):
+        """A run 1.8x slower on every timing and on the host unit is the
+        same program on a slower host state: it passes."""
+        base_report = dict(copy.deepcopy(REPORT), calib_unit_s=0.003)
+        slow = copy.deepcopy(base_report)
+        for section in ("compile", "cache", "proof"):
+            for key, value in slow[section].items():
+                if key.endswith("_s"):
+                    slow[section][key] = value * 1.8
+        for jobs in ("jobs_1", "jobs_4"):
+            slow["portfolio"][jobs]["wall_s"] *= 1.8
+        slow["calib_unit_s"] = 0.003 * 1.8
+        baseline = summarize_report(base_report)
+        assert baseline["calib_unit_s"] == 0.003
+        failures, rows = regressions(slow, baseline)
+        assert failures == []
+        timings = [r for r in rows if r["kind"] == "timing"]
+        assert timings and all(
+            r["delta_pct"] == pytest.approx(0.0, abs=1e-9) for r in timings
+        )
+
+    def test_calibration_unit_equal_keeps_a_real_slowdown(self):
+        base_report = dict(copy.deepcopy(REPORT), calib_unit_s=0.003)
+        slow = copy.deepcopy(base_report)
+        slow["portfolio"]["jobs_4"]["wall_s"] = 4.0 * 1.30
+        failures, _ = regressions(slow, summarize_report(base_report))
+        assert [f["metric"] for f in failures] == ["portfolio.jobs_4.wall_s"]
+        assert failures[0]["delta_pct"] == pytest.approx(30.0)
+
+    def test_unit_on_one_side_only_compares_unscaled(self):
+        slow = dict(copy.deepcopy(REPORT), calib_unit_s=0.006)
+        slow["portfolio"]["jobs_4"]["wall_s"] = 4.0 * 1.30
+        failures, rows = regressions(slow, self.baseline())
+        assert [f["metric"] for f in failures] == ["portfolio.jobs_4.wall_s"]
+        assert {r["scale"] for r in rows if r["kind"] == "timing"} == {1.0}
+
+    def test_append_keeps_the_unit(self, tmp_path):
+        path = str(tmp_path / "BENCH_engine.json")
+        entry = append_entry(path, dict(REPORT, calib_unit_s=0.004), git_sha="a")
+        assert entry["calib_unit_s"] == 0.004
+        assert load_history(path)["history"][0]["calib_unit_s"] == 0.004
+
     def test_metrics_missing_from_baseline_not_compared(self):
         failures, rows = regressions(
             REPORT, {"git_sha": "old", "metrics": {}}
