@@ -278,6 +278,21 @@ class ConditionalSpec:
         ):
             yield ConditionalCCA(thr, mu_c, d_c, mu_o, d_o, nu_c, nu_o)
 
+    def int_rules(self) -> Iterator[IntGuardedRule]:
+        """``c.int_rule(self.denominator)`` for every ``c`` of
+        :meth:`iterate_candidates`, in the same order, built from the
+        domains scaled once."""
+        q = self.denominator
+        thr_d, mu_d, delta_d, nu_d = (
+            scale_coefficients(d, q)
+            for d in (self.threshold_domain, self.mu_domain,
+                      self.delta_domain, self.nu_domain)
+        )
+        for thr, mu_c, d_c, nu_c, mu_o, d_o, nu_o in itertools.product(
+            thr_d, mu_d, delta_d, nu_d, mu_d, delta_d, nu_d
+        ):
+            yield IntGuardedRule(q, thr, (mu_c, nu_c, d_c), (mu_o, nu_o, d_o))
+
     def contains(self, cand: ConditionalCCA) -> bool:
         return (
             cand.threshold in self.threshold_domain

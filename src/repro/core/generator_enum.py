@@ -71,8 +71,7 @@ class EnumerativeGenerator:
         self.pruning = pruning
         self._survivors: list[Candidate] = list(spec.iterate_candidates())
         # each survivor compiled once, kept in step with _survivors
-        q = spec.denominator
-        self._rules = [c.int_rule(q) for c in self._survivors]
+        self._rules = list(spec.int_rules())
         self._traces: list[CexTrace] = []
 
     @property

@@ -76,7 +76,7 @@ class CandidateCCA:
         q = q or coefficient_denominator(coeffs)
         ints = scale_coefficients(coeffs, q)
         h = self.history
-        alphas = ints[:h] if any(ints[:h]) else None
+        alphas = tuple(ints[:h]) if any(ints[:h]) else None
         return IntLinearRule(q, alphas, tuple(ints[h:-1]), ints[-1])
 
     def cwnd_term(self, model: CcacModel, t: int) -> Term:
@@ -296,12 +296,34 @@ class TemplateSpec:
         return CandidateCCA(alphas, betas, gamma)
 
     def iterate_candidates(self) -> Iterator[CandidateCCA]:
-        """Enumerate the whole space (brute force / enumerative generator)."""
-        per_lag = 2 if self.use_cwnd_history else 1
-        coeff_slots = per_lag * self.history
-        for coeffs in itertools.product(self.coeff_domain, repeat=coeff_slots):
-            for gamma in self.gamma_domain:
-                yield self.make(list(coeffs) + [gamma])
+        """Enumerate the whole space (brute force / enumerative generator):
+        the coefficient slots in domain order, gamma fastest."""
+        h = self.history
+        zeros = (Fraction(0),) * h
+        gammas = tuple(map(Fraction, self.gamma_domain))
+        domain = tuple(map(Fraction, self.coeff_domain))
+        for coeffs in itertools.product(domain, repeat=self.parameter_count - 1):
+            alphas, betas = (
+                (coeffs[:h], coeffs[h:]) if self.use_cwnd_history else (zeros, coeffs)
+            )
+            for gamma in gammas:
+                yield CandidateCCA(alphas, betas, gamma)
+
+    def int_rules(self) -> Iterator["IntLinearRule"]:
+        """``c.int_rule(self.denominator)`` for every ``c`` of
+        :meth:`iterate_candidates`, in the same order, built from the
+        domains scaled once."""
+        q, h = self.denominator, self.history
+        gammas = scale_coefficients(self.gamma_domain, q)
+        domain = scale_coefficients(self.coeff_domain, q)
+        for coeffs in itertools.product(domain, repeat=self.parameter_count - 1):
+            if self.use_cwnd_history:
+                alphas, betas = coeffs[:h], coeffs[h:]
+                alphas = alphas if any(alphas) else None
+            else:
+                alphas, betas = None, coeffs
+            for gamma in gammas:
+                yield IntLinearRule(q, alphas, betas, gamma)
 
     def random_candidate(self, rng: random.Random) -> CandidateCCA:
         per_lag = 2 if self.use_cwnd_history else 1

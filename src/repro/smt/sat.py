@@ -4,7 +4,7 @@ A reasonably complete conflict-driven clause-learning solver:
 
 * two-watched-literal propagation,
 * 1UIP conflict analysis with recursive clause minimization,
-* VSIDS decision heuristic with phase saving,
+* relevancy-filtered VSIDS decisions with phase saving (below),
 * Luby restarts and activity-based learned-clause deletion,
 * assumption literals (used by the incremental push/pop layer),
 * a :class:`TheoryHook` interface through which the Simplex-based linear
@@ -12,6 +12,20 @@ A reasonably complete conflict-driven clause-learning solver:
 
 Literals are non-zero ints in DIMACS convention: ``+v`` is the positive
 literal of boolean variable ``v`` (1-based), ``-v`` its negation.
+
+**Decisions.**  The core decides only variables an *open* problem
+clause needs: the highest-activity unassigned variable that occurs in a
+problem clause with no true literal.  A variable whose problem clauses
+are all satisfied is parked (off the decision heap) in the bucket of
+the decision level below which one of them could lose its true literal,
+and returns to the heap when the search backtracks below that level, so
+it is tested at most once per backtrack.  When no open clause is left,
+the final theory check runs and the answer is SAT with the remaining
+variables unassigned: every problem clause holds a true assigned
+literal, so any extension of the assignment -- unassigned booleans read
+False, unasserted atoms take whatever truth the Simplex model gives
+them -- satisfies every problem clause, and learned clauses are implied
+by those plus theory lemmas (DESIGN.md, "Relevancy-filtered decisions").
 """
 
 from __future__ import annotations
@@ -104,6 +118,12 @@ class SatSolver:
         self.var_inc = 1.0
         self.cla_inc = 1.0
         self.order_heap: list[tuple[float, int]] = []
+        #: problem clauses each variable occurs in (learned ones excluded)
+        self.occurs: list[list[Clause]] = [[]]
+        #: decision level whose backtrack re-queues a parked variable, -1
+        #: for a variable that is not parked; ``_parked[level]`` lists them
+        self._parked_at: list[int] = [-1]
+        self._parked: list[list[int]] = [[]]
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
@@ -132,6 +152,8 @@ class SatSolver:
         self.activity.append(0.0)
         self.saved_phase.append(-1)
         self.is_theory.append(theory_atom)
+        self.occurs.append([])
+        self._parked_at.append(-1)
         self.watches.setdefault(v, [])
         self.watches.setdefault(-v, [])
         heapq.heappush(self.order_heap, (0.0, v))
@@ -186,6 +208,8 @@ class SatSolver:
         clause = Clause(out)
         self.clauses.append(clause)
         self._attach(clause)
+        for lit in out:
+            self.occurs[abs(lit)].append(clause)
         return True
 
     def _attach(self, clause: Clause) -> None:
@@ -360,6 +384,7 @@ class SatSolver:
             heapq.heappush(self.order_heap, (-self.activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[level:]
+        self._unpark(level + 1)
         self.qhead = min(self.qhead, len(self.trail))
         self._theory_qhead = min(self._theory_qhead, len(self.trail))
         if self.theory is not None:
@@ -409,11 +434,42 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        while self.order_heap:
-            _, v = heapq.heappop(self.order_heap)
-            if self.values[v] == 0:
-                return v
+        """The highest-activity unassigned variable that occurs in a
+        problem clause with no true literal, or 0 when there is none.
+        Each variable found in satisfied clauses only is parked until a
+        backtrack could reopen one of them."""
+        values, levels, heap = self.values, self.levels, self.order_heap
+        parked_at = self._parked_at
+        while heap:
+            _, v = heapq.heappop(heap)
+            if values[v] != 0 or parked_at[v] >= 0:
+                continue
+            # the level below which some clause of v may lose its true
+            # literal: the latest of the true literals found, one per clause
+            reopen = 0
+            for clause in self.occurs[v]:
+                for lit in clause.lits:
+                    if (values[lit] if lit > 0 else -values[-lit]) == 1:
+                        lvl = levels[lit if lit > 0 else -lit]
+                        if lvl > reopen:
+                            reopen = lvl
+                        break
+                else:
+                    return v
+            parked_at[v] = reopen
+            while len(self._parked) <= reopen:
+                self._parked.append([])
+            self._parked[reopen].append(v)
         return 0
+
+    def _unpark(self, level: int) -> None:
+        """Re-queue every variable parked at ``level`` or above."""
+        parked, heap, activity = self._parked, self.order_heap, self.activity
+        for bucket in parked[level:]:
+            for v in bucket:
+                self._parked_at[v] = -1
+                heapq.heappush(heap, (-activity[v], v))
+        del parked[level:]
 
     def _handle_conflict(self, confl: Clause) -> bool:
         """Learn from a conflict and backjump. Returns False iff UNSAT.
@@ -467,6 +523,8 @@ class SatSolver:
             self.theory.reset()
         self._theory_qhead = 0
         self._theory_dirty = True
+        # clauses added since the last solve may reopen a root-parked variable
+        self._unpark(0)
         restart_idx = 1
         conflicts_at_restart = self.conflicts
         budget = luby(restart_idx) * 128
@@ -567,11 +625,14 @@ class SatSolver:
             if self.reasons[abs(l)] is not None
         }
         removed: set[int] = set()
+        touched: set[int] = set()
         for pool in (self.clauses, self.learned):
             kept: list[Clause] = []
             for c in pool:
                 if id(c) not in locked and root_satisfied(c):
                     removed.add(id(c))
+                    if not c.learned:
+                        touched.update(abs(l) for l in c.lits)
                     if self.proof is not None:
                         self.proof.delete(tuple(c.lits))
                 else:
@@ -580,6 +641,8 @@ class SatSolver:
         if removed:
             for wl in self.watches.values():
                 wl[:] = [c for c in wl if id(c) not in removed]
+            for v in touched:
+                self.occurs[v] = [c for c in self.occurs[v] if id(c) not in removed]
         self.simplify_removed += len(removed)
         self.learned_retained = len(self.learned)
         return len(removed)

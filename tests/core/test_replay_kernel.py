@@ -4,12 +4,13 @@
   random traces of every environment kind, for candidates of all four
   Table 1 spaces and of the guarded template, under RANGE and EXACT.
 * The Table 1 rows the benchmark runs propose the same candidates, in
-  the same order, as before the kernel replaced the scalar replay.
+  the same order, whether the generator prunes with the kernel or with
+  the scalar replay.
 * Synthesis never imports numpy (its import alone costs more set-up time
   and memory than a Table 1 row's whole budget allows).
 """
 
-import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -33,7 +34,7 @@ from repro.ccac import (
     multiflow_environment,
 )
 from repro.cegis import PruningMode
-from repro.core import SynthesisQuery, rocc, table1_spaces
+from repro.core import EnumerativeGenerator, SynthesisQuery, rocc, table1_spaces
 from repro.core.conditional import ConditionalCCA, ConditionalSpec
 from tests.core.replay_oracle import oracle_satisfies, replay_cwnd
 
@@ -174,34 +175,64 @@ class TestKernelMatchesOracle:
             table1_spaces(4)["no_cwnd_large"].make([Fraction(1, 2)] * 5).int_rule(3)
 
 
-#: (pruning, worst-case) -> (iterations, sha256 of the proposed candidate
-#: keys, one ``repr`` per line), recorded with the scalar Fraction replay
-#: on the benchmark's Table 1 row: no_cwnd_small, h=3, T=5
-T1_PROPOSALS = {
-    (PruningMode.RANGE, False): (
-        18, "1211ddce6590f1dd5488334c8b317119785b9d5ac1688281bf5222ff7f00d62d"),
-    (PruningMode.RANGE, True): (
-        17, "ebcb6586d6bc3f5a186e174245979c0abe33c0ea432a9f5d69f66b28922f1a8e"),
-    (PruningMode.EXACT, False): (
-        18, "1211ddce6590f1dd5488334c8b317119785b9d5ac1688281bf5222ff7f00d62d"),
-    (PruningMode.EXACT, True): (
-        19, "b1549838934790d606b98da43a6afdb8b8aefe012b52ecff9dc02e58e634b17c"),
+def _slots(rule):
+    return tuple(getattr(rule, name) for name in rule.__slots__)
+
+
+@pytest.mark.parametrize("spec", [
+    table1_spaces(3)["no_cwnd_small"], table1_spaces(1)["cwnd_large"],
+    table1_spaces(2)["cwnd_small"], ConditionalSpec(),
+], ids=["3^4", "cwnd_large_h1", "cwnd_small_h2", "guarded"])
+def test_space_compiles_from_its_domains(spec):
+    """A space enumerates the candidates ``make`` builds, in product
+    order, and ``int_rules`` equals compiling each of them over the
+    space's denominator."""
+    cands = list(spec.iterate_candidates())
+    if hasattr(spec, "make"):
+        slots = spec.parameter_count - 1
+        assert cands == [
+            spec.make([*coeffs, gamma])
+            for coeffs in itertools.product(spec.coeff_domain, repeat=slots)
+            for gamma in spec.gamma_domain
+        ]
+    assert len(cands) == spec.search_space_size
+    q = spec.denominator
+    assert [_slots(r) for r in spec.int_rules()] == [
+        _slots(c.int_rule(q)) for c in cands
+    ]
+
+
+#: (pruning, worst-case) -> iterations of the benchmark's Table 1 row
+#: (no_cwnd_small, h=3, T=5) with the generator pruning through the
+#: scalar Fraction replay
+T1_ITERATIONS = {
+    (PruningMode.RANGE, False): 19,
+    (PruningMode.RANGE, True): 14,
+    (PruningMode.EXACT, False): 19,
+    (PruningMode.EXACT, True): 19,
 }
 
 
-@pytest.mark.parametrize(
-    "pruning, worst_case", list(T1_PROPOSALS),
-    ids=lambda v: v.name if isinstance(v, PruningMode) else ("wce" if v else "plain"),
-)
-def test_table1_proposal_sequence_is_pinned(monkeypatch, pruning, worst_case):
+def _proposals(monkeypatch, pruning, worst_case, oracle):
+    """The row's proposal sequence and iteration count, with the
+    generator pruning through the int kernel or, with ``oracle``, through
+    the Fraction replay of every survivor."""
     proposed = []
 
-    class Recording(synthesizer.EnumerativeGenerator):
+    class Recording(EnumerativeGenerator):
         def propose(self):
             cand = super().propose()
             if cand is not None:
-                proposed.append(repr(cand.key()))
+                proposed.append(cand.key())
             return cand
+
+        def add_counterexample(self, trace):
+            if not oracle:
+                return super().add_counterexample(trace)
+            self._traces.append(trace)
+            self._keep([
+                oracle_satisfies(c, trace, self.pruning) for c in self._survivors
+            ])
 
     monkeypatch.setattr(synthesizer, "EnumerativeGenerator", Recording)
     result = synthesizer.synthesize(SynthesisQuery(
@@ -209,8 +240,21 @@ def test_table1_proposal_sequence_is_pinned(monkeypatch, pruning, worst_case):
         generator="enum", pruning=pruning, worst_case_cex=worst_case,
         time_budget=600,
     ))
-    digest = hashlib.sha256("\n".join(proposed).encode()).hexdigest()
-    assert (result.iterations, digest) == T1_PROPOSALS[pruning, worst_case]
+    return proposed, result.iterations
+
+
+@pytest.mark.parametrize(
+    "pruning, worst_case", list(T1_ITERATIONS),
+    ids=lambda v: v.name if isinstance(v, PruningMode) else ("wce" if v else "plain"),
+)
+def test_table1_proposal_sequence_is_pinned(monkeypatch, pruning, worst_case):
+    """The Table 1 row the benchmark runs proposes the same candidates,
+    in the same order, whether the generator prunes with the int kernel
+    or with the scalar Fraction replay."""
+    oracle = _proposals(monkeypatch, pruning, worst_case, oracle=True)
+    kernel = _proposals(monkeypatch, pruning, worst_case, oracle=False)
+    assert kernel == oracle
+    assert oracle[1] == T1_ITERATIONS[pruning, worst_case]
 
 
 def test_synthesis_does_not_import_numpy():

@@ -14,7 +14,9 @@ from repro.core import (
     enumerate_all,
     is_rocc_family,
     synthesize,
+    table1_spaces,
 )
+from repro.core.conditional import ConditionalSpec
 
 
 @pytest.fixture
@@ -104,6 +106,40 @@ class TestEnumerateAll:
         assert {c.key() for c in cegis_result.solutions} == {
             c.key() for c in bf_result.solutions
         }
+
+
+#: exhaustive solution sets (``pretty``) of the Table 1 3^4 row (h=3,
+#: T=5) and of the guarded template's small space; SAT models and CEGIS
+#: trajectories may change with the solver's search, these may not
+SOLUTION_SETS = {
+    "rp": {
+        "cwnd(t) = ack(t-1) - ack(t-2) + 1",
+        "cwnd(t) = ack(t-1) - ack(t-3) + 1",
+        "cwnd(t) = ack(t-2) - ack(t-3) + 1",
+    },
+    "guarded": {
+        "if queue_est(t) > 2: cwnd = 1 else: cwnd = 1*acked2rtt(t) + 1",
+        "if queue_est(t) > 2: cwnd = 1*acked2rtt(t) + 1 "
+        "else: cwnd = 1*acked2rtt(t) + 1",
+    },
+}
+
+
+@pytest.mark.parametrize("row, worst_case", [
+    ("rp", False), ("rp", True), ("guarded", False),
+], ids=["rp", "rp_wce", "guarded"])
+def test_exhaustive_solution_sets_are_pinned(fast_cfg, row, worst_case):
+    spec = table1_spaces(3)["no_cwnd_small"] if row == "rp" else ConditionalSpec(
+        threshold_domain=(Fraction(2),),
+        mu_domain=(Fraction(0), Fraction(1)),
+        delta_domain=(Fraction(0), Fraction(1)),
+    )
+    result = enumerate_all(SynthesisQuery(
+        spec=spec, cfg=fast_cfg, generator="enum", worst_case_cex=worst_case,
+        time_budget=600,
+    ))
+    assert result.exhausted
+    assert {c.pretty() for c in result.solutions} == SOLUTION_SETS[row]
 
 
 class TestBruteForce:

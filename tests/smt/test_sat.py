@@ -178,3 +178,60 @@ class TestLuby:
         assert [luby(i) for i in range(1, 16)] == [
             1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
         ]
+
+
+class RelevancyChecked(SatSolver):
+    """A solver that checks every decision against an independent scan
+    of the clause database: the picked variable must occur in a problem
+    clause with no true literal."""
+
+    def _pick_branch_var(self) -> int:
+        v = super()._pick_branch_var()
+        if v:
+            assert any(
+                v in map(abs, c.lits)
+                and not any(self.value_lit(l) == 1 for l in c.lits)
+                for c in self.clauses
+            ), f"decided {v} with every clause of it satisfied"
+        return v
+
+
+class TestRelevancy:
+    @given(first=clause_strategy, second=clause_strategy,
+           assume=st.lists(st.integers(-6, 6).filter(bool), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_decisions_need_an_open_clause(self, first, second, assume):
+        """Two incremental solves (the second after more clauses, so
+        variables parked at the root must come back), with and without
+        assumptions: verdicts match brute force, every decision is
+        relevant, and each model satisfies every clause."""
+        nvars = 6
+        s = RelevancyChecked()
+        for _ in range(nvars):
+            s.new_var()
+        clauses: list[list[int]] = []
+        ok = True
+        for batch in (first, second):
+            for clause in batch:
+                clauses.append(clause)
+                ok = s.add_clause(clause) and ok
+            for assumptions in ((), assume):
+                result = s.solve(assumptions=assumptions) if ok else False
+                units = [[l] for l in assumptions]
+                assert result == brute_force_sat(nvars, clauses + units)
+                if result:
+                    for clause in clauses + units:
+                        assert any(s.model_value(abs(l)) == (l > 0) for l in clause)
+
+    def test_satisfied_clauses_need_no_decisions(self):
+        """(not x1 or y_i or z_i) for i = 1..20 over 41 variables: deciding
+        x1 false satisfies every clause, so one decision is a model and
+        the other 40 variables stay unassigned (deciding every variable
+        took 41)."""
+        s = make_solver(41)
+        for i in range(20):
+            s.add_clause([-1, 2 + 2 * i, 3 + 2 * i])
+        assert s.solve() is True
+        assert s.decisions == 1
+        assert s.model_value(1) is False
+        assert [s._model[v] for v in range(2, 42)] == [0] * 40

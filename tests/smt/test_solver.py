@@ -25,6 +25,7 @@ from repro.smt import (
     sat,
     unsat,
 )
+from repro.runtime.validate import validate_model
 
 x, y, z = Real("x"), Real("y"), Real("z")
 a, b, c = Bool("a"), Bool("b"), Bool("c")
@@ -162,6 +163,29 @@ class TestIncremental:
             assert s.model().value(x) >= i
         s.add(x <= 5)
         assert s.check() is unsat
+
+
+class TestPartialModels:
+    def test_model_leaves_atoms_of_satisfied_clauses_unassigned(self):
+        """One disjunct satisfies the ``Or``, so its other atoms are never
+        decided: the answer is SAT with those theory atoms unassigned,
+        and the model (unassigned booleans read False, reals from the
+        Simplex) still satisfies the raw assertions."""
+        atoms = (
+            [x <= i for i in range(1, 6)]
+            + [y >= i for i in range(3)]
+            + [x + y <= z + i for i in range(4)]
+        )
+        s = Solver()
+        s.add(z >= 2, Or(Not(a), *atoms), Or(a, x + z <= 1))
+        assert s.check() is sat
+        core = s.sat_core
+        unassigned = [
+            v for v in range(1, core.nvars + 1)
+            if core.is_theory[v] and core._model[v] == 0
+        ]
+        assert len(unassigned) >= len(atoms) - 1
+        assert validate_model(s.assertions(), s.model()) == 3
 
 
 class TestHelpers:
