@@ -256,7 +256,7 @@ def bench_portfolio(cfg: ModelConfig, budget: float) -> dict:
             jobs=jobs,
         )
         t0 = time.perf_counter()
-        result = run_synthesis(query, RuntimeOptions(degrade=False))
+        result = run_synthesis(query, RuntimeOptions())
         rows[jobs] = {
             "found": result.found,
             "exhausted": result.exhausted,

@@ -34,8 +34,9 @@ class StopReason(Enum):
     #: the iteration cap was reached without a conclusive answer
     MAX_ITERATIONS = "max_iterations"
     #: the run only terminated because the runtime weakened the search
-    #: (see :mod:`repro.runtime.degrade`); the verdict is honest but
-    #: produced under recorded degradations
+    #: (see the degradation ladder of
+    #: :class:`~repro.engine.portfolio.PortfolioVerifier`); the verdict
+    #: is honest but produced under recorded degradations
     DEGRADED = "degraded"
 
 
@@ -96,16 +97,18 @@ class BatchGenerator(Generator[Candidate, Counterexample], Protocol):
 class Verifier(Protocol[Candidate, Counterexample]):
     """The ∀-player: certifies candidates or breaks them."""
 
-    def find_counterexample(self, candidate: Candidate, worst_case: bool = False):
+    def find_counterexample(
+        self, candidate: Candidate, worst_case: bool = False, deadline=None
+    ):
         """Returns an object with ``verified: bool``,
         ``counterexample: Optional[Counterexample]`` and, when verified,
         ``certified: bool`` (whether the verdict carries a checked proof).
 
-        Verifiers may additionally accept a ``deadline`` keyword (a
-        ``time.perf_counter()`` timestamp); the CEGIS loop passes the
-        remaining time budget through it so one long verifier call
-        cannot overshoot :attr:`CegisOptions.time_budget`.  A verifier
-        that gives up on the budget must return ``verified=False`` with
+        ``deadline`` is a ``time.perf_counter()`` timestamp or None; the
+        CEGIS loop passes the end of its time budget through it so one
+        long verifier call cannot overshoot
+        :attr:`CegisOptions.time_budget`.  A verifier that gives up on
+        the budget must return ``verified=False`` with
         ``counterexample=None`` (ideally also ``unknown=True``)."""
         ...
 

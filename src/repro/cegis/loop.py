@@ -20,9 +20,9 @@ explicit :class:`StopReason`.  ``CegisOptions.verbose`` is sugar for
 attaching a console sink for the duration of the run.
 
 ``CegisOptions.time_budget`` is enforced as a *deadline*: besides the
-top-of-loop check, the remaining budget is threaded into verifiers that
-accept a ``deadline`` keyword (``time.perf_counter()`` timestamp), so a
-single long verifier call can no longer overshoot the budget unboundedly.
+top-of-loop check, it is threaded into every verifier call as the
+``deadline`` keyword (``time.perf_counter()`` timestamp), so a single
+long verifier call can no longer overshoot the budget unboundedly.
 A run stopped this way records an explicit ``cegis.budget_exhausted``
 event.
 
@@ -39,7 +39,6 @@ restored value.
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Optional
 
@@ -53,18 +52,6 @@ from .interfaces import (
     StopReason,
     Verifier,
 )
-
-
-def _accepts_deadline(verifier: Verifier) -> bool:
-    """Whether ``verifier.find_counterexample`` takes a ``deadline`` kwarg."""
-    try:
-        sig = inspect.signature(verifier.find_counterexample)
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    params = sig.parameters
-    return "deadline" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
 
 
 class CegisLoop:
@@ -81,7 +68,6 @@ class CegisLoop:
         self.verifier = verifier
         self.options = options or CegisOptions()
         self.checkpoint = checkpoint
-        self._verifier_takes_deadline = _accepts_deadline(verifier)
         # portfolio rounds need batch support on BOTH sides (see
         # BatchGenerator / BatchVerifier in .interfaces); otherwise a
         # jobs>1 request silently falls back to sequential rounds
@@ -240,12 +226,10 @@ class CegisLoop:
             stats.cancelled_checks += verdict.cancelled
             idx = 0 if verdict.winner is None else verdict.winner
             return candidates[idx], verdict.result
-        kwargs = {}
-        if self._verifier_takes_deadline and deadline is not None:
-            kwargs["deadline"] = deadline
         candidate = candidates[0]
         result = self.verifier.find_counterexample(
-            candidate, worst_case=self.options.worst_case_cex, **kwargs
+            candidate, worst_case=self.options.worst_case_cex,
+            deadline=deadline,
         )
         stats.verifier_calls += 1
         return candidate, result

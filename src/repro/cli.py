@@ -259,13 +259,9 @@ def _add_verify_args(p: argparse.ArgumentParser) -> None:
     _add_env_arg(p)
 
 
-def _add_falsify_job_args(p: argparse.ArgumentParser) -> None:
-    """The falsify *job* surface (one CCA, no repo-local corpus/grid
-    flags) — ``submit falsify``'s arguments."""
-    p.add_argument("cca",
-                   help="CCA to attack: rocc | eq3 | const:<cwnd> | "
-                        "aimd[:<delay-thresh>] | cubic[:<delay-thresh>] | "
-                        "vegas | copa | rocc-native")
+def _add_falsify_search_args(p: argparse.ArgumentParser) -> None:
+    """The falsification search options — shared by ``falsify`` (local)
+    and ``submit falsify`` (remote)."""
     p.add_argument("--seed", type=int, default=0,
                    help="search seed; identical seeds replay bit-for-bit")
     p.add_argument("--budget", type=_positive_int, default=600,
@@ -276,12 +272,24 @@ def _add_falsify_job_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ticks", type=_positive_int, default=120,
                    help="target schedule length in RTTs (default: %(default)s)")
     p.add_argument("--beyond", action="store_true",
-                   help="search beyond the SMT model fragment")
+                   help="search beyond the SMT model fragment (rate steps, "
+                        "outages, jitter bursts); violations are model-gap "
+                        "findings, never soundness errors")
     p.add_argument("--exhaustive", action="store_true",
                    help="spend the whole budget instead of stopping at the "
                         "first violation")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the SMT verdict lookup before the hunt")
+
+
+def _add_falsify_job_args(p: argparse.ArgumentParser) -> None:
+    """The falsify *job* surface (one CCA, no repo-local corpus/grid
+    flags) — ``submit falsify``'s arguments."""
+    p.add_argument("cca",
+                   help="CCA to attack: rocc | eq3 | const:<cwnd> | "
+                        "aimd[:<delay-thresh>] | cubic[:<delay-thresh>] | "
+                        "vegas | copa | rocc-native")
+    _add_falsify_search_args(p)
     _add_cfg_args(p)
 
 
@@ -436,8 +444,18 @@ def _render_verify_payload(payload: dict, certify: bool = False) -> int:
     if payload["verified"]:
         print(f"VERIFIED in {payload['wall_time']:.2f}s "
               f"(no admissible trace violates the property)")
-        if payload.get("certified") and payload.get("certificate"):
-            print(_describe_certificate(payload["certificate"]))
+        # a payload stored before ``certificates`` carries one
+        # ``certificate`` dict
+        certificates = payload.get("certificates") or (
+            [payload["certificate"]] if payload.get("certificate") else []
+        )
+        if payload.get("certified") and certificates:
+            for summary in certificates:
+                where = (
+                    f" [environment: {summary['environment']}]"
+                    if len(certificates) > 1 else ""
+                )
+                print(_describe_certificate(summary) + where)
         elif certify:
             print("NOT CERTIFIED (verdict inconclusive in proof mode)")
             return 2
@@ -950,24 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "aimd[:<delay-thresh>] | cubic[:<delay-thresh>] | "
                         "vegas | copa | rocc-native (aimd:8 is the "
                         "deliberately weakened demo)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="search seed; identical seeds replay bit-for-bit")
-    p.add_argument("--budget", type=_positive_int, default=600,
-                   metavar="EVALS",
-                   help="trace evaluations to spend (default: %(default)s)")
-    p.add_argument("--population", type=_positive_int, default=16,
-                   help="genetic population size (default: %(default)s)")
-    p.add_argument("--ticks", type=_positive_int, default=120,
-                   help="target schedule length in RTTs (default: %(default)s)")
-    p.add_argument("--beyond", action="store_true",
-                   help="search beyond the SMT model fragment (rate steps, "
-                        "outages, jitter bursts); violations are model-gap "
-                        "findings, never soundness errors")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="spend the whole budget instead of stopping at the "
-                        "first violation")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the SMT verdict lookup before the hunt")
+    _add_falsify_search_args(p)
     p.add_argument("--no-corpus", action="store_true",
                    help="do not write minimized violations into the corpus")
     p.add_argument("--corpus-dir", metavar="PATH", default=None,

@@ -91,7 +91,8 @@ class SynthesisResult:
     certified_verdicts: int = 0
     #: True when restored from a checkpoint rather than started fresh
     resumed: bool = False
-    #: recorded degradation events (see :mod:`repro.runtime.degrade`)
+    #: recorded degradation events (see the degradation ladder of
+    #: :class:`~repro.engine.portfolio.PortfolioVerifier`)
     degradations: list = field(default_factory=list)
     #: advisory simulator cross-checks of the solutions.  ``None`` means
     #: cross-checking was never requested; ``[]`` means it was requested
@@ -136,7 +137,7 @@ def synthesize(
 
     ``verifier`` substitutes the default (any
     :class:`repro.cegis.Verifier`; the fault-tolerant runtime passes a
-    pooled and/or resilient wrapper); ``checkpoint`` enables
+    pooled one for out-of-process runs); ``checkpoint`` enables
     per-iteration crash-safe state persistence (see
     :mod:`repro.runtime.checkpoint`).  With ``query.jobs > 1`` and no
     explicit verifier, a :class:`repro.engine.PortfolioVerifier` races

@@ -68,7 +68,8 @@ class VerificationResult:
     solver_checks: int
     unknown: bool = False
     #: True when the runtime weakened the search to produce this result
-    #: (see :mod:`repro.runtime.degrade` / :mod:`repro.runtime.workers`)
+    #: (see the degradation ladder of
+    #: :class:`~repro.engine.portfolio.PortfolioVerifier`)
     degraded: bool = False
     #: True when the verified UNSAT verdict carries an independently
     #: checked proof (see :mod:`repro.trust`); ``certificate`` holds the

@@ -13,9 +13,11 @@ trace advances the loop.
 :class:`PortfolioVerifier` is the one out-of-process verifier: a pool of
 one is ``--isolate`` (every call out of process, under the
 :class:`~repro.runtime.workers.WorkerLimits` caps), a pool of ``jobs``
-lanes is the ``--jobs N`` race.  Killed workers walk an escalation
-ladder — retried with a grown budget after a seeded full-jitter backoff
-— and finally degrade to an honest ``unknown``.
+lanes is the ``--jobs N`` race.  Its calls walk the runtime's one
+degradation ladder: killed workers are retried with a grown budget
+after a seeded full-jitter backoff, an inconclusive worst-case search
+falls back to plain search, and a call that stays inconclusive is an
+honest degraded ``unknown``.
 
 Cancellation is safe for soundness: a cancelled worker's verdict is
 simply never used, and candidates whose verification was cancelled stay
@@ -161,18 +163,36 @@ class PortfolioVerifier:
     batches.  The pool's lifecycle belongs to the caller — this
     class never starts or shuts it down.
 
-    A round in which workers were killed (watchdog timeout, OOM, crash)
-    and nobody was conclusive is retried under ``limits``: the budget
-    grows by :meth:`WorkerLimits.budget`, attempts are spaced by a
-    full-jitter backoff seeded by ``retry_seed`` (chaos runs replay the
-    same schedule), and every kill emits a ``runtime.degrade`` event of
-    kind ``worker_killed``.  Once the retries are spent the flight
-    recorder is dumped (``worker-escalation``) and the call returns a
-    degraded unknown.
+    Every call walks one degradation ladder, and each step is a
+    ``runtime.degrade`` event appended to :attr:`degradations`:
+
+    1. **kill retry** (``worker_killed``) — a round in which workers
+       were killed (watchdog timeout, OOM, crash) and nobody was
+       conclusive is retried under ``limits``: the budget grows by
+       :meth:`WorkerLimits.budget` and attempts are spaced by a
+       full-jitter backoff seeded by ``retry_seed`` (chaos runs replay
+       the same schedule).  Once the retries are spent the flight
+       recorder is dumped (``worker-escalation``).
+    2. **worst-case fallback** (``wce_fallback``) — a worst-case call
+       with no conclusive result, from a soft deadline or from spent
+       kill retries, runs once more as plain search under the same
+       kill/retry policy (any counterexample still makes progress, it
+       just prunes less).
+    3. **worst-case disable** (``wce_disabled``) — after
+       :attr:`WCE_FAIL_LIMIT` fallbacks, worst-case requests run plain.
+
+    Every ``unknown`` result it returns is flagged ``degraded``, as is
+    every result of a fallback or of a worst-case request run plain; the
+    CEGIS loop reports a run that stops on one as ``stop_reason =
+    degraded`` unless its deadline has passed anyway.
+    :class:`~repro.runtime.errors.SoundnessError` is never handled here:
+    validation failures must crash the run.
     """
 
     #: hard watchdog headroom over the in-worker soft deadline
     WATCHDOG_SLACK = 1.25
+    #: worst-case fallbacks after which worst-case requests run plain
+    WCE_FAIL_LIMIT = 3
 
     def __init__(
         self,
@@ -199,6 +219,8 @@ class PortfolioVerifier:
         self.total_time = 0.0
         self.degradations: list[dict] = []
         self._retry_rng = random.Random(retry_seed)
+        self._wce_failures = 0
+        self._wce_disabled = False
 
     def _task(self, candidate, worst_case: bool, budget: float, env):
         return (
@@ -221,9 +243,8 @@ class PortfolioVerifier:
         The verdict's winner is the first worker to return a conclusive
         result (counterexample found or candidate verified); the rest
         are cancelled and their candidates stay un-judged.  When no
-        worker is conclusive the verdict has ``winner=None`` and an
-        unknown result — degraded when workers were killed, or when the
-        deadline left no time to run at all.
+        worker is conclusive the verdict has ``winner=None`` and a
+        degraded unknown result.
 
         With an environment matrix the race runs over the
         candidates × environments grid (one single-environment worker
@@ -234,13 +255,44 @@ class PortfolioVerifier:
         environment returned UNSAT, and the verdict aggregates the
         per-environment results (a candidate is never declared verified
         on a subset of the matrix).
+
+        A worst-case call walks the fallback and disable rungs of the
+        class's degradation ladder on top of the kill retries.
         """
+        candidates = list(candidates)
+        self.calls += len(candidates)
+        want_wce = worst_case and not self._wce_disabled
+        # the caller asked for worst-case search and is not getting it
+        degraded = worst_case and not want_wce
+        verdict = self._race(candidates, want_wce, deadline)
+        if want_wce and verdict.result.unknown:
+            self._wce_failures += 1
+            self._degrade(
+                "wce_fallback",
+                "worst-case counterexample search inconclusive; "
+                "falling back to plain search",
+                failures=self._wce_failures,
+            )
+            degraded = True
+            verdict = self._race(candidates, False, deadline)
+            if self._wce_failures >= self.WCE_FAIL_LIMIT:
+                self._wce_disabled = True
+                self._degrade(
+                    "wce_disabled",
+                    f"disabling worst-case search after "
+                    f"{self._wce_failures} failures",
+                )
+        if degraded or verdict.result.unknown:
+            verdict.result.degraded = True
+        return verdict
+
+    def _race(self, candidates: list, worst_case: bool, deadline):
+        """One rung's race with its kill retries: the verdict of the
+        first conclusive worker, or an unknown result when none was."""
         from ..cegis.interfaces import BatchVerdict
         from ..core.verifier import VerificationResult
 
         start = time.perf_counter()
-        candidates = list(candidates)
-        self.calls += len(candidates)
         envs = self.environments
         cells = [(c, env) for c in candidates for env in envs]
         limits = self.limits
@@ -329,7 +381,6 @@ class PortfolioVerifier:
                 wall_time=elapsed,
                 solver_checks=0,
                 unknown=True,
-                degraded=outcome is None or bool(killed),
             )
         return BatchVerdict(
             winner=None,
@@ -382,28 +433,31 @@ class PortfolioVerifier:
         budget: float, next_step: str,
     ) -> None:
         self.kills += 1
-        event = {
-            "kind": "worker_killed",
-            "status": report.status,
-            "attempt": attempt + 1,
-            "attempts": attempts,
-            "budget": round(budget, 3),
-            "detail": report.detail,
-        }
+        self._degrade(
+            "worker_killed",
+            f"solver worker {report.status} "
+            f"(attempt {attempt + 1}/{attempts}, "
+            f"budget {budget:.1f}s) -> {next_step}",
+            counter="runtime.worker_kills",
+            status=report.status,
+            attempt=attempt + 1,
+            attempts=attempts,
+            budget=round(budget, 3),
+            detail=report.detail,
+        )
+
+    def _degrade(
+        self, kind: str, msg: str, counter: str = "runtime.degradations",
+        **detail,
+    ) -> None:
+        """Record one ladder step: a :attr:`degradations` entry, a
+        metrics counter and a ``runtime.degrade`` event."""
+        event = {"kind": kind, "call": self.calls, **detail}
         self.degradations.append(event)
-        metrics().counter("runtime.worker_kills").inc()
+        metrics().counter(counter).inc()
         tr = tracer()
         if tr.enabled:
-            tr.event(
-                "runtime.degrade",
-                level=WARN,
-                msg=(
-                    f"[runtime] solver worker {report.status} "
-                    f"(attempt {attempt + 1}/{attempts}, "
-                    f"budget {budget:.1f}s) -> {next_step}"
-                ),
-                **event,
-            )
+            tr.event("runtime.degrade", level=WARN, msg=f"[runtime] {msg}", **event)
 
     def find_counterexample(self, candidate, worst_case: bool = False, deadline=None):
         """Single-candidate path (a batch of one, same isolation)."""

@@ -10,12 +10,11 @@ answer.  This package handles both classes explicitly:
 - :mod:`~repro.runtime.workers` — the worker process primitive and its
   caps (:class:`~repro.runtime.workers.WorkerLimits`): verifier calls
   run on a :class:`~repro.service.pool.WorkerPool` with hard wall-clock
-  and memory caps; a killed worker is an honest ``unknown``, retried
-  with escalated budgets by
-  :class:`~repro.engine.portfolio.PortfolioVerifier`.
-- :mod:`~repro.runtime.degrade` — the degradation ladder: recorded,
-  structured weakenings (worst-case fallback, worst-case disable) so a
-  stuck run still terminates with a verdict.
+  and memory caps; a killed worker is an honest ``unknown``.
+  :class:`~repro.engine.portfolio.PortfolioVerifier` owns the one
+  degradation ladder over those calls: recorded, structured weakenings
+  (kill retries with escalated budgets, worst-case fallback, worst-case
+  disable) so a stuck run still terminates with a verdict.
 - :mod:`~repro.runtime.validate` — independent result validation: an
   exact-arithmetic evaluator re-checks every SAT model against the
   asserted constraints, and every counterexample trace is replayed
@@ -32,7 +31,6 @@ module load — the runner is exposed lazily via PEP 562.
 """
 
 from .checkpoint import SCHEMA_VERSION, CheckpointState, CheckpointStore
-from .degrade import ResilientVerifier
 from .errors import (
     CheckpointError,
     CheckpointMismatchError,
@@ -66,7 +64,6 @@ __all__ = [
     "CheckpointState",
     "CheckpointStore",
     "CrossValidation",
-    "ResilientVerifier",
     "RuntimeFault",
     "RuntimeOptions",
     "SoundnessError",

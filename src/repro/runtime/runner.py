@@ -6,10 +6,15 @@
     CcacVerifier                    (validation always innermost)
       -> PortfolioVerifier on a WorkerPool
                                     (optional: --isolate is a pool of
-                                     one, --jobs N a pool of N; caps,
-                                     kill/retry escalation)
-        -> ResilientVerifier        (optional: degradation ladder)
-          -> CegisLoop + CheckpointStore (optional: crash-safe state)
+                                     one, --jobs N a pool of N; caps and
+                                     the degradation ladder: kill
+                                     retries, worst-case fallback and
+                                     disable)
+        -> CegisLoop + CheckpointStore (optional: crash-safe state)
+
+An in-process run calls :class:`~repro.core.verifier.CcacVerifier`
+bare: its only ``unknown`` is an expired CEGIS deadline, past which no
+rung may start another call.
 
 :func:`resume_synthesis` rebuilds the original query from the checkpoint's
 embedded metadata, verifies the fingerprint, and continues the run —
@@ -27,7 +32,6 @@ from typing import Optional
 
 from ..obs import tracer
 from .checkpoint import CheckpointStore
-from .degrade import ResilientVerifier
 from .errors import CheckpointError
 from .serialize import (
     decode_candidate,
@@ -63,8 +67,6 @@ class RuntimeOptions:
     solver_mem_mb: Optional[int] = None
     #: extra attempts after a killed worker
     retries: int = 1
-    #: apply the degradation ladder (wce fallback / wce disable)
-    degrade: bool = True
     #: advisory: run every solution through the discrete simulator and
     #: attach the reports to ``SynthesisResult.cross_checks``
     cross_check: bool = False
@@ -117,42 +119,32 @@ def _limits(options: RuntimeOptions) -> WorkerLimits:
 
 
 def _build_verifier(query, options: RuntimeOptions, pool=None):
-    """The verifier stack for a run; returns (verifier, parts) where
-    ``parts`` are the layers whose ``degradations`` should be merged.
-    ``pool`` is set exactly when verifier calls run out of process."""
-    from ..core.verifier import CcacVerifier
-
-    parts = []
-    environments = query.environments
+    """The verifier of a run.  ``pool`` is set exactly when verifier
+    calls run out of process."""
     if pool is not None:
         from ..engine import PortfolioVerifier
 
-        base = PortfolioVerifier(
+        return PortfolioVerifier(
             query.cfg,
             pool,
             limits=_limits(options),
             cache_dir=options.cache_dir,
             certify=options.certify,
-            environments=environments,
+            environments=query.environments,
         )
-    else:
-        cache = None
-        if options.cache_dir:
-            from ..engine import QueryCache
+    cache = None
+    if options.cache_dir:
+        from ..engine import QueryCache
 
-            cache = QueryCache(options.cache_dir)
-        base = CcacVerifier(
-            query.cfg,
-            cache=cache,
-            certify=options.certify,
-            environments=environments,
-        )
-    parts.append(base)
-    verifier = base
-    if options.degrade:
-        verifier = ResilientVerifier(base)
-        parts.append(verifier)
-    return verifier, parts
+        cache = QueryCache(options.cache_dir)
+    from ..core.verifier import CcacVerifier
+
+    return CcacVerifier(
+        query.cfg,
+        cache=cache,
+        certify=options.certify,
+        environments=query.environments,
+    )
 
 
 def _run_pool(query, options: RuntimeOptions):
@@ -174,10 +166,10 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
     """Run a synthesis query under the fault-tolerant runtime.
 
     Returns a :class:`repro.core.synthesizer.SynthesisResult` whose
-    ``degradations`` aggregates every recorded weakening (worker kills,
-    worst-case fallbacks and disables) across the verifier
-    stack.  A worker pool this call starts is stopped before it returns
-    or raises; an injected ``options.worker_pool`` is left running.
+    ``degradations`` lists every recorded weakening (worker kills,
+    worst-case fallbacks and disables) of a pooled run.  A worker pool
+    this call starts is stopped before it returns or raises; an
+    injected ``options.worker_pool`` is left running.
     """
     from ..core.synthesizer import synthesize
     from ..obs import ensure_flight_recorder, set_dump_dir
@@ -196,12 +188,8 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
         else None
     )
     with _run_pool(query, options) as pool:
-        verifier, parts = _build_verifier(query, options, pool)
+        verifier = _build_verifier(query, options, pool)
         result = synthesize(query, verifier=verifier, checkpoint=checkpoint)
-    merged: list = []
-    for part in parts:
-        merged.extend(getattr(part, "degradations", ()))
-    result.degradations = merged
     if options.cross_check:
         if result.solutions:
             from .validate import cross_validate

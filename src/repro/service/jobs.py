@@ -161,7 +161,6 @@ _OPTION_FIELDS = {
     "solver_timeout": (float, float),
     "solver_mem_mb": (lambda v: v, lambda v: v),
     "retries": (int, int),
-    "degrade": (bool, bool),
     "cross_check": (bool, bool),
     "falsify": (int, int),
     "falsify_seed": (int, int),
@@ -576,17 +575,21 @@ def _execute_verify(spec, cache_dir: Optional[str] = None) -> dict:
         "wall_time": res.wall_time,
     }
     if res.certified and res.certificate is not None:
+        # one checked-proof summary per environment, in spec order
         c = res.certificate
-        if isinstance(c, tuple):
-            payload["certificates"] = len(c)
-        else:
-            payload["certificate"] = {
-                "steps": int(c.steps),
-                "inputs": int(c.inputs),
-                "rup_additions": int(c.rup_additions),
-                "theory_lemmas": int(c.theory_lemmas),
-                "check_time": float(c.check_time),
+        payload["certificates"] = [
+            {
+                "environment": env.key(),
+                "steps": int(s.steps),
+                "inputs": int(s.inputs),
+                "rup_additions": int(s.rup_additions),
+                "theory_lemmas": int(s.theory_lemmas),
+                "check_time": float(s.check_time),
             }
+            for env, s in zip(
+                environments, c if isinstance(c, tuple) else (c,)
+            )
+        ]
     budget = int(spec.params.get("falsify") or 0)
     if budget and res.verified:
         from ..ccas import TemplateCCA

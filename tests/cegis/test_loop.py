@@ -35,7 +35,9 @@ class ToyVerifier:
     def __init__(self):
         self.calls = 0
 
-    def find_counterexample(self, cand: LineCandidate, worst_case: bool = False):
+    def find_counterexample(
+        self, cand: LineCandidate, worst_case: bool = False, deadline=None
+    ):
         self.calls += 1
         xs = range(0, 11)
         if worst_case:
@@ -174,7 +176,7 @@ class TestStopReasons:
 
     def test_time_budget(self):
         class SlowVerifier(ToyVerifier):
-            def find_counterexample(self, cand, worst_case=False):
+            def find_counterexample(self, cand, worst_case=False, deadline=None):
                 import time
 
                 time.sleep(0.02)
@@ -189,7 +191,7 @@ class TestStopReasons:
 
     def test_verifier_unknown_maps_to_budget(self):
         class GiveUpVerifier:
-            def find_counterexample(self, cand, worst_case=False):
+            def find_counterexample(self, cand, worst_case=False, deadline=None):
                 return UnknownResult()
 
         outcome = CegisLoop(ToyGenerator(), GiveUpVerifier()).run()
@@ -198,7 +200,7 @@ class TestStopReasons:
 
     def test_degraded_unknown_maps_to_degraded(self):
         class DegradedVerifier:
-            def find_counterexample(self, cand, worst_case=False):
+            def find_counterexample(self, cand, worst_case=False, deadline=None):
                 return UnknownResult(degraded=True)
 
         outcome = CegisLoop(ToyGenerator(), DegradedVerifier()).run()

@@ -7,7 +7,6 @@ import time
 
 from repro.cegis import CegisLoop, CegisOptions, StopReason
 from repro.obs import JsonlSink, tracer
-from repro.runtime.degrade import ResilientVerifier
 
 from tests.cegis.test_loop import ToyGenerator, ToyVerifier
 
@@ -146,12 +145,6 @@ class TestTimeBudget:
         assert len(events) == 1
         assert events[0]["attrs"]["where"] == "verifier"
 
-    def test_plain_verifier_without_deadline_still_works(self):
-        outcome = CegisLoop(
-            ToyGenerator(), ToyVerifier(), CegisOptions(time_budget=30.0)
-        ).run()
-        assert outcome.found
-
 
 class SlowPruneGenerator(ToyGenerator):
     """A generator whose pruning takes measurable time."""
@@ -178,14 +171,17 @@ class TestPruneTime:
 
 
 class GaveUp:
+    """A degraded unknown, as the portfolio's ladder flags every
+    ``unknown`` it returns."""
+
     verified = False
     counterexample = None
     unknown = True
+    degraded = True
 
 
 class GivingUpVerifier(ToyVerifier):
-    """Answers ``unknown`` after ``delay`` seconds; the ladder in
-    :class:`ResilientVerifier` marks every such result degraded."""
+    """Answers a degraded ``unknown`` after ``delay`` seconds."""
 
     def __init__(self, delay: float = 0.0):
         super().__init__()
@@ -198,7 +194,7 @@ class GivingUpVerifier(ToyVerifier):
 
 class TestStopReason:
     def test_unknown_after_deadline_is_budget(self):
-        verifier = ResilientVerifier(GivingUpVerifier(delay=0.05))
+        verifier = GivingUpVerifier(delay=0.05)
         outcome = CegisLoop(
             ToyGenerator(), verifier, CegisOptions(time_budget=0.02)
         ).run()
@@ -206,7 +202,7 @@ class TestStopReason:
         assert outcome.stop_reason is StopReason.BUDGET
 
     def test_unknown_before_deadline_is_degraded(self):
-        verifier = ResilientVerifier(GivingUpVerifier())
+        verifier = GivingUpVerifier()
         outcome = CegisLoop(
             ToyGenerator(), verifier, CegisOptions(time_budget=30.0)
         ).run()

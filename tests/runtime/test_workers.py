@@ -285,7 +285,7 @@ class TestRunPoolLifecycle:
             portfolio_mod, "_pooled_verify_candidate_task", _crash_and_count
         )
         monkeypatch.setitem(globals(), "_CALL_LOG", str(log))
-        options = RuntimeOptions(isolate=True, retries=2, degrade=False)
+        options = RuntimeOptions(isolate=True, retries=2)
         result = run_synthesis(tiny_query, options)
         assert not result.found
         assert len(log.read_text().splitlines()) == 1 + options.retries

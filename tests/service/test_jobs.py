@@ -231,6 +231,23 @@ class TestResultPayload:
         assert payload["solutions"] == tiny_payload["solutions"]
         assert payload["iterations"] == tiny_payload["iterations"]
 
+    def test_stored_spec_with_degrade_option_still_runs(self, tiny_payload):
+        """Specs stored while the runtime had a ``degrade`` switch carry
+        ``"degrade": false``; new specs do not, decoding ignores the key
+        and the job runs to the same answer."""
+        query = SynthesisQuery(
+            spec=table1_spaces()["no_cwnd_small"],
+            cfg=ModelConfig(T=5),
+            generator="enum",
+            worst_case_cex=False,
+        )
+        wire = json.loads(json.dumps(synthesis_spec(query).to_json()))
+        assert "degrade" not in wire["params"]["options"]
+        wire["params"]["options"]["degrade"] = False
+        payload = execute_job(JobSpec.from_json(wire))
+        assert payload["solutions"] == tiny_payload["solutions"]
+        assert payload["iterations"] == tiny_payload["iterations"]
+
     def test_tampered_payload_refused(self, tiny_payload):
         tampered = dict(tiny_payload)
         tampered["iterations"] = tiny_payload["iterations"] + 1
@@ -250,6 +267,21 @@ class TestExecute:
         assert payload["verified"] is False
         assert payload["counterexample"] is not None
         assert "utilization" in payload["counterexample_text"]
+
+    def test_certified_verify_job_lists_one_certificate_per_environment(self):
+        from repro.ccac.environments import parse_environment
+
+        envs = (parse_environment("lossless"),
+                parse_environment("jitter:jitter=1"))
+        payload = execute_job(verify_spec(
+            "rocc", ModelConfig(T=5), certify=True, environments=envs,
+        ))
+        assert payload["certified"] is True
+        assert [c["environment"] for c in payload["certificates"]] == [
+            "lossless", "jitter:jitter=1",
+        ]
+        assert all(c["steps"] > 0 for c in payload["certificates"])
+        assert "certificate" not in payload
 
     def test_unknown_cca_is_a_job_spec_error(self):
         with pytest.raises(JobSpecError, match="unknown CCA"):

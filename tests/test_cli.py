@@ -83,6 +83,39 @@ class TestCommands:
         assert "COUNTEREXAMPLE" in out
         assert "utilization" in out
 
+    def test_verify_certify_over_several_environments(self, capsys):
+        """Every environment certified: exit 0 and one checked-proof line
+        per environment."""
+        rc = main([
+            "verify", "rocc", "--T", "5", "--certify",
+            "--env", "lossless", "--env", "jitter:jitter=1",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "NOT CERTIFIED" not in out
+        proofs = [ln for ln in out.splitlines() if ln.startswith("proof checked:")]
+        assert len(proofs) == 2
+        assert proofs[0].endswith("[environment: lossless]")
+        assert proofs[1].endswith("[environment: jitter:jitter=1]")
+
+    def test_verify_payload_with_one_stored_certificate_renders(self, capsys):
+        """A payload stored before ``certificates`` carries a single
+        ``certificate`` dict; it still renders as certified."""
+        from repro.cli import _render_verify_payload
+
+        payload = {
+            "pretty": "cwnd(t) = 1", "verified": True, "wall_time": 0.1,
+            "certified": True,
+            "certificate": {
+                "steps": 3, "inputs": 2, "rup_additions": 1,
+                "theory_lemmas": 0, "check_time": 0.01,
+            },
+        }
+        assert _render_verify_payload(payload, certify=True) == 0
+        out = capsys.readouterr().out
+        assert "proof checked: 3 steps" in out
+        assert "NOT CERTIFIED" not in out
+
     def test_simulate(self, capsys):
         rc = main(["simulate", "--ticks", "30"])
         out = capsys.readouterr().out
