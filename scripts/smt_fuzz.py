@@ -13,7 +13,13 @@ Generates random small QF-LRA formulas and, for each one, checks
 * **optimum parity** — for a sat formula, maximizing a bounded
   variable (:func:`repro.smt.optimize.maximize`) must give the same
   exact optimum on both paths, with a model that passes the same
-  independent evaluator.
+  independent evaluator;
+* **primed parity** — a solver given the first formula, then
+  :meth:`repro.smt.Solver.adopt`-ing a solver that solved that formula
+  alone, then given the rest, must reach the fresh pipeline solver's
+  verdict, with a model that passes the same independent evaluator
+  (the CEGIS verifier's fast path: solve the base once, start every
+  candidate's search from there).
 
 Run directly::
 
@@ -125,9 +131,23 @@ def check_one(seed: int, depth: int) -> str | None:
             f"verdict divergence: pipeline={v_compiled.value} "
             f"raw={v_raw.value} formulas={formulas}"
         )
+    primer = Solver()
+    primer.add(formulas[0])
+    primed = Solver()
+    primed.add(formulas[0])
+    if primer.check() is sat:
+        primed.adopt(primer)
+    primed.add(*formulas[1:])
+    v_primed = primed.check()
+    if v_primed is not v_compiled:
+        return (
+            f"verdict divergence: primed={v_primed.value} "
+            f"pipeline={v_compiled.value} formulas={formulas}"
+        )
     for name, solver, verdict in (
         ("pipeline", compiled, v_compiled),
         ("raw", raw, v_raw),
+        ("primed", primed, v_primed),
     ):
         if verdict.value != "sat":
             continue
@@ -194,7 +214,10 @@ def main() -> int:
     if failures:
         print(f"{failures}/{args.n} cases diverged", file=sys.stderr)
         return 1
-    print(f"all {args.n} cases agree (pipeline vs raw, models and optima valid)")
+    print(
+        f"all {args.n} cases agree (pipeline vs raw vs primed, "
+        f"models and optima valid)"
+    )
     return 0
 
 

@@ -95,7 +95,11 @@ class BatchGenerator(Generator[Candidate, Counterexample], Protocol):
 
 
 class Verifier(Protocol[Candidate, Counterexample]):
-    """The ∀-player: certifies candidates or breaks them."""
+    """The ∀-player: certifies candidates or breaks them.
+
+    A verifier may also define ``prime(deadline=None)``: the CEGIS loop
+    calls it once before the first iteration, so the verifier can pay
+    once for what speeds up every later call."""
 
     def find_counterexample(
         self, candidate: Candidate, worst_case: bool = False, deadline=None

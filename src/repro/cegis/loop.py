@@ -17,7 +17,10 @@ counterexample (pruning counts as generator time), ``cegis.propose`` /
 ``cegis.counterexample`` / ``cegis.solution`` events, and a final
 ``cegis.done`` event carrying the :class:`CegisStats` totals and the
 explicit :class:`StopReason`.  ``CegisOptions.verbose`` is sugar for
-attaching a console sink for the duration of the run.
+attaching a console sink for the duration of the run.  Before the first
+iteration a verifier that has a ``prime(deadline)`` method is primed
+once (:meth:`repro.core.verifier.CcacVerifier.prime`), inside a
+``cegis.verify`` span whose time counts as verifier time.
 
 ``CegisOptions.time_budget`` is enforced as a *deadline*: besides the
 top-of-loop check, it is threaded into every verifier call as the
@@ -112,6 +115,7 @@ class CegisLoop:
             return outcome
         start = time.perf_counter()
         deadline = None if opts.time_budget is None else start + opts.time_budget
+        self._prime(tr, deadline, stats)
         while stats.iterations < opts.max_iterations:
             if deadline is not None and time.perf_counter() > deadline:
                 self._budget_exhausted(tr, outcome, where="loop")
@@ -207,6 +211,22 @@ class CegisLoop:
         self._save(outcome, final=True)
         self._done(tr, outcome)
         return outcome
+
+    def _prime(self, tr, deadline, stats) -> None:
+        """Let a verifier with a ``prime(deadline)`` method prepare for
+        the run's many calls (see
+        :meth:`repro.core.verifier.CcacVerifier.prime`); the time counts
+        as verifier time, under a ``cegis.verify`` span of its own."""
+        prime = getattr(self.verifier, "prime", None)
+        if prime is None:
+            return
+        with tr.span("cegis.verify", level=DEBUG, iter=stats.iterations,
+                     prime=True) as span:
+            t0 = time.perf_counter()
+            prime(deadline=deadline)
+            dt = time.perf_counter() - t0
+            span.set_duration(dt)
+        stats.verifier_time += dt
 
     def _verify(self, candidates, deadline, stats):
         """One verification round: portfolio race when batched, a single

@@ -88,7 +88,9 @@ class VerificationResult:
 class _EnvState:
     """Lazily built per-environment solver state."""
 
-    __slots__ = ("env", "cfg", "prefix", "net", "base", "candidate", "solver")
+    __slots__ = (
+        "env", "cfg", "prefix", "net", "base", "primer", "candidate", "solver",
+    )
 
     def __init__(self, env: EnvironmentSpec, cfg: ModelConfig, prefix: str):
         self.env = env
@@ -96,6 +98,9 @@ class _EnvState:
         self.prefix = prefix
         self.net = None
         self.base: Optional[tuple[Term, ...]] = None
+        #: a solver over ``base`` alone whose search every candidate's
+        #: solver starts from (:meth:`CcacVerifier.prime`); None: unprimed
+        self.primer: Optional[Solver] = None
         #: the candidate whose template constraints ``solver`` holds
         self.candidate: Optional[Candidate] = None
         self.solver: Optional[Solver] = None
@@ -113,6 +118,13 @@ class CcacVerifier:
     candidate changes.  Per-call extras (``extra_constraints`` and the
     worst-case objective) always go into a :meth:`~repro.smt.Solver.scope`,
     so a reused solver only ever holds base + candidate between calls.
+
+    :meth:`prime` (called once by the CEGIS loop) solves each
+    environment's candidate-free query once, and every later solver
+    starts its searches from the heuristics and Simplex tableau that
+    search left (:meth:`~repro.smt.Solver.adopt`).  A solver depends
+    only on the primer and the candidate, never on the calls before it,
+    so a run's counterexamples do not depend on its history.
 
     ``cache`` (``QueryCacheProtocol``-shaped, e.g.
     :class:`repro.engine.cache.QueryCache`): conclusive subquery verdicts
@@ -171,12 +183,57 @@ class CcacVerifier:
         memo (:mod:`repro.smt.compile`) keys on term identity, the
         shared-environment compile work is done once, not per candidate.
         """
-        if state.net is None:
-            state.net = state.env.build_model(state.cfg, prefix=state.prefix)
-            base = list(state.net.constraints())
-            base.append(state.env.negated_desired(state.net))
-            state.base = tuple(base)
+        if state.base is None:
+            # ``base`` is stored last and whole: a call interrupted here
+            # (a cancelled pooled task) leaves it None, never half-built
+            net = state.env.build_model(state.cfg, prefix=state.prefix)
+            state.net = net
+            state.base = (*net.constraints(), state.env.negated_desired(net))
         return state.net, state.base
+
+    def prime(self, deadline: Optional[float] = None) -> None:
+        """Solve each environment's candidate-free query once, with no
+        query cache, so later candidates' solvers start their searches
+        from the variable activity, saved phases and Simplex tableau
+        that search left (:meth:`repro.smt.Solver.adopt`).
+
+        A search that ends unknown (``deadline``, a
+        ``time.perf_counter()`` timestamp) or unsat leaves the
+        environment unprimed, which is just as sound; a later call
+        tries again.  It pays off over many candidates, so the CEGIS
+        loop calls it and a single verification call does not.
+        """
+        unprimed = [s for s in self._env_states() if s.primer is None]
+        if not unprimed:
+            return
+        start = time.perf_counter()
+        opts = CheckOptions(deadline=deadline)
+        with tracer().span(
+            "verifier.prime", level=DEBUG, environments=len(unprimed)
+        ) as span:
+            for state in unprimed:
+                _net, base = self._ensure_net(state)
+                primer = Solver(produce_proofs=self.certify)
+                primer.add(*base)
+                if primer.check(opts) is sat:
+                    state.primer = primer  # stored only once solved
+            span.set(primed=sum(s.primer is not None for s in unprimed))
+        self.total_time += time.perf_counter() - start
+
+    def drop_solvers(self) -> None:
+        """Forget every candidate's solver, keeping each environment's
+        network, base and primer.
+
+        For a call that ended abnormally (a cancelled pooled task, a
+        solver crash): its candidate solver may be stuck mid-scope, or
+        paired with the wrong candidate if the call was interrupted
+        while replacing it, so it must not be reused.  What is kept is
+        only ever stored whole (interned terms, a base tuple, a primer
+        stored after its solve) and never written again.
+        """
+        for state in self._env_states():
+            state.candidate = None  # first: no later call reuses the solver
+            state.solver = None
 
     @contextmanager
     def _candidate_scope(
@@ -192,14 +249,17 @@ class CcacVerifier:
 
         The solver is reused when the candidate repeats and rebuilt
         when it changes (base and candidate asserted as separate
-        batches, so the base compile is memo-amortized).  A plain check
-        adds nothing and opens no scope: an empty push would force the
-        Tseitin encoding that a cache hit otherwise skips.
+        batches, so the base compile is memo-amortized, and a primed
+        environment's solver adopts its primer in between).  A plain
+        check adds nothing and opens no scope: an empty push would force
+        the Tseitin encoding that a cache hit otherwise skips.
         """
         net, base = self._ensure_net(state)
         if state.candidate != candidate:
             solver = Solver(cache=self.cache, produce_proofs=self.certify)
             solver.add(*base)
+            if state.primer is not None:
+                solver.adopt(state.primer)
             solver.add(*state.env.candidate_constraints(net, candidate))
             state.solver, state.candidate = solver, candidate
         solver = state.solver

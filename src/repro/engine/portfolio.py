@@ -102,12 +102,18 @@ def _pooled_verify_candidate_task(
     """Runs inside a *persistent* pool worker: warm verifier, one candidate.
 
     Keeps one :class:`~repro.core.verifier.CcacVerifier` alive in
-    ``_WORKER_STATE`` across tasks — the CCAC network is built once and
-    a repeated candidate reuses its solver.  Soundness: any abnormal
-    exit (cancellation via ``TaskCancelled``, solver crash,
-    ``SoundnessError``) drops the warm verifier before re-raising, so a
-    solver that might be stuck mid-scope is never reused; the
-    independent model validator checks each verdict regardless.
+    ``_WORKER_STATE`` across tasks — the CCAC network is built and the
+    verifier primed (:meth:`~repro.core.verifier.CcacVerifier.prime`)
+    once, and a repeated candidate reuses its solver.  Every task calls
+    ``prime``, which does nothing once primed, so a priming solve that
+    ran out of a task's deadline is tried again on the next task.
+    Soundness: any abnormal exit (cancellation via ``TaskCancelled``,
+    solver crash, ``SoundnessError``) drops the warm verifier's
+    candidate solvers (:meth:`~repro.core.verifier.CcacVerifier.drop_solvers`)
+    before re-raising, so a solver that might be stuck mid-scope is
+    never reused, while the network, the primers and the query cache,
+    which only ever store whole values, stay warm; the independent
+    model validator checks each verdict regardless.
     """
     import json as _json
 
@@ -136,11 +142,12 @@ def _pooled_verify_candidate_task(
         _WORKER_STATE[key] = verifier
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     try:
+        verifier.prime(deadline)
         return verifier.find_counterexample(
             candidate, worst_case=worst_case, deadline=deadline
         )
     except BaseException:
-        _WORKER_STATE.pop(key, None)
+        verifier.drop_solvers()
         raise
 
 
@@ -177,7 +184,8 @@ class PortfolioVerifier:
        with no conclusive result, from a soft deadline or from spent
        kill retries, runs once more as plain search under the same
        kill/retry policy (any counterexample still makes progress, it
-       just prunes less).
+       just prunes less).  Past the call's deadline this rung is
+       skipped: nothing is recorded and the result stays ``unknown``.
     3. **worst-case disable** (``wce_disabled``) — after
        :attr:`WCE_FAIL_LIMIT` fallbacks, worst-case requests run plain.
 
@@ -265,7 +273,10 @@ class PortfolioVerifier:
         # the caller asked for worst-case search and is not getting it
         degraded = worst_case and not want_wce
         verdict = self._race(candidates, want_wce, deadline)
-        if want_wce and verdict.result.unknown:
+        # past the deadline no rung can start a worker: the call stays
+        # an unknown, and no fallback is recorded or counted
+        expired = deadline is not None and time.perf_counter() >= deadline
+        if want_wce and verdict.result.unknown and not expired:
             self._wce_failures += 1
             self._degrade(
                 "wce_fallback",

@@ -140,6 +140,22 @@ class SatSolver:
         self.proof = None
 
     # ------------------------------------------------------------------
+    # Priming
+    # ------------------------------------------------------------------
+
+    def adopt_heuristics(self, other: "SatSolver") -> None:
+        """Take the decision heuristics of ``other``, a searched solver
+        over the same variables: variable activity, saved phases and
+        ``var_inc``, with the decision heap rebuilt from that activity.
+        Clauses and the trail stay this solver's own."""
+        assert other.nvars == self.nvars, "adopt only over the same variables"
+        self.activity = list(other.activity)
+        self.saved_phase = list(other.saved_phase)
+        self.var_inc = other.var_inc
+        self.order_heap = [(-a, v) for v, a in enumerate(self.activity) if v]
+        heapq.heapify(self.order_heap)
+
+    # ------------------------------------------------------------------
     # Variable / clause management
     # ------------------------------------------------------------------
 

@@ -165,6 +165,20 @@ class Simplex:
     # Construction
     # ------------------------------------------------------------------
 
+    def adopt_tableau(self, other: "Simplex") -> None:
+        """Take a copy of the tableau and assignment of ``other``, a
+        Simplex built from the same rows that has since pivoted.  Every
+        row still denotes the same linear form, so only the basis and
+        the starting point of the next :meth:`check` change; bounds and
+        the undo trail stay this Simplex's own."""
+        assert other.nvars == self.nvars, "adopt only over the same variables"
+        self.rows = {b: dict(row) for b, row in other.rows.items()}
+        self.cols = {v: set(col) for v, col in other.cols.items()}
+        self.den = dict(other.den)
+        self.basic = set(other.basic)
+        self.assign = list(other.assign)
+        self._touched = set(other.basic)
+
     def new_var(self) -> int:
         v = self.nvars
         self.nvars += 1

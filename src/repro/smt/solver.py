@@ -34,6 +34,21 @@ so queries that differ only in assertion order, term construction order,
 folded structure, or atom spelling are answered without a solve.
 ``unknown`` results are never cached (they describe a budget, not the
 formula).
+
+:meth:`Solver.adopt` starts a solver's later searches where another
+solver's search over the same assertions ended (its variable activity,
+saved phases and Simplex tableau), so many queries that extend one base
+can share what one solve of that base found out about how to search::
+
+    primer = Solver()
+    primer.add(*base)
+    primer.check()
+    for candidate in candidates:
+        s = Solver()
+        s.add(*base)
+        s.adopt(primer)
+        s.add(*candidate_constraints)
+        s.check()
 """
 
 from __future__ import annotations
@@ -338,6 +353,30 @@ class Solver:
             yield self
         finally:
             self.pop()
+
+    # -- priming --------------------------------------------------------------
+
+    def adopt(self, primer: "Solver") -> None:
+        """Start this solver's later searches where ``primer``'s ended.
+
+        ``primer`` must have been given the same ``add`` calls as this
+        solver (and then searched), so both encode them into the same
+        SAT and Simplex variables: the numbering follows the order of
+        the ``add`` calls.  This solver takes ``primer``'s variable
+        activity, saved phases and ``var_inc``
+        (:meth:`repro.smt.sat.SatSolver.adopt_heuristics`) and a copy of
+        its Simplex tableau and assignment
+        (:meth:`repro.smt.simplex.Simplex.adopt_tableau`).  Its clauses,
+        root trail and proof log stay its own, so it derives nothing
+        from ``primer``'s search: only where its own searches start
+        changes.  The assertions are encoded here.
+        """
+        if self._frames:
+            raise ValueError("adopt needs a solver at the root (no open frame)")
+        if primer._encoded[0] != self._encoded[0] or primer._frames:
+            raise ValueError("adopt only from a solver over the same assertions")
+        self.sat_core.adopt_heuristics(primer.sat_core)
+        self.theory.simplex.adopt_tableau(primer.theory.simplex)
 
     # -- solving --------------------------------------------------------------
 

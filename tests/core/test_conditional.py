@@ -182,7 +182,7 @@ class TestSynthesis:
         outcome = synthesize(SynthesisQuery(
             spec=SYNTH_SPEC, cfg=fast_cfg, generator="enum", time_budget=600,
         ))
-        assert outcome.iterations == 9
+        assert outcome.iterations == 8
         sol = outcome.solutions[0]
         assert sol.pretty() == (
             "if queue_est(t) > 2: cwnd = 1 else: cwnd = 1*acked2rtt(t) + 1"

@@ -206,10 +206,10 @@ def test_space_compiles_from_its_domains(spec):
 #: (no_cwnd_small, h=3, T=5) with the generator pruning through the
 #: scalar Fraction replay
 T1_ITERATIONS = {
-    (PruningMode.RANGE, False): 19,
-    (PruningMode.RANGE, True): 14,
-    (PruningMode.EXACT, False): 19,
-    (PruningMode.EXACT, True): 19,
+    (PruningMode.RANGE, False): 10,
+    (PruningMode.RANGE, True): 10,
+    (PruningMode.EXACT, False): 11,
+    (PruningMode.EXACT, True): 12,
 }
 
 

@@ -146,6 +146,20 @@ class TestWorstCaseFallbackBatch(_BatchEntry, TestWorstCaseFallback):
     pass
 
 
+class TestExpiredDeadline:
+    def test_wce_call_past_deadline_records_no_fallback(self):
+        """A pooled worst-case call made after its deadline starts no
+        worker, so it records no fallback and counts none toward
+        ``WCE_FAIL_LIMIT``; its result is a degraded unknown."""
+        pv, pool = portfolio([{"counterexample": "cex"}])
+        verdict = pv.verify_batch(
+            [Cand()], worst_case=True, deadline=time.perf_counter() - 1
+        )
+        assert pool.seen == []
+        assert pv.degradations == []
+        assert verdict.result.unknown and verdict.result.degraded
+
+
 class TestDegradeEvents:
     def test_every_step_emits_runtime_degrade(self, recording_sink):
         pv, _pool = portfolio([
