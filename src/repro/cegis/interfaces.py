@@ -65,9 +65,14 @@ class Generator(Protocol[Candidate, Counterexample]):
     them rather than re-declaring their own signatures.
     """
 
-    def propose(self) -> Optional[Candidate]:
+    def propose(self, deadline=None) -> Optional[Candidate]:
         """Next candidate, or None when the space is exhausted (the query
-        has no solution beyond the ones already blocked)."""
+        has no solution beyond the ones already blocked).
+
+        ``deadline`` is the CEGIS loop's, as in
+        :meth:`Verifier.find_counterexample`.  A generator that gives up
+        on it returns None; the loop tells that from exhaustion by the
+        expired deadline and stops with :attr:`StopReason.BUDGET`."""
         ...
 
     def add_counterexample(self, cex: Counterexample) -> None:
@@ -85,7 +90,7 @@ class BatchGenerator(Generator[Candidate, Counterexample], Protocol):
     """A generator that can propose several *distinct* candidates at
     once (for portfolio verification)."""
 
-    def propose_batch(self, k: int) -> list[Candidate]:
+    def propose_batch(self, k: int, deadline=None) -> list[Candidate]:
         """Up to ``k`` distinct candidates, all consistent with every
         counterexample seen so far.  An empty list means the space is
         exhausted.  Proposing a batch must not permanently block any of

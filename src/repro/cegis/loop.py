@@ -24,8 +24,10 @@ once (:meth:`repro.core.verifier.CcacVerifier.prime`), inside a
 
 ``CegisOptions.time_budget`` is enforced as a *deadline*: besides the
 top-of-loop check, it is threaded into every verifier call as the
-``deadline`` keyword (``time.perf_counter()`` timestamp), so a single
-long verifier call can no longer overshoot the budget unboundedly.
+``deadline`` keyword (``time.perf_counter()`` timestamp), as into every
+proposal (see :class:`~repro.cegis.interfaces.Generator`), so a single
+long verifier call or proposal can no longer overshoot the budget
+unboundedly.
 A run stopped this way records an explicit ``cegis.budget_exhausted``
 event.
 
@@ -126,14 +128,20 @@ class CegisLoop:
             with tr.span("cegis.generate", level=DEBUG, iter=stats.iterations) as span:
                 t0 = time.perf_counter()
                 if batch_size > 1:
-                    candidates = list(self.generator.propose_batch(batch_size))
+                    candidates = list(
+                        self.generator.propose_batch(batch_size, deadline=deadline)
+                    )
                 else:
-                    candidate = self.generator.propose()
+                    candidate = self.generator.propose(deadline=deadline)
                     candidates = [] if candidate is None else [candidate]
                 dt = time.perf_counter() - t0
                 span.set_duration(dt)
             stats.generator_time += dt
             if not candidates:
+                if deadline is not None and time.perf_counter() > deadline:
+                    # the generator gave up on the budget: nothing is proved
+                    self._budget_exhausted(tr, outcome, where="generator")
+                    break
                 outcome.exhausted = True
                 outcome.stop_reason = StopReason.EXHAUSTED
                 tr.event("cegis.exhausted", iter=stats.iterations)

@@ -78,12 +78,15 @@ class EnumerativeGenerator:
     def survivor_count(self) -> int:
         return len(self._survivors)
 
-    def propose(self) -> Optional[Candidate]:
+    def propose(self, deadline: Optional[float] = None) -> Optional[Candidate]:
+        # a proposal reads a list; there is nothing for ``deadline`` to cut
         if not self._survivors:
             return None
         return self._survivors[0]
 
-    def propose_batch(self, k: int) -> list[Candidate]:
+    def propose_batch(
+        self, k: int, deadline: Optional[float] = None
+    ) -> list[Candidate]:
         """Up to ``k`` distinct survivors (for portfolio verification);
         none are blocked by being proposed."""
         return list(self._survivors[:k])

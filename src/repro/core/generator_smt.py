@@ -24,14 +24,13 @@ Pruning modes (paper §3.1.2, "Number of iterations"):
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from typing import Optional
 
 from ..ccac import CexTrace, ModelConfig
 from ..cegis import PruningMode
 from ..smt import (
     And,
+    CheckOptions,
     Implies,
     Not,
     Or,
@@ -274,9 +273,10 @@ class SmtGenerator:
 
     # ------------------------------------------------------------------
 
-    def propose(self) -> Optional[CandidateCCA]:
-        """Solve the accumulated constraints; None when UNSAT."""
-        if self.solver.check() is not sat:
+    def propose(self, deadline: Optional[float] = None) -> Optional[CandidateCCA]:
+        """Solve the accumulated constraints; None when UNSAT, or when
+        the check gave up at ``deadline`` (unknown)."""
+        if self.solver.check(CheckOptions(deadline=deadline)) is not sat:
             return None
         model = self.solver.model()
         alphas = tuple(model.value(a) for a in self.alpha_vars)
@@ -284,7 +284,9 @@ class SmtGenerator:
         gamma = model.value(self.gamma_var)
         return CandidateCCA(alphas, betas, gamma)
 
-    def propose_batch(self, k: int) -> list[CandidateCCA]:
+    def propose_batch(
+        self, k: int, deadline: Optional[float] = None
+    ) -> list[CandidateCCA]:
         """Up to ``k`` *distinct* candidates for one portfolio round.
 
         Diversity is forced with temporary blocking constraints inside a
@@ -295,7 +297,7 @@ class SmtGenerator:
         self.solver.push()
         try:
             for _ in range(max(k, 1)):
-                candidate = self.propose()
+                candidate = self.propose(deadline)
                 if candidate is None:
                     break
                 batch.append(candidate)

@@ -260,6 +260,8 @@ class CcacVerifier:
             solver.add(*base)
             if state.primer is not None:
                 solver.adopt(state.primer)
+            else:
+                solver.decide_by_theory()
             solver.add(*state.env.candidate_constraints(net, candidate))
             state.solver, state.candidate = solver, candidate
         solver = state.solver

@@ -47,7 +47,10 @@ from ..smt.terms import Bool, Real
 #: v2: keys hash the *post-compile* assertion form (the simplified,
 #: atom-canonicalized formulas from :mod:`repro.smt.compile`), not the
 #: raw assertion set — see ``Solver.check``.
-CACHE_VERSION = 2
+#: v3: a ``sat`` model carries a worst-case probe's objective and its
+#: exact optimum (``Model.objective``/``Model.optimum``), so a warm
+#: cache replays a cold worst-case search.
+CACHE_VERSION = 3
 
 #: persisted cumulative counters for a shared cache directory; cheap to
 #: read (one small JSON file, no directory walk) so a long-running
@@ -84,13 +87,19 @@ def _encode_model(model: Model) -> dict:
     return {
         "bools": {t.name: bool(v) for t, v in bools.items() if t.name},
         "reals": {t.name: str(v) for t, v in reals.items() if t.name},
+        "objective": model.objective,
+        "optimum": None if model.optimum is None else str(model.optimum),
     }
 
 
 def _decode_model(data: dict) -> Model:
     bools = {Bool(name): bool(v) for name, v in data.get("bools", {}).items()}
     reals = {Real(name): Fraction(v) for name, v in data.get("reals", {}).items()}
-    return Model(bools, reals)
+    optimum = data.get("optimum")
+    return Model(
+        bools, reals, data.get("objective"),
+        None if optimum is None else Fraction(optimum),
+    )
 
 
 class QueryCache:

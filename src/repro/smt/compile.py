@@ -429,9 +429,21 @@ def _compile(fs: tuple[Term, ...], frozen_ids: frozenset) -> CompiledQuery:
 # -- stage: ITE lifting ------------------------------------------------------
 
 
+#: conjuncts found to hold no real-sorted ITE, which the ITE pass returns
+#: unchanged (a pure property of the interned term, so kept per process)
+_ite_free: set[Term] = set()
+
+
 def _ite_pass(conjuncts: list[Term], emitted: set[str]) -> list[Term]:
     side: list[Term] = []
-    out = [rewrite.lift_real_ites(c, side, emitted) for c in conjuncts]
+    out = []
+    for c in conjuncts:
+        if c not in _ite_free:
+            lifted = rewrite.lift_real_ites(c, side, emitted)
+            if lifted is c:
+                _ite_free.add(c)
+            c = lifted
+        out.append(c)
     if not side:
         return out
     return _flatten_conjuncts(out + side)

@@ -41,7 +41,8 @@ class LinExpr:
         if k is Kind.CONST:
             self.const += scale * term.value
         elif k is Kind.VAR:
-            self.coeffs[term] = self.coeffs.get(term, Fraction(0)) + scale
+            c = self.coeffs.get(term)
+            self.coeffs[term] = scale if c is None else c + scale
         elif k is Kind.ADD:
             for a in term.args:
                 self._accumulate(a, scale)
@@ -128,7 +129,8 @@ def _normalize(term: Term) -> LinAtom | bool:
     # diff <= / < 0  where diff = lhs - rhs
     coeffs = dict(lhs.coeffs)
     for var, c in rhs.coeffs.items():
-        coeffs[var] = coeffs.get(var, Fraction(0)) - c
+        prev = coeffs.get(var)
+        coeffs[var] = -c if prev is None else prev - c
     coeffs = {v: c for v, c in coeffs.items() if c != 0}
     bound = rhs.const - lhs.const
     strict = term.kind is Kind.LT

@@ -69,10 +69,13 @@ def maximize(
     the first UNSAT probe, or at an inconclusive one (budgets go through
     ``options``), returning the best model so far.  ``feasible=False``
     means the first probe found no model (``unknown=True`` when it was
-    inconclusive rather than unsat).  A cache hit carries no δ-part, so
-    its probe bounds on the model's value instead (at worst one re-solved
-    probe).  Each probe is emitted as an ``opt.probe`` event when tracing
-    is enabled.
+    inconclusive rather than unsat).  The bound comes from the model's
+    stored optimum (:attr:`Model.optimum`), so a probe a query cache
+    answers bounds the next one exactly as the solved probe did; a cached
+    model stored without an optimum of ``objective`` (the cache keys on
+    the assertions only) bounds on its objective value instead.
+    Each probe is emitted as an ``opt.probe`` event when tracing is
+    enabled.
 
     ``objective`` must be a real variable that survives compilation (tie
     an expression to a fresh variable with ``v <= expr``); an unbounded
@@ -104,13 +107,12 @@ def maximize(
                 outcome = solver.check(opts)
                 if outcome is sat:
                     model = solver.model()
-                    if solver.checks == solves:  # cache hit: no δ-part
-                        value = model.value(objective)
-                    elif theory.optimum is None:
+                    if model.objective == objective.name:
+                        value = model.optimum
+                    elif solver.checks > solves:  # solved, not a cache hit
                         raise ValueError(f"objective {objective} is unbounded")
-                    else:
-                        rn, _, q = theory.optimum
-                        value = Fraction(rn, q)
+                    else:  # cached with no optimum, or another objective's
+                        value = model.value(objective)
             if tr.enabled:
                 tr.event(
                     "opt.probe",

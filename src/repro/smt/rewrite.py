@@ -191,6 +191,10 @@ def lift_real_ites(formula: Term, side: list, emitted: set) -> Term:
 # -- atom canonicalization ---------------------------------------------------
 
 
+#: atom -> :func:`atom_term` result, once per atom per process
+_atom_terms: dict[LinAtom, Term] = {}
+
+
 def atom_term(atom: LinAtom) -> Term:
     """The canonical term spelling of a :class:`LinAtom`.
 
@@ -201,12 +205,17 @@ def atom_term(atom: LinAtom) -> Term:
     exactly one positive spelling and the encoder maps both polarities
     onto one theory variable.
     """
-    lhs = Add(*[Mul(c, v) for v, c in atom.expr])
-    bound = RealVal(atom.bound)
-    if atom.upper:
-        return (lhs < bound) if atom.strict else (lhs <= bound)
-    # expr >= b  ==  not (expr < b);   expr > b  ==  not (expr <= b)
-    return Not(lhs <= bound) if atom.strict else Not(lhs < bound)
+    hit = _atom_terms.get(atom)
+    if hit is None:
+        lhs = Add(*[Mul(c, v) for v, c in atom.expr])
+        bound = RealVal(atom.bound)
+        if atom.upper:
+            hit = (lhs < bound) if atom.strict else (lhs <= bound)
+        else:
+            # expr >= b  ==  not (expr < b);   expr > b  ==  not (expr <= b)
+            hit = Not(lhs <= bound) if atom.strict else Not(lhs < bound)
+        _atom_terms[atom] = hit
+    return hit
 
 
 #: input term -> :func:`canonicalize_atoms` result, once per term

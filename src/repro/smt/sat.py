@@ -4,7 +4,8 @@ A reasonably complete conflict-driven clause-learning solver:
 
 * two-watched-literal propagation,
 * 1UIP conflict analysis with recursive clause minimization,
-* relevancy-filtered VSIDS decisions with phase saving (below),
+* relevancy-filtered VSIDS decisions with phase saving (below), or
+  theory-aware phases on theory atoms (:attr:`SatSolver.theory_phases`),
 * Luby restarts and activity-based learned-clause deletion,
 * assumption literals (used by the incremental push/pop layer),
 * a :class:`TheoryHook` interface through which the Simplex-based linear
@@ -54,6 +55,12 @@ class TheoryHook:
         raise NotImplementedError
 
     def check(self, final: bool) -> Optional[list[int]]:
+        raise NotImplementedError
+
+    def phase(self, var: int) -> int:
+        """The polarity (+1 or -1) of theory atom ``var`` that the theory's
+        current assignment satisfies; consulted for decisions when
+        :attr:`SatSolver.theory_phases` is set."""
         raise NotImplementedError
 
     def take_farkas(self):
@@ -135,6 +142,10 @@ class SatSolver:
         self._theory_qhead = 0
         self._theory_dirty = False
         self._model: list[int] = []
+        #: decide a theory atom the way the theory's current assignment
+        #: satisfies it (:meth:`TheoryHook.phase`) instead of by its saved
+        #: phase; other variables keep their saved phases
+        self.theory_phases = False
         #: when set (a :class:`repro.trust.proof.ProofLog`), every clause
         #: addition/derivation/deletion is logged for independent checking
         self.proof = None
@@ -600,7 +611,10 @@ class SatSolver:
             self.trail_lim.append(len(self.trail))
             if self.theory is not None:
                 self.theory.push_level()
-            phase = self.saved_phase[v]
+            if self.theory_phases and self.is_theory[v]:
+                phase = self.theory.phase(v)
+            else:
+                phase = self.saved_phase[v]
             self._uncheck_enqueue(v * phase, None)
 
         if result is True:

@@ -140,11 +140,25 @@ class Model:
 
     Variables that the solver never saw evaluate to 0 / False, matching
     the convention of other SMT solvers for don't-care variables.
+
+    ``objective`` names the variable that :func:`repro.smt.optimize.maximize`
+    armed for the check that produced this model, and ``optimum`` is the
+    real part of its exact optimum (both None when none was armed or it
+    is unbounded).  They travel with the model through a query cache,
+    so a cached probe bounds the next one exactly as the solved probe did.
     """
 
-    def __init__(self, bool_values: dict[Term, bool], real_values: dict[Term, Fraction]):
+    def __init__(
+        self,
+        bool_values: dict[Term, bool],
+        real_values: dict[Term, Fraction],
+        objective: Optional[str] = None,
+        optimum: Optional[Fraction] = None,
+    ):
         self._bools = bool_values
         self._reals = real_values
+        self.objective = objective
+        self.optimum = optimum
 
     def value(self, term: Term):
         """Evaluate ``term`` (bool -> bool, real -> Fraction)."""
@@ -378,6 +392,15 @@ class Solver:
         self.sat_core.adopt_heuristics(primer.sat_core)
         self.theory.simplex.adopt_tableau(primer.theory.simplex)
 
+    def decide_by_theory(self) -> None:
+        """Decide each theory atom the way the current Simplex assignment
+        already satisfies it, instead of by its saved phase
+        (:attr:`repro.smt.sat.SatSolver.theory_phases`).  A proving search
+        then asserts fewer bounds that the Simplex point violates, so it
+        pivots and conflicts less; a solver whose SAT model is the product
+        keeps saved phases.  Setting it encodes nothing."""
+        self._core.theory_phases = True
+
     # -- solving --------------------------------------------------------------
 
     #: emit an ``smt.progress`` event every this many conflicts while tracing
@@ -514,7 +537,11 @@ class Solver:
             for v, c in expr.coeffs.items():
                 value += c * reals.get(v, Fraction(0))
             reals[var] = value
-        return Model(bools, reals)
+        objective = self.theory.objective
+        if objective is None or self.theory.optimum is None:
+            return Model(bools, reals)
+        rn, _, q = self.theory.optimum
+        return Model(bools, reals, objective.name, Fraction(rn, q))
 
     def model(self) -> Model:
         """The model of the last successful :meth:`check`."""

@@ -95,6 +95,12 @@ class LraTheory(TheoryHook):
             self._model_values = self.simplex.model()
         return None
 
+    def phase(self, var: int) -> int:
+        # the positive literal asserts ``e <= bound`` (a DRat, which
+        # compares with the plain value triples of ``assign``)
+        svar, (_, bound), _neg = self.actions[var]
+        return -1 if bound < self.simplex.assign[svar] else 1
+
     def take_farkas(self) -> Optional[tuple]:
         farkas, self._farkas = self._farkas, None
         return farkas

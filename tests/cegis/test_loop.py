@@ -60,7 +60,7 @@ class ToyGenerator:
             LineCandidate(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)
         ]
 
-    def propose(self):
+    def propose(self, deadline=None):
         return self.survivors[0] if self.survivors else None
 
     def add_counterexample(self, x: int) -> None:

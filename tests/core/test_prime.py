@@ -10,6 +10,7 @@ certified run still certifies.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -270,28 +271,44 @@ class RecordingVerifier(CcacVerifier):
         return res
 
 
-#: the 3^4 Table 1 row under range pruning.  (Worst-case search is left
-#: out: a cache hit carries no δ-part, so its probe sequence differs
-#: from a cold run's with or without priming.)
+#: the 3^4 Table 1 row under range pruning
 T1_QUERY = SynthesisQuery(
     spec=table1_spaces(3)["no_cwnd_small"], cfg=ModelConfig(T=5, history=3),
     generator="enum", worst_case_cex=False, time_budget=600,
 )
 
 
+def _cold_then_warm(query, cache_dir):
+    """Two runs of ``query`` over one cache directory: iterations,
+    counterexamples and cache stats of each."""
+    runs = []
+    for _ in range(2):
+        cache = QueryCache(cache_dir)
+        verifier = RecordingVerifier(query.cfg, cache=cache)
+        result = synthesize(query, verifier=verifier)
+        runs.append((result.iterations, verifier.cexes, cache.stats()))
+    return runs
+
+
 class TestPrimedCegis:
     def test_warm_cache_replays_a_cold_run(self, tmp_path):
-        runs = []
-        for _ in range(2):
-            cache = QueryCache(str(tmp_path / "qcache"))
-            verifier = RecordingVerifier(T1_QUERY.cfg, cache=cache)
-            result = synthesize(T1_QUERY, verifier=verifier)
-            runs.append((result.iterations, verifier.cexes, cache.stats()))
+        runs = _cold_then_warm(T1_QUERY, str(tmp_path / "qcache"))
         (cold_it, cold_cex, cold), (warm_it, warm_cex, warm) = runs
         assert warm_it == cold_it
         assert warm_cex == cold_cex
         assert cold["hits"] == 0
         assert warm["hits"] > 0
+
+    def test_warm_cache_replays_a_cold_worst_case_run(self, tmp_path):
+        """A cached probe bounds the next one by the optimum stored with
+        its model, exactly as the solved probe did."""
+        query = replace(T1_QUERY, worst_case_cex=True)
+        runs = _cold_then_warm(query, str(tmp_path / "qcache"))
+        (cold_it, cold_cex, cold), (warm_it, warm_cex, warm) = runs
+        assert warm_it == cold_it
+        assert warm_cex == cold_cex
+        assert cold["hits"] == 0
+        assert warm["hits"] > 0 and warm["misses"] == 0
 
     def test_primed_certified_run_certifies(self):
         result = run_synthesis(T1_QUERY, RuntimeOptions(certify=True))

@@ -220,8 +220,8 @@ def _proposals(monkeypatch, pruning, worst_case, oracle):
     proposed = []
 
     class Recording(EnumerativeGenerator):
-        def propose(self):
-            cand = super().propose()
+        def propose(self, deadline=None):
+            cand = super().propose(deadline)
             if cand is not None:
                 proposed.append(cand.key())
             return cand

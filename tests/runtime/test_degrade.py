@@ -176,7 +176,7 @@ class TestDegradeEvents:
         StopReason.DEGRADED, not a silent budget stop."""
 
         class OneCandidate:
-            def propose(self):
+            def propose(self, deadline=None):
                 return Cand()
 
             def add_counterexample(self, cex):

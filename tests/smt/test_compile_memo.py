@@ -17,10 +17,12 @@ import pytest
 from repro.ccac import ModelConfig
 from repro.ccac.environments import lossless_environment
 from repro.core import constant_cwnd, rocc
+from repro.core.conditional import aimd_candidate
 from repro.core.verifier import CcacVerifier
 from repro.obs import metrics
 from repro.smt import Real, RealVal, Solver, canonical_hash, compile_query, unsat
 from repro.smt import compile as compile_mod
+from repro.smt import rewrite
 from repro.smt.terms import canonical_key
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir))
@@ -85,6 +87,7 @@ def no_query_memo(monkeypatch):
 def warm_up() -> None:
     for T in (7, 9):
         query_digest(T, rocc(3))
+        query_digest(T, aimd_candidate())
     for gamma in (1, 2):
         query_digest(5, constant_cwnd(gamma, history=3))
 
@@ -94,6 +97,19 @@ class TestWarmEqualsCold:
         expected = cold("query_digest(5, rocc(3))")
         warm_up()
         assert query_digest(5, rocc(3)) == expected
+
+    def test_guarded_candidate(self, no_query_memo):
+        """The guarded template's real ITEs go through the ITE pass,
+        whose ITE-free conjuncts are remembered per process."""
+        expected = cold("query_digest(5, aimd_candidate())")
+        warm_up()
+        assert query_digest(5, aimd_candidate()) == expected
+
+    def test_warm_up_fills_every_per_term_memo(self, no_query_memo):
+        warm_up()
+        assert compile_mod._ite_free
+        assert rewrite._atom_terms
+        assert rewrite._canonicalized and rewrite._simplified
 
     def test_proving_call(self, no_query_memo):
         expected = cold("prove_counts(5)")

@@ -5,7 +5,7 @@ import random
 import pytest
 from scipy.optimize import linprog
 
-from repro.smt import Or, Real, RealVal, Solver, unsat
+from repro.smt import Or, Real, RealVal, Solver, sat, unsat
 from repro.smt.optimize import maximize
 
 x, y, o = Real("x"), Real("y"), Real("o")
@@ -84,21 +84,52 @@ class TestMaximize:
         assert s.theory.objective is None
 
     def test_cache_hit_bounds_on_the_model_value(self):
-        """A cached model carries no δ-part; the search still ends on
-        the exact supremum."""
+        """A cached model stored by a check with no objective armed
+        carries no optimum; the probe bounds on the model's value and
+        the search still ends on the exact supremum."""
         from repro.engine.cache import QueryCache
 
         cache = QueryCache()
-        solves = []
+        plain = Solver(cache=cache)
+        plain.add(Or(x <= 3, x >= 7), x < 8, x >= 0)
+        assert plain.check() is sat and plain.model().optimum is None
+        s = Solver(cache=cache)
+        s.add(Or(x <= 3, x >= 7), x < 8, x >= 0)
+        res = maximize(s, x)
+        assert res.best_value == 8 and res.model.value(x) < 8
+        assert s.checks == res.probes - 1  # the first probe was a hit
+
+    def test_cache_hit_bounds_on_the_stored_optimum(self):
+        """A worst-case probe's model carries its exact optimum through
+        the cache, so a rerun replays every probe from the cache."""
+        from repro.engine.cache import QueryCache
+
+        cache = QueryCache()
+        solves, models = [], []
         for _ in range(2):
             s = Solver(cache=cache)
             s.add(Or(x <= 3, x >= 7), x < 8, x >= 0)
             res = maximize(s, x)
-            assert res.best_value == 8 and res.model.value(x) < 8
+            assert res.best_value == 8 and res.model.optimum == 8
             solves.append(s.checks)
-        # the rerun hits on its first and last probes and re-solves the
-        # probe that bounds on the cached model's value
-        assert solves == [2, 1]
+            models.append(res.model.assignment())
+        assert solves == [2, 0]
+        assert models[0] == models[1]
+
+    def test_cache_hit_for_another_objective_bounds_on_the_model_value(self):
+        """The cache keys on the assertions only: a model stored while
+        maximizing ``x`` must not hand ``x``'s optimum to ``y``."""
+        from repro.engine.cache import QueryCache
+
+        cache = QueryCache()
+        best = {}
+        for objective in (x, y, x, y):
+            s = Solver(cache=cache)
+            s.add(Or(x <= 3, x >= 7), x < 8, x >= 0, y <= 5 - x, y >= -10)
+            res = maximize(s, objective)
+            assert res.model.objective == objective.name
+            best.setdefault(objective.name, set()).add(res.best_value)
+        assert best == {"x": {8}, "y": {5}}
 
 
 def _random_lp(rng: random.Random, nvars: int):
