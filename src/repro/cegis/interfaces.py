@@ -182,20 +182,14 @@ class CegisCheckpoint(Protocol):
 class CegisOptions:
     """Knobs of one CEGIS run.
 
-    ``verbose`` is a sink configuration: it attaches a
-    :class:`repro.obs.ConsoleSink` to the global tracer for the duration
-    of the run (unless one is already attached), rendering the loop's
-    solution/counterexample events as the familiar ``[cegis] iter N:``
-    lines.  ``time_budget`` is enforced as a deadline threaded into the
+    ``time_budget`` is enforced as a deadline threaded into the
     verifier, not just a top-of-loop check.
     """
 
     worst_case_cex: bool = False
     find_all: bool = False
     max_iterations: int = 100_000
-    max_solutions: Optional[int] = None
     time_budget: Optional[float] = None
-    verbose: bool = False
     #: portfolio width: >1 enables batched propose + parallel verify
     #: rounds when the generator/verifier support it (see
     #: :class:`BatchGenerator` / :class:`BatchVerifier`)
@@ -217,11 +211,6 @@ class CegisStats:
     #: verified verdicts whose UNSAT proof was independently checked
     #: (see :mod:`repro.trust`; nonzero only under ``certify`` runs)
     certified_verdicts: int = 0
-    #: adversarial falsification evaluations spent hunting the solutions
-    #: (see :mod:`repro.falsify`; nonzero only under ``--falsify`` runs)
-    falsification_attempts: int = 0
-    #: solutions that survived their falsification budget
-    falsification_survivals: int = 0
 
     @property
     def total_time(self) -> float:
@@ -234,12 +223,20 @@ class CegisOutcome(Generic[Candidate]):
 
     solutions: list = field(default_factory=list)
     stats: CegisStats = field(default_factory=CegisStats)
-    exhausted: bool = False  # generator proved no further solutions exist
-    timed_out: bool = False
     #: why the run ended (always set by CegisLoop.run)
     stop_reason: Optional[StopReason] = None
     #: whether the run was restored from a checkpoint
     resumed: bool = False
+
+    @property
+    def exhausted(self) -> bool:
+        """The generator proved no further solutions exist."""
+        return self.stop_reason is StopReason.EXHAUSTED
+
+    @property
+    def timed_out(self) -> bool:
+        """The time budget ran out, or the run only ended degraded."""
+        return self.stop_reason in (StopReason.BUDGET, StopReason.DEGRADED)
 
     @property
     def found(self) -> bool:

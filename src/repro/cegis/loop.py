@@ -16,10 +16,11 @@ Every run is traced through :mod:`repro.obs`: per-iteration
 counterexample (pruning counts as generator time), ``cegis.propose`` /
 ``cegis.counterexample`` / ``cegis.solution`` events, and a final
 ``cegis.done`` event carrying the :class:`CegisStats` totals and the
-explicit :class:`StopReason`.  ``CegisOptions.verbose`` is sugar for
-attaching a console sink for the duration of the run.  Before the first
-iteration a verifier that has a ``prime(deadline)`` method is primed
-once (:meth:`repro.core.verifier.CcacVerifier.prime`), inside a
+explicit :class:`StopReason`.  A console sink (``--log-level info``)
+renders the solution/counterexample events as ``[cegis] iter N:``
+lines.  Before the first iteration a verifier that has a
+``prime(deadline)`` method is primed once
+(:meth:`repro.core.verifier.CcacVerifier.prime`), inside a
 ``cegis.verify`` span whose time counts as verifier time.
 
 ``CegisOptions.time_budget`` is enforced as a *deadline*: besides the
@@ -47,7 +48,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..obs import DEBUG, ConsoleSink, tracer
+from ..obs import DEBUG, tracer
 from .interfaces import (
     CegisCheckpoint,
     CegisOptions,
@@ -87,18 +88,9 @@ class CegisLoop:
 
     def run(self) -> CegisOutcome:
         tr = tracer()
-        console = None
-        if self.options.verbose and not any(
-            isinstance(s, ConsoleSink) for s in tr.sinks
-        ):
-            console = tr.add_sink(ConsoleSink())
-        try:
-            with tr.span("cegis.run", worst_case=self.options.worst_case_cex,
-                         find_all=self.options.find_all):
-                return self._run(tr)
-        finally:
-            if console is not None:
-                tr.remove_sink(console)
+        with tr.span("cegis.run", worst_case=self.options.worst_case_cex,
+                     find_all=self.options.find_all):
+            return self._run(tr)
 
     def _run(self, tr) -> CegisOutcome:
         opts = self.options
@@ -109,10 +101,6 @@ class CegisLoop:
             # resuming an already-finished run is idempotent: report the
             # recorded verdict instead of searching past it
             outcome.stop_reason = StopReason(restored.stop_reason)
-            outcome.exhausted = outcome.stop_reason is StopReason.EXHAUSTED
-            outcome.timed_out = outcome.stop_reason in (
-                StopReason.BUDGET, StopReason.DEGRADED
-            )
             self._done(tr, outcome)
             return outcome
         start = time.perf_counter()
@@ -142,7 +130,6 @@ class CegisLoop:
                     # the generator gave up on the budget: nothing is proved
                     self._budget_exhausted(tr, outcome, where="generator")
                     break
-                outcome.exhausted = True
                 outcome.stop_reason = StopReason.EXHAUSTED
                 tr.event("cegis.exhausted", iter=stats.iterations)
                 break
@@ -169,9 +156,6 @@ class CegisLoop:
                     msg=f"[cegis] iter {stats.iterations}: solution {candidate}",
                 )
                 if not opts.find_all:
-                    outcome.stop_reason = StopReason.SOLUTION
-                    break
-                if opts.max_solutions is not None and len(outcome.solutions) >= opts.max_solutions:
                     outcome.stop_reason = StopReason.SOLUTION
                     break
                 self.generator.block(candidate)
@@ -341,7 +325,6 @@ class CegisLoop:
         where: str,
         reason: StopReason = StopReason.BUDGET,
     ) -> None:
-        outcome.timed_out = True
         outcome.stop_reason = reason
         stats: CegisStats = outcome.stats
         tr.event(

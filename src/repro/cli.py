@@ -236,7 +236,6 @@ def _add_synthesize_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--all", action="store_true", help="enumerate all solutions")
     p.add_argument("--max-iterations", type=_positive_int, default=100000)
     p.add_argument("--time-budget", type=_positive_float, default=None)
-    p.add_argument("--verbose", action="store_true")
     _add_cfg_args(p)
     _add_env_arg(p)
     _add_runtime_args(p)
@@ -374,7 +373,6 @@ def _synthesis_query(args) -> SynthesisQuery:
         find_all=args.all,
         max_iterations=args.max_iterations,
         time_budget=args.time_budget,
-        verbose=args.verbose,
         jobs=args.jobs or 1,
         environments=_environments(args),
     )

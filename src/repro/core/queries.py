@@ -113,35 +113,32 @@ class AssumptionResult:
         return self.theta is not None
 
 
-def _holds_under(
-    candidate: CandidateCCA,
-    cfg: ModelConfig,
+def weakest_theta(
+    sufficient: Callable[[Fraction], bool],
     template: AssumptionTemplate,
-    theta: Fraction,
-    verifier=None,
-    options: Optional[CheckOptions] = None,
-) -> bool:
-    """Does the candidate provably meet the property on every trace
-    satisfying the assumption at theta?
+    precision: Fraction,
+) -> Optional[Fraction]:
+    """The largest theta in ``[template.lo, template.hi]``, to within
+    ``precision``, at which the monotone predicate ``sufficient`` holds;
+    None when it fails already at ``lo``.
 
-    Routed through :class:`~repro.core.verifier.CcacVerifier` (the
-    assumption rides in as an extra constraint of the candidate frame),
-    so probes share the environment encoding, benefit from a query
-    cache, honour a ``deadline``, and validate any SAT model found.  An
-    inconclusive probe (budget exhausted) counts as *not* sufficient —
-    never a false "holds".
+    Probes ``lo``, then ``hi``, then bisects between them; the one search
+    of :func:`weakest_sufficient_assumption` and
+    :func:`~repro.core.verifier_tuning.tune_verifier`.
     """
-    if verifier is None:
-        verifier = CcacVerifier(cfg)
-    net = verifier.network()
-    opts = options or CheckOptions()
-    result = verifier.find_counterexample(
-        candidate,
-        max_conflicts=opts.max_conflicts,
-        deadline=opts.deadline,
-        extra_constraints=[template.build(net, theta)],
-    )
-    return result.verified
+    lo, hi = template.lo, template.hi
+    if not sufficient(lo):
+        return None
+    if sufficient(hi):
+        return hi
+    # invariant: sufficient(lo), not sufficient(hi)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if sufficient(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def weakest_sufficient_assumption(
@@ -184,29 +181,12 @@ def weakest_sufficient_assumption(
             unknown_probes += 1
         return result.verified
 
-    lo, hi = template.lo, template.hi
-    if not sufficient(lo):
-        return AssumptionResult(
-            candidate, template, None, None, probes,
-            time.perf_counter() - start, unknown_probes,
-        )
-    if sufficient(hi):
-        best = hi
-    else:
-        # invariant: sufficient(lo), not sufficient(hi)
-        best = lo
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            if sufficient(mid):
-                best = mid
-                lo = mid
-            else:
-                hi = mid
+    theta = weakest_theta(sufficient, template, precision)
     return AssumptionResult(
         candidate,
         template,
-        best,
-        template.describe(best),
+        theta,
+        None if theta is None else template.describe(theta),
         probes,
         time.perf_counter() - start,
         unknown_probes,

@@ -52,9 +52,7 @@ class SynthesisQuery:
     generator: GeneratorBackend = "smt"
     find_all: bool = False
     max_iterations: int = 100_000
-    max_solutions: Optional[int] = None
     time_budget: Optional[float] = None
-    verbose: bool = False
     #: portfolio width: >1 verifies batches of candidates concurrently
     #: (see :class:`repro.engine.PortfolioVerifier`)
     jobs: int = 1
@@ -82,8 +80,6 @@ class SynthesisResult:
     generator_time: float
     verifier_time: float
     wall_time: float
-    exhausted: bool
-    timed_out: bool
     #: why the run stopped (see :class:`repro.cegis.StopReason`)
     stop_reason: Optional[StopReason] = None
     #: verified verdicts carrying an independently checked UNSAT proof
@@ -100,10 +96,21 @@ class SynthesisResult:
     #: "not run" from "ran and had nothing to do"
     cross_checks: Optional[list] = None
     #: adversarial falsification evaluations spent on the solutions
-    #: (see :mod:`repro.falsify`; populated by ``--falsify`` runs)
+    #: (see :mod:`repro.falsify`; added up by ``run_synthesis`` under
+    #: ``falsify``)
     falsification_attempts: int = 0
     #: solutions that survived their falsification budget
     falsification_survivals: int = 0
+
+    @property
+    def exhausted(self) -> bool:
+        """The generator proved no further solutions exist."""
+        return self.stop_reason is StopReason.EXHAUSTED
+
+    @property
+    def timed_out(self) -> bool:
+        """The time budget ran out, or the run only ended degraded."""
+        return self.stop_reason in (StopReason.BUDGET, StopReason.DEGRADED)
 
     @property
     def found(self) -> bool:
@@ -166,9 +173,7 @@ def synthesize(
         worst_case_cex=query.worst_case_cex,
         find_all=query.find_all,
         max_iterations=query.max_iterations,
-        max_solutions=query.max_solutions,
         time_budget=query.time_budget,
-        verbose=query.verbose,
         jobs=query.jobs,
     )
     outcome: CegisOutcome = CegisLoop(
@@ -182,8 +187,6 @@ def synthesize(
         generator_time=outcome.stats.generator_time,
         verifier_time=outcome.stats.verifier_time,
         wall_time=time.perf_counter() - start,
-        exhausted=outcome.exhausted,
-        timed_out=outcome.timed_out,
         stop_reason=outcome.stop_reason,
         resumed=outcome.resumed,
         certified_verdicts=outcome.stats.certified_verdicts,
@@ -206,19 +209,27 @@ def brute_force(
     max_candidates: Optional[int] = None,
 ) -> SynthesisResult:
     """The paper's brute-force comparison: call the verifier on every
-    candidate in the space (no generator at all)."""
+    candidate in the space (no generator at all).
+
+    Stops with ``SOLUTION`` at the first solution under
+    ``stop_at_first``, with ``MAX_ITERATIONS`` when ``max_candidates``
+    cuts the space short, and with ``EXHAUSTED`` only after every
+    candidate was tried."""
     cfg = cfg or ModelConfig()
     verifier = CcacVerifier(cfg)
     start = time.perf_counter()
     solutions: list[CandidateCCA] = []
     tried = 0
+    reason = StopReason.EXHAUSTED
     for cand in spec.iterate_candidates():
         if max_candidates is not None and tried >= max_candidates:
+            reason = StopReason.MAX_ITERATIONS
             break
         tried += 1
         if verifier.find_counterexample(cand).verified:
             solutions.append(cand)
             if stop_at_first:
+                reason = StopReason.SOLUTION
                 break
     query = SynthesisQuery(spec=spec, cfg=cfg, generator="enum")
     return SynthesisResult(
@@ -229,6 +240,5 @@ def brute_force(
         generator_time=0.0,
         verifier_time=verifier.total_time,
         wall_time=time.perf_counter() - start,
-        exhausted=max_candidates is None,
-        timed_out=False,
+        stop_reason=reason,
     )

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from ..ccac import ModelConfig
 from ..obs import DEBUG, tracer
-from .queries import AssumptionTemplate, _holds_under
+from .queries import AssumptionTemplate, weakest_theta
 from .template import CandidateCCA
 from .verifier import CcacVerifier
 
@@ -79,7 +79,10 @@ def tune_verifier(
         nonlocal probes
         for cand, verifier in zip(panel, verifiers):
             probes += 1
-            holds = _holds_under(cand, cfg, template, theta, verifier=verifier)
+            holds = verifier.find_counterexample(
+                cand,
+                extra_constraints=[template.build(verifier.network(), theta)],
+            ).verified
             tr.event(
                 "tuning.probe", level=DEBUG, probe=probes,
                 theta=str(theta), candidate=str(cand), holds=holds,
@@ -89,18 +92,5 @@ def tune_verifier(
         return True
 
     with tr.span("tuning.run", panel=len(panel)):
-        lo, hi = template.lo, template.hi
-        if not panel_holds(lo):
-            return TunedVerifier(template, None, panel, probes, time.perf_counter() - start)
-        if panel_holds(hi):
-            best = hi
-        else:
-            best = lo
-            while hi - lo > precision:
-                mid = (lo + hi) / 2
-                if panel_holds(mid):
-                    best = mid
-                    lo = mid
-                else:
-                    hi = mid
-    return TunedVerifier(template, best, panel, probes, time.perf_counter() - start)
+        theta = weakest_theta(panel_holds, template, precision)
+    return TunedVerifier(template, theta, panel, probes, time.perf_counter() - start)

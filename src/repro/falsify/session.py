@@ -81,17 +81,13 @@ def falsify_cca(
     space: Optional[ScheduleSpace] = None,
     corpus_dir: Optional[Path] = None,
     write_corpus: bool = True,
-    stats=None,
 ) -> FalsifyReport:
     """Hunt for property violations of one CCA; apply verdict semantics.
 
     ``verified=True`` asserts an SMT "verified" verdict exists for this
     CCA under ``cfg`` — an in-fragment violation then raises
     :class:`SoundnessError` (after dumping flight state and committing
-    the minimized corpus case).  ``stats``, when given, is a
-    :class:`~repro.cegis.interfaces.CegisStats` whose
-    ``falsification_attempts`` / ``falsification_survivals`` counters
-    are updated.
+    the minimized corpus case).
     """
     if space is None:
         space = (
@@ -105,10 +101,6 @@ def falsify_cca(
     with tr.span("falsify.session", cca=spec, seed=seed,
                  in_fragment=in_fragment, verified=verified):
         result = TraceSearch(factory, oracle, space, budget, seed=seed).run()
-        if stats is not None:
-            stats.falsification_attempts += result.attempts
-            if result.survived:
-                stats.falsification_survivals += 1
         report = FalsifyReport(
             cca=spec, in_fragment=in_fragment, verified=verified,
             search=result,

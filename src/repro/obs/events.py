@@ -79,7 +79,7 @@ class JsonlSink(Sink):
 
 
 class ConsoleSink(Sink):
-    """Human-readable live renderer (replaces the old ``verbose`` prints).
+    """Human-readable live renderer (``--log-level``).
 
     Events carrying a ``msg`` are printed verbatim; other events are
     rendered as ``[name] k=v ...``.  Span-close lines (indented by

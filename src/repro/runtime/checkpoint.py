@@ -40,8 +40,6 @@ STAT_FIELDS = (
     "verifier_calls",
     "cancelled_checks",
     "certified_verdicts",
-    "falsification_attempts",
-    "falsification_survivals",
 )
 
 

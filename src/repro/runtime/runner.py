@@ -65,8 +65,6 @@ class RuntimeOptions:
     solver_timeout: float = 60.0
     #: per-worker address-space cap in MiB (None = unlimited)
     solver_mem_mb: Optional[int] = None
-    #: extra attempts after a killed worker
-    retries: int = 1
     #: advisory: run every solution through the discrete simulator and
     #: attach the reports to ``SynthesisResult.cross_checks``
     cross_check: bool = False
@@ -114,7 +112,6 @@ def _limits(options: RuntimeOptions) -> WorkerLimits:
     return WorkerLimits(
         wall_time=options.solver_timeout,
         memory_mb=options.solver_mem_mb,
-        retries=options.retries,
     )
 
 
@@ -214,7 +211,7 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
 
         budget = FalsifyBudget(evaluations=options.falsify, stop_after=1)
         for cand in result.solutions:
-            falsify_cca(
+            report = falsify_cca(
                 lambda cand=cand: TemplateCCA(
                     cand, cwnd_min=query.cfg.cwnd_min
                 ),
@@ -223,8 +220,9 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
                 budget=budget,
                 seed=options.falsify_seed,
                 verified=True,
-                stats=result,
             )
+            result.falsification_attempts += report.search.attempts
+            result.falsification_survivals += report.survived
     return result
 
 

@@ -10,7 +10,7 @@ Also home to :func:`query_fingerprint`: a stable SHA-256 digest of the
 *semantic* content of a :class:`~repro.core.synthesizer.SynthesisQuery`
 (search space, network model, pruning mode, generator backend).  Resuming
 a checkpoint under a different fingerprint is a hard error — volatile
-knobs (budgets, verbosity, iteration caps) are deliberately excluded so a
+knobs (budgets, iteration caps, portfolio width) are deliberately excluded so a
 run may be resumed with, say, a larger time budget.
 """
 
@@ -237,7 +237,6 @@ def encode_query(query) -> dict:
         "generator": query.generator,
         "find_all": query.find_all,
         "max_iterations": query.max_iterations,
-        "max_solutions": query.max_solutions,
         "time_budget": query.time_budget,
         "jobs": query.jobs,
         "environments": encode_environments(query.environments),
@@ -256,7 +255,6 @@ def decode_query(data: dict):
         generator=data["generator"],
         find_all=bool(data["find_all"]),
         max_iterations=int(data["max_iterations"]),
-        max_solutions=data["max_solutions"],
         time_budget=data["time_budget"],
         # volatile like the budgets: absent in old checkpoints, and a
         # resumed run may legally change it

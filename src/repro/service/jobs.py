@@ -152,15 +152,15 @@ def spec_deadline(spec: JobSpec) -> Optional[float]:
     return float(value) if value else None
 
 #: RuntimeOptions fields carried in a synthesis spec, with their codecs.
-#: checkpoint_path is deliberately NOT part of a spec — where state lives
-#: is the executor's business (the server keeps it under its state dir).
+#: checkpoint_path and worker_pool are deliberately NOT part of a spec —
+#: where state lives and where calls run is the executor's business (the
+#: server keeps state under its state dir and runs calls on its pool).
 #: Decoding ignores keys not listed here, so a stored spec that carries
 #: an option since removed still runs.
 _OPTION_FIELDS = {
     "isolate": (bool, bool),
     "solver_timeout": (float, float),
     "solver_mem_mb": (lambda v: v, lambda v: v),
-    "retries": (int, int),
     "cross_check": (bool, bool),
     "falsify": (int, int),
     "falsify_seed": (int, int),
@@ -372,8 +372,6 @@ def decode_synthesis_result(payload: dict):
         generator_time=float(payload.get("generator_time", 0.0)),
         verifier_time=float(payload.get("verifier_time", 0.0)),
         wall_time=float(payload.get("wall_time", 0.0)),
-        exhausted=bool(payload["exhausted"]),
-        timed_out=bool(payload["timed_out"]),
         stop_reason=(
             StopReason(payload["stop_reason"])
             if payload.get("stop_reason") else None

@@ -105,14 +105,6 @@ class TestLoopBehaviours:
         ).run()
         assert outcome.stats.iterations <= 2
 
-    def test_max_solutions(self):
-        outcome = CegisLoop(
-            ToyGenerator(),
-            ToyVerifier(),
-            CegisOptions(find_all=True, max_solutions=2),
-        ).run()
-        assert len(outcome.solutions) == 2
-
     def test_stats_consistency(self):
         verifier = ToyVerifier()
         outcome = CegisLoop(ToyGenerator(), verifier).run()
@@ -160,13 +152,6 @@ class TestStopReasons:
             ToyGenerator(), ToyVerifier(), CegisOptions(find_all=True)
         ).run()
         assert outcome.stop_reason is StopReason.EXHAUSTED
-
-    def test_max_solutions_reports_solution(self):
-        outcome = CegisLoop(
-            ToyGenerator(), ToyVerifier(),
-            CegisOptions(find_all=True, max_solutions=2),
-        ).run()
-        assert outcome.stop_reason is StopReason.SOLUTION
 
     def test_max_iterations(self):
         outcome = CegisLoop(

@@ -1,5 +1,5 @@
-"""Observability of the CEGIS loop: event sequences, verbose sink,
-and the time-budget deadline plumbing."""
+"""Observability of the CEGIS loop: event sequences and the
+time-budget deadline plumbing."""
 
 import io
 import json
@@ -77,16 +77,6 @@ class TestEventSequence:
         outcome = CegisLoop(ToyGenerator(), ToyVerifier()).run()
         assert outcome.found
         assert capsys.readouterr().out == ""
-
-    def test_verbose_prints_legacy_lines(self, capsys):
-        outcome = CegisLoop(
-            ToyGenerator(), ToyVerifier(), CegisOptions(verbose=True)
-        ).run()
-        out = capsys.readouterr().out
-        assert f"solution {outcome.first}" in out
-        assert "[cegis] iter 1:" in out
-        # verbose sink is detached after the run
-        assert not tracer().enabled
 
 
 class SlowDeadlineVerifier(ToyVerifier):

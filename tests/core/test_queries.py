@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from repro.core import (
+    CcacVerifier,
     constant_cwnd,
     differential_comparison,
     initial_queue_budget,
@@ -35,13 +36,14 @@ class TestWeakestAssumption:
 
     def test_sufficiency_invariant(self, fast_cfg):
         """The returned theta must actually be sufficient (re-check)."""
-        from repro.core.queries import _holds_under
-
         template = total_waste_budget(fast_cfg)
-        res = weakest_sufficient_assumption(
-            constant_cwnd(1, fast_cfg.history), fast_cfg, template
-        )
-        assert _holds_under(constant_cwnd(1, fast_cfg.history), fast_cfg, template, res.theta)
+        cand = constant_cwnd(1, fast_cfg.history)
+        res = weakest_sufficient_assumption(cand, fast_cfg, template)
+        verifier = CcacVerifier(fast_cfg)
+        assert verifier.find_counterexample(
+            cand,
+            extra_constraints=[template.build(verifier.network(), res.theta)],
+        ).verified
 
     def test_per_step_family(self, fast_cfg):
         template = per_step_waste_budget(fast_cfg)
@@ -99,11 +101,13 @@ class TestWeakestAssumption:
         clamped-to-minimum window verifies vacuously.  (This is why waste
         *must* be free for the model to be meaningful, and why the paper
         calls building verifiers the hard part of generalizing CEGIS.)"""
-        from repro.core.queries import _holds_under
-
         cfg = fast_cfg.with_thresholds(util=Fraction(9, 10))
         template = total_waste_budget(cfg)
-        assert _holds_under(constant_cwnd(0, cfg.history), cfg, template, Fraction(0))
+        verifier = CcacVerifier(cfg)
+        assert verifier.find_counterexample(
+            constant_cwnd(0, cfg.history),
+            extra_constraints=[template.build(verifier.network(), Fraction(0))],
+        ).verified
 
 
 class TestDifferential:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.cegis import PruningMode
+from repro.ccac import ModelConfig
+from repro.cegis import PruningMode, StopReason
 from repro.core import (
     CcacVerifier,
     SMALL_DOMAIN,
@@ -106,6 +107,38 @@ class TestEnumerateAll:
         assert {c.key() for c in cegis_result.solutions} == {
             c.key() for c in bf_result.solutions
         }
+
+
+class TestBruteForceStopReason:
+    """The baseline says why it stopped; only a whole-space sweep is
+    ``exhausted``."""
+
+    def test_first_solution_is_not_exhaustion(self):
+        cfg = ModelConfig(T=5, history=3)
+        result = brute_force(table1_spaces(3)["no_cwnd_small"], cfg)
+        assert result.found
+        assert result.iterations == 48
+        assert result.stop_reason is StopReason.SOLUTION
+        assert not result.exhausted
+
+    def test_candidate_cap_is_max_iterations(self, fast_cfg, tiny_spec):
+        result = brute_force(
+            tiny_spec, fast_cfg, stop_at_first=False, max_candidates=3
+        )
+        assert result.iterations == 3
+        assert result.stop_reason is StopReason.MAX_ITERATIONS
+        assert not result.exhausted
+
+    def test_whole_space_is_exhausted(self, fast_cfg):
+        spec = TemplateSpec(
+            history=fast_cfg.history, use_cwnd_history=False,
+            coeff_domain=(Fraction(-1), Fraction(1)),
+            const_domain=(Fraction(1),),
+        )
+        result = brute_force(spec, fast_cfg, stop_at_first=False)
+        assert result.iterations == len(list(spec.iterate_candidates()))
+        assert result.stop_reason is StopReason.EXHAUSTED
+        assert result.exhausted and not result.timed_out
 
 
 #: exhaustive solution sets (``pretty``) of the Table 1 3^4 row (h=3,

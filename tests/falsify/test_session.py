@@ -6,7 +6,6 @@ import pytest
 
 from repro.ccac import ModelConfig
 from repro.ccas import AIMD, RoCC
-from repro.cegis.interfaces import CegisStats
 from repro.falsify import FalsifyBudget, falsify_cca, load_cases, resolve_cca
 from repro.runtime.errors import SoundnessError
 
@@ -44,17 +43,15 @@ class TestVerdictPaths:
 
     def test_survived_path(self, tmp_path):
         cfg = ModelConfig()
-        stats = CegisStats()
         report = falsify_cca(
             RoCC, cfg, spec="rocc",
             budget=FalsifyBudget(evaluations=150), verified=True,
-            corpus_dir=tmp_path, stats=stats,
+            corpus_dir=tmp_path,
         )
         assert report.survived
         assert report.corpus_paths == []
         assert load_cases(tmp_path) == []
-        assert stats.falsification_attempts == 150
-        assert stats.falsification_survivals == 1
+        assert report.search.attempts == 150
 
     def test_beyond_fragment_is_advisory(self, tmp_path):
         """RoCC beyond the fragment (outages, rate steps): any violation
@@ -73,13 +70,12 @@ class TestVerdictPaths:
 
     def test_stats_count_failed_hunts_as_non_survivals(self, tmp_path):
         cfg = ModelConfig()
-        stats = CegisStats()
-        falsify_cca(
+        report = falsify_cca(
             lambda: AIMD(delay_threshold=Fraction(8)), cfg,
-            spec="aimd:8", budget=BUDGET, corpus_dir=tmp_path, stats=stats,
+            spec="aimd:8", budget=BUDGET, corpus_dir=tmp_path,
         )
-        assert stats.falsification_attempts > 0
-        assert stats.falsification_survivals == 0
+        assert report.search.attempts > 0
+        assert not report.survived
 
 
 class TestResolveCca:

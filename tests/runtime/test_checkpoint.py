@@ -19,6 +19,7 @@ from repro.runtime import (
     encode_query,
     encode_trace,
     query_fingerprint,
+    resume_synthesis,
     run_synthesis,
 )
 from repro.runtime.runner import make_checkpoint_store
@@ -208,6 +209,30 @@ class TestSynthesisCheckpointing:
         }
         assert "lossless" in tags
         assert "lossy:buffer=2,loss_thresh=1" in tags
+
+    def test_resume_of_an_older_builds_checkpoint(self, tmp_path, tiny_query):
+        """Checkpoints written before the falsification counters left
+        CegisStats and ``max_solutions`` left the query carry both; the
+        resume ignores them and reaches the uninterrupted answer."""
+        import dataclasses
+
+        path = str(tmp_path / "run.ckpt")
+        full = synthesize(tiny_query)
+        partial_q = dataclasses.replace(tiny_query, max_iterations=4)
+        run_synthesis(partial_q, RuntimeOptions(checkpoint_path=path))
+        with open(path) as f:
+            raw = json.load(f)
+        raw["stop_reason"] = None
+        raw["stats"].update(falsification_attempts=0, falsification_survivals=0)
+        raw["meta"]["query"]["max_solutions"] = None
+        with open(path, "w") as f:
+            json.dump(raw, f)
+
+        resumed = resume_synthesis(path, max_iterations=100_000)
+        assert resumed.resumed
+        assert resumed.solutions == full.solutions
+        assert resumed.iterations == full.iterations
+        assert resumed.stop_reason is full.stop_reason
 
     def test_resume_under_different_query_refused(self, tmp_path, tiny_query):
         import dataclasses

@@ -179,6 +179,15 @@ class TestValidateCounterexample:
         assert len(result.cross_checks) == len(result.solutions)
         assert all(c.ok for c in result.cross_checks)
 
+    def test_falsify_option_adds_up_the_hunts(self, tiny_query):
+        from repro.runtime import RuntimeOptions, run_synthesis
+
+        result = run_synthesis(tiny_query, RuntimeOptions(falsify=20))
+        assert result.found
+        # each verified solution survives its whole budget
+        assert result.falsification_attempts == 20 * len(result.solutions)
+        assert result.falsification_survivals == len(result.solutions)
+
     def test_tier1_paths_validated_by_default(self):
         """Validation is always on in the verifier: both the refuted and
         the verified path run under it without raising."""

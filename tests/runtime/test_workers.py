@@ -285,10 +285,10 @@ class TestRunPoolLifecycle:
             portfolio_mod, "_pooled_verify_candidate_task", _crash_and_count
         )
         monkeypatch.setitem(globals(), "_CALL_LOG", str(log))
-        options = RuntimeOptions(isolate=True, retries=2)
-        result = run_synthesis(tiny_query, options)
+        result = run_synthesis(tiny_query, RuntimeOptions(isolate=True))
         assert not result.found
-        assert len(log.read_text().splitlines()) == 1 + options.retries
+        retries = WorkerLimits().retries
+        assert len(log.read_text().splitlines()) == 1 + retries
         kills = [d for d in result.degradations if d["kind"] == "worker_killed"]
-        assert [k["status"] for k in kills] == ["crash"] * 3
+        assert [k["status"] for k in kills] == ["crash"] * (1 + retries)
         assert _no_children()

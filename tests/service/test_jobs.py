@@ -1,5 +1,6 @@
 """The job API: JSON round-trips, fingerprints, version gating."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,12 @@ import pytest
 from repro.ccac import ModelConfig
 from repro.core import SynthesisQuery, table1_spaces
 from repro.runtime import RuntimeOptions
-from repro.runtime.serialize import decode_config
+from repro.runtime.serialize import (
+    decode_config,
+    decode_query,
+    encode_query,
+    query_fingerprint,
+)
 from repro.service import (
     JOBSPEC_VERSION,
     JobRecord,
@@ -23,7 +29,7 @@ from repro.service import (
     synthesis_spec,
     verify_spec,
 )
-from repro.service.jobs import _decode_options, _encode_options
+from repro.service.jobs import _OPTION_FIELDS, _decode_options, _encode_options
 
 pytestmark = pytest.mark.service
 
@@ -113,6 +119,109 @@ class TestJobSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(JobSpecError, match="unknown job kind"):
             JobSpec(kind="frobnicate", params={})
+
+
+class TestCodecCoverage:
+    """The job codec carries every field of a run description, so none
+    can be dropped between ``ccmatic synthesize`` and the run."""
+
+    #: RuntimeOptions fields that belong to the executor, not the spec
+    EXECUTOR_ONLY = {"checkpoint_path", "worker_pool"}
+
+    def test_every_query_field_survives_the_codec(self):
+        from repro.ccac import lossy_environment
+        from repro.cegis import PruningMode
+
+        query = SynthesisQuery(
+            spec=table1_spaces()["cwnd_small"],
+            cfg=_exact_cfg(),
+            pruning=PruningMode.EXACT,
+            worst_case_cex=False,
+            generator="smt",
+            find_all=True,
+            max_iterations=7,
+            time_budget=9.5,
+            jobs=3,
+            environments=(lossy_environment(buffer=2),),
+        )
+        encoded = json.loads(json.dumps(encode_query(query)))
+        names = {f.name for f in dataclasses.fields(SynthesisQuery)}
+        assert set(encoded) == names
+        back = decode_query(encoded)
+        for name in names:
+            assert getattr(back, name) == getattr(query, name), name
+
+    def test_every_runtime_option_is_encoded_or_executor_only(self):
+        names = {f.name for f in dataclasses.fields(RuntimeOptions)}
+        assert set(_OPTION_FIELDS).isdisjoint(self.EXECUTOR_ONLY)
+        assert names == set(_OPTION_FIELDS) | self.EXECUTOR_ONLY
+
+
+#: a synthesize JobSpec for the Table 1 3^4 row under range pruning
+#: (enum, h=3, T=5), as builds that still had ``max_solutions`` and
+#: ``retries`` wrote it
+_OLDER_BUILDS_SPEC = {
+    "version": 2, "kind": "synthesize", "params": {
+        "query": {
+            "spec": {"history": 3, "use_cwnd_history": False,
+                     "coeff_domain": ["-1", "0", "1"], "const_domain": None},
+            "cfg": {"T": 5, "D": 1, "jitter": 1, "history": 3, "C": "1",
+                    "util_thresh": "1/2", "delay_thresh": "4",
+                    "initial_queue_max": "8", "initial_cwnd_max": "8",
+                    "cwnd_min": "1/10"},
+            "pruning": "range", "worst_case_cex": False, "generator": "enum",
+            "find_all": False, "max_iterations": 100000,
+            "max_solutions": None, "time_budget": 120.0, "jobs": 1,
+            "environments": [{"kind": "lossless", "params": {}, "version": 1}],
+        },
+        "options": {"isolate": False, "solver_timeout": 60.0,
+                    "solver_mem_mb": None, "retries": 1, "cross_check": False,
+                    "falsify": 0, "falsify_seed": 0, "cache_dir": None,
+                    "certify": False},
+    },
+}
+
+#: the result-payload fingerprint of that spec, with and without
+#: worst-case counterexamples (both runs take 10 iterations to the same
+#: solution)
+_T1_PAYLOAD_FINGERPRINT = (
+    "8b36efd07be2e47f74c539059be762ec33c3d21b974ddcea5fa6f16a83162f3c"
+)
+
+
+class TestOlderBuilds:
+    """Run descriptions written before ``max_solutions``, ``verbose`` and
+    ``retries`` were removed still decode, run and fingerprint alike."""
+
+    def _t1_query(self, worst_case: bool) -> SynthesisQuery:
+        return SynthesisQuery(
+            spec=table1_spaces(3)["no_cwnd_small"],
+            cfg=ModelConfig(T=5, history=3),
+            generator="enum",
+            worst_case_cex=worst_case,
+            time_budget=120,
+        )
+
+    def test_query_fingerprints_unchanged(self):
+        assert query_fingerprint(self._t1_query(False)) == (
+            "7046c3d8de60efc97e6728760eea88ee2a93763d845bce10bfb05a41f0ac4110"
+        )
+        assert query_fingerprint(self._t1_query(True)) == (
+            "15049ab75792a2b4c3472258a4422ccd4914606e9405f855496722184b3e0386"
+        )
+
+    def test_older_spec_runs_to_the_same_payload(self):
+        spec = JobSpec.from_json(_OLDER_BUILDS_SPEC)
+        assert decode_query(spec.params["query"]) == self._t1_query(False)
+        payload = execute_job(spec)
+        assert payload["fingerprint"] == _T1_PAYLOAD_FINGERPRINT
+        # derived flags are still written, from the stop reason
+        assert payload["stop_reason"] == "solution"
+        assert payload["exhausted"] is False and payload["timed_out"] is False
+
+    def test_worst_case_payload_unchanged(self):
+        payload = execute_job(synthesis_spec(self._t1_query(True)))
+        assert payload["fingerprint"] == _T1_PAYLOAD_FINGERPRINT
 
 
 class TestEnvironmentJobs:

@@ -54,6 +54,8 @@ class TestParser:
         ("--T", "3"),
         # the retired raw-encode escape hatch is no longer an option
         ("--no-compile-pipeline", None),
+        # console output is --log-level's alone
+        ("--verbose", None),
     ])
     def test_invalid_synthesize_inputs_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
