@@ -69,7 +69,7 @@ def main() -> int:
     t0 = time.perf_counter()
 
     # phase 1: the verified CCA survives (zero false alarms)
-    factory, smt_ok = resolve_cca("rocc")
+    factory, smt_ok = resolve_cca("rocc", cfg)
     assert smt_ok
     report = falsify_cca(
         factory, cfg, spec="rocc", budget=budget, seed=args.seed,
@@ -83,7 +83,7 @@ def main() -> int:
                     f"without a violation record")
 
     # phase 2: the weakened CCA falls, and its minimized case replays
-    factory, _ = resolve_cca("aimd:8")
+    factory, _ = resolve_cca("aimd:8", cfg)
     report = falsify_cca(
         factory, cfg, spec="aimd:8", budget=budget, seed=args.seed,
         corpus_dir=corpus_dir,
@@ -98,7 +98,7 @@ def main() -> int:
     case = cases[0]
     from repro.falsify import PropertyOracle
 
-    factory, _ = resolve_cca(case.cca)
+    factory, _ = resolve_cca(case.cca, case.model_config())
     replayed = PropertyOracle(
         case.model_config(), covered_only=case.covered_only
     ).evaluate(factory(), TraceSchedule.from_dict(case.schedule))

@@ -9,9 +9,9 @@ interfaces host the toy domains used in tests and the ABR extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Generic, Optional, Protocol, TypeVar
+from typing import Generic, Optional, Protocol, TypeVar, get_type_hints
 
 Candidate = TypeVar("Candidate")
 Counterexample = TypeVar("Counterexample")
@@ -215,6 +215,16 @@ class CegisStats:
     @property
     def total_time(self) -> float:
         return self.generator_time + self.verifier_time
+
+    @classmethod
+    def from_dict(cls, saved: dict) -> "CegisStats":
+        """The stats a checkpoint saved: a missing counter reads 0, a
+        key that is no field is ignored, and each value is cast to its
+        field's type."""
+        hints = get_type_hints(cls)
+        return cls(**{
+            f.name: hints[f.name](saved.get(f.name, 0)) for f in fields(cls)
+        })
 
 
 @dataclass

@@ -95,8 +95,8 @@ class CegisLoop:
     def _run(self, tr) -> CegisOutcome:
         opts = self.options
         outcome: CegisOutcome = CegisOutcome()
-        stats = outcome.stats
         restored = self._restore(tr, outcome)
+        stats = outcome.stats
         if restored is not None and restored.stop_reason is not None:
             # resuming an already-finished run is idempotent: report the
             # recorded verdict instead of searching past it
@@ -264,15 +264,7 @@ class CegisLoop:
         self._blocked_log = list(state.blocked)
         outcome.solutions = list(state.solutions)
         outcome.resumed = True
-        stats = outcome.stats
-        st = state.stats
-        stats.iterations = int(st.get("iterations", 0))
-        stats.counterexamples = int(st.get("counterexamples", 0))
-        stats.generator_time = float(st.get("generator_time", 0.0))
-        stats.verifier_time = float(st.get("verifier_time", 0.0))
-        stats.verifier_calls = int(st.get("verifier_calls", 0))
-        stats.cancelled_checks = int(st.get("cancelled_checks", 0))
-        stats.certified_verdicts = int(st.get("certified_verdicts", 0))
+        stats = outcome.stats = CegisStats.from_dict(state.stats)
         tr.event(
             "cegis.resume",
             iterations=stats.iterations,

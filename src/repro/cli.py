@@ -71,7 +71,6 @@ from .cegis import PruningMode
 from .obs import DEBUG, INFO, ConsoleSink, JsonlSink, metrics, tracer
 from .obs.report import report as render_trace_report
 from .core import (
-    CcacVerifier,
     SynthesisQuery,
     classify,
     named_cca,
@@ -160,10 +159,6 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--solver-mem-mb", type=_positive_int, default=None,
         metavar="MIB", help="per-worker memory cap for --isolate/--jobs workers",
-    )
-    g.add_argument(
-        "--cross-check", action="store_true",
-        help="advisory: replay each solution on the discrete simulator",
     )
     g.add_argument(
         "--falsify", type=_positive_int, default=0, metavar="BUDGET",
@@ -317,7 +312,6 @@ def _runtime_options(args):
         isolate=getattr(args, "isolate", False),
         solver_timeout=getattr(args, "solver_timeout", 60.0),
         solver_mem_mb=getattr(args, "solver_mem_mb", None),
-        cross_check=getattr(args, "cross_check", False),
         cache_dir=getattr(args, "cache_dir", None),
         certify=getattr(args, "certify", False),
         falsify=getattr(args, "falsify", 0),
@@ -340,17 +334,11 @@ def _print_synthesis_result(result, cfg) -> int:
               f"carry independently checked UNSAT proofs")
     if not result.solutions:
         print("no solution found")
-        # None = cross-checking never requested; [] = requested but the
-        # run had no solutions to check — say so rather than staying mute
-        if result.cross_checks == []:
-            print("cross-check: requested but no solutions to check")
         return 1
     for cand in result.solutions:
         report = classify(cand, cfg)
         tag = "RoCC-family" if report.rocc_family else "other"
         print(f"  {report.rule}   [{tag}, {report.history_used} RTTs of history]")
-    for check in result.cross_checks or ():
-        print(f"  {check.describe()}")
     if result.falsification_attempts:
         print(
             f"falsified: {result.falsification_survivals}/"
@@ -415,17 +403,8 @@ def cmd_resume(args) -> int:
     return _print_synthesis_result(result, result.query.cfg)
 
 
-def _describe_certificate(summary) -> str:
-    """Renders a certificate summary — the live object or its payload
-    dict (a service result round-tripped through JSON)."""
-    if not isinstance(summary, dict):
-        summary = {
-            "steps": summary.steps,
-            "inputs": summary.inputs,
-            "rup_additions": summary.rup_additions,
-            "theory_lemmas": summary.theory_lemmas,
-            "check_time": summary.check_time,
-        }
+def _describe_certificate(summary: dict) -> str:
+    """Renders one certificate summary of a verify payload."""
     return (
         f"proof checked: {summary['steps']} steps "
         f"({summary['inputs']} inputs, "
@@ -492,24 +471,29 @@ def cmd_certify(args) -> int:
     production on; every UNSAT verdict must survive the independent
     checker.  Exit 0 only when each CCA reached a conclusive verdict and
     every verified one carries a checked certificate."""
+    from .service.jobs import execute_job, verify_spec
+
     failures = 0
     for name in args.ccas:
-        cand = named_cca(name)
-        verifier = CcacVerifier(_cfg(args), certify=True)
-        res = verifier.find_counterexample(cand, worst_case=args.wce)
-        print(f"{name}: {cand.pretty()}")
-        if res.verified:
-            if res.certified:
-                print(f"  CERTIFIED in {res.wall_time:.2f}s; "
-                      f"{_describe_certificate(res.certificate)}")
+        payload = execute_job(
+            verify_spec(name, _cfg(args), worst_case=args.wce, certify=True)
+        )
+        took = f"{payload['wall_time']:.2f}s"
+        print(f"{name}: {payload['pretty']}")
+        if payload["verified"]:
+            if payload["certified"]:
+                proofs = "; ".join(
+                    _describe_certificate(c) for c in payload["certificates"]
+                )
+                print(f"  CERTIFIED in {took}; {proofs}")
             else:
-                print(f"  VERIFIED but NOT CERTIFIED in {res.wall_time:.2f}s")
+                print(f"  VERIFIED but NOT CERTIFIED in {took}")
                 failures += 1
-        elif res.counterexample is not None:
-            print(f"  COUNTEREXAMPLE in {res.wall_time:.2f}s "
+        elif payload["counterexample"] is not None:
+            print(f"  COUNTEREXAMPLE in {took} "
                   f"(nothing to certify; trace independently validated)")
         else:
-            print(f"  UNKNOWN in {res.wall_time:.2f}s")
+            print(f"  UNKNOWN in {took}")
             failures += 1
     return 0 if failures == 0 else 1
 

@@ -90,11 +90,6 @@ class SynthesisResult:
     #: recorded degradation events (see the degradation ladder of
     #: :class:`~repro.engine.portfolio.PortfolioVerifier`)
     degradations: list = field(default_factory=list)
-    #: advisory simulator cross-checks of the solutions.  ``None`` means
-    #: cross-checking was never requested; ``[]`` means it was requested
-    #: but there were no solutions to check — reports must distinguish
-    #: "not run" from "ran and had nothing to do"
-    cross_checks: Optional[list] = None
     #: adversarial falsification evaluations spent on the solutions
     #: (see :mod:`repro.falsify`; added up by ``run_synthesis`` under
     #: ``falsify``)

@@ -70,6 +70,7 @@ __all__ = [
     "constant_schedule",
     "default_corpus_dir",
     "falsify_cca",
+    "falsify_verified",
     "load_cases",
     "make_case",
     "minimize_schedule",
@@ -81,12 +82,44 @@ __all__ = [
 ]
 
 
-def resolve_cca(spec: str) -> tuple[Callable[[], object], bool]:
+def _template_factory(candidate, cfg) -> Callable[[], object]:
+    """A factory of fresh executable CCAs running ``candidate`` with the
+    cwnd floor ``cfg.cwnd_min`` the SMT model asserts."""
+    from ..ccas import TemplateCCA
+
+    return lambda: TemplateCCA(candidate, cwnd_min=cfg.cwnd_min)
+
+
+def falsify_verified(
+    candidate, cfg, evaluations: int, *, seed: int = 0, spec: str = ""
+) -> FalsifyReport:
+    """The simulator check of an SMT verdict: hunt the template CCA
+    ``candidate``, verified under ``cfg``, with ``evaluations`` in-fragment
+    trace evaluations, stopping at the first violation.
+
+    Such a violation contradicts the verdict and raises
+    :class:`~repro.runtime.errors.SoundnessError` (see :func:`falsify_cca`).
+    ``spec`` names the CCA in the span, corpus case and error (default:
+    the rule's rendering).
+    """
+    return falsify_cca(
+        _template_factory(candidate, cfg),
+        cfg,
+        spec=spec or candidate.pretty(),
+        budget=FalsifyBudget(evaluations=evaluations),
+        seed=seed,
+        verified=True,
+    )
+
+
+def resolve_cca(spec: str, cfg) -> tuple[Callable[[], object], bool]:
     """Resolve a CLI CCA spec into ``(factory, smt_verifiable)``.
 
-    ``factory`` builds a fresh executable CCA per call.  ``smt_verifiable``
-    is True when the spec names a template the SMT verifier can also
-    judge (so falsification can be cross-checked against a verdict).
+    ``factory`` builds a fresh executable CCA per call; a template CCA
+    gets the cwnd floor of ``cfg``, the configuration it is judged
+    under.  ``smt_verifiable`` is True when the spec names a template
+    the SMT verifier can also judge (so falsification can be
+    cross-checked against a verdict).
 
     Specs::
 
@@ -98,12 +131,12 @@ def resolve_cca(spec: str) -> tuple[Callable[[], object], bool]:
                         (aimd:8 is the deliberately weakened demo)
         cubic[:<thresh>], vegas, copa
     """
-    from ..ccas import AIMD, CopaLike, CubicLike, RoCC, TemplateCCA, VegasLike
+    from ..ccas import AIMD, CopaLike, CubicLike, RoCC, VegasLike
     from ..core import named_cca
 
     candidate = named_cca(spec)
     if candidate is not None:
-        return (lambda: TemplateCCA(candidate)), True
+        return _template_factory(candidate, cfg), True
     if spec == "rocc-native":
         return (lambda: RoCC()), False
     if spec == "aimd" or spec.startswith("aimd:"):

@@ -208,7 +208,7 @@ def _grid_task(
     # not findings.  Lossy cells get their own oracle: coverage narrows
     # to windows whose queue stays within the buffer (see PropertyOracle).
     oracles = {None: PropertyOracle(cfg, covered_only=True)}
-    factory, _ = resolve_cca(cca_spec)
+    factory, _ = resolve_cca(cca_spec, cfg)
     records = []
     for data in point_dicts:
         point = GridPoint.from_dict(data)

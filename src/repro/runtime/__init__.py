@@ -48,8 +48,6 @@ from .serialize import (
     query_fingerprint,
 )
 from .validate import (
-    CrossValidation,
-    cross_validate,
     evaluate_term,
     validate_assignment,
     validate_counterexample,
@@ -63,14 +61,12 @@ __all__ = [
     "CheckpointMismatchError",
     "CheckpointState",
     "CheckpointStore",
-    "CrossValidation",
     "RuntimeFault",
     "RuntimeOptions",
     "SoundnessError",
     "WorkerError",
     "WorkerLimits",
     "WorkerReport",
-    "cross_validate",
     "decode_candidate",
     "decode_query",
     "decode_trace",

@@ -22,25 +22,18 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
+from ..cegis.interfaces import CegisStats
 from ..chaos.faults import chaos_point
 from ..obs import DEBUG, tracer
 from .errors import CheckpointError, CheckpointMismatchError
 
 SCHEMA_VERSION = 1
 
-#: stat counters persisted per checkpoint (mirrors CegisStats fields)
-STAT_FIELDS = (
-    "iterations",
-    "counterexamples",
-    "generator_time",
-    "verifier_time",
-    "verifier_calls",
-    "cancelled_checks",
-    "certified_verdicts",
-)
+#: stat counters persisted per checkpoint: every CegisStats field
+STAT_FIELDS = tuple(f.name for f in fields(CegisStats))
 
 
 def _identity(value):

@@ -65,9 +65,6 @@ class RuntimeOptions:
     solver_timeout: float = 60.0
     #: per-worker address-space cap in MiB (None = unlimited)
     solver_mem_mb: Optional[int] = None
-    #: advisory: run every solution through the discrete simulator and
-    #: attach the reports to ``SynthesisResult.cross_checks``
-    cross_check: bool = False
     #: adversarial falsification budget (trace evaluations) to spend on
     #: every solution after synthesis; 0 disables.  An in-fragment
     #: violation of a verified solution raises
@@ -187,39 +184,12 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
     with _run_pool(query, options) as pool:
         verifier = _build_verifier(query, options, pool)
         result = synthesize(query, verifier=verifier, checkpoint=checkpoint)
-    if options.cross_check:
-        if result.solutions:
-            from .validate import cross_validate
+    if options.falsify > 0:
+        from ..falsify import falsify_verified
 
-            result.cross_checks = [
-                cross_validate(cand, query.cfg) for cand in result.solutions
-            ]
-        else:
-            # requested but nothing to check: record the skip loudly
-            # (an empty list, NOT None — reports distinguish "ran, no
-            # solutions" from "never requested")
-            result.cross_checks = []
-            tracer().event(
-                "runtime.cross_check_skipped",
-                solutions=0,
-                msg="[runtime] cross-check requested but the run found "
-                    "no solutions to check",
-            )
-    if options.falsify > 0 and result.solutions:
-        from ..ccas import TemplateCCA
-        from ..falsify import FalsifyBudget, falsify_cca
-
-        budget = FalsifyBudget(evaluations=options.falsify, stop_after=1)
         for cand in result.solutions:
-            report = falsify_cca(
-                lambda cand=cand: TemplateCCA(
-                    cand, cwnd_min=query.cfg.cwnd_min
-                ),
-                query.cfg,
-                spec=cand.pretty(),
-                budget=budget,
-                seed=options.falsify_seed,
-                verified=True,
+            report = falsify_verified(
+                cand, query.cfg, options.falsify, seed=options.falsify_seed
             )
             result.falsification_attempts += report.search.attempts
             result.falsification_survivals += report.survived

@@ -28,9 +28,6 @@ shares *no search code* with the solver —
   confirms the trace actually violates the desired property — a bogus
   counterexample fed to the generator would silently prune correct
   candidates.
-* :func:`cross_validate` (advisory) runs a synthesized CCA through the
-  discrete-event simulator :mod:`repro.sim` as an end-to-end sanity
-  check of verified solutions.
 
 Only the term *language* (:mod:`repro.smt.terms` data structures) is
 shared; the SAT core, Simplex, and model construction are not on any
@@ -39,17 +36,14 @@ code path here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from ..obs import DEBUG, metrics, tracer
 from ..smt.terms import Kind, Sort, Term
 from .errors import SoundnessError
 
 __all__ = [
-    "CrossValidation",
-    "cross_validate",
     "evaluate_term",
     "validate_assignment",
     "validate_counterexample",
@@ -283,71 +277,3 @@ def validate_counterexample(trace, candidate=None, must_violate: bool = True) ->
     if tr.enabled:
         tr.event("runtime.validate", level=DEBUG, kind="counterexample")
 
-
-@dataclass
-class CrossValidation:
-    """Advisory simulator cross-check of one synthesized CCA."""
-
-    candidate: str
-    policy: str
-    ticks: int
-    utilization: Fraction
-    max_queue: Fraction
-    ok: bool
-
-    def describe(self) -> str:
-        verdict = "consistent" if self.ok else "CONTRADICTED"
-        return (
-            f"sim[{self.policy}] util={float(self.utilization):.3f} "
-            f"max_queue={float(self.max_queue):.3f} -> {verdict}"
-        )
-
-
-def cross_validate(
-    candidate,
-    cfg,
-    ticks: int = 60,
-    policy: str = "ideal",
-    warmup: Optional[int] = None,
-) -> CrossValidation:
-    """Run a synthesized CCA through :mod:`repro.sim` and compare verdicts.
-
-    The simulator is one concrete adversary out of the model's many, so
-    this is a one-sided check: a verified CCA must keep its queue within
-    the delay threshold and deliver non-trivial throughput on any
-    admissible link, including the simulated one.  The check is advisory
-    (returns a report rather than raising) because warmup and horizon
-    differences make the utilization comparison approximate.
-    """
-    # imported lazily: repro.ccas / repro.sim sit above this module in the
-    # package graph and are only needed when cross-validation is requested
-    from ..ccas import TemplateCCA
-    from ..sim import run_simulation
-
-    if warmup is None:
-        warmup = max(cfg.history + 1, ticks // 4)
-    cca = TemplateCCA(candidate, cwnd_min=cfg.cwnd_min)
-    result = run_simulation(cca, ticks=ticks, policy=policy, capacity=cfg.C)
-    util = result.utilization(warmup)
-    steady = range(warmup, ticks + 1)
-    max_queue = max(result.A[t] - result.S[t] for t in steady)
-    queue_limit = cfg.delay_thresh * cfg.C * cfg.D
-    ok = max_queue <= queue_limit and util > 0
-    report = CrossValidation(
-        candidate=str(candidate),
-        policy=policy,
-        ticks=ticks,
-        utilization=util,
-        max_queue=max_queue,
-        ok=ok,
-    )
-    tr = tracer()
-    if tr.enabled:
-        tr.event(
-            "runtime.cross_validate",
-            ok=ok,
-            policy=policy,
-            utilization=float(util),
-            max_queue=float(max_queue),
-        )
-    return report

@@ -161,7 +161,6 @@ _OPTION_FIELDS = {
     "isolate": (bool, bool),
     "solver_timeout": (float, float),
     "solver_mem_mb": (lambda v: v, lambda v: v),
-    "cross_check": (bool, bool),
     "falsify": (int, int),
     "falsify_seed": (int, int),
     "cache_dir": (lambda v: v, lambda v: v),
@@ -283,7 +282,10 @@ def falsify_spec(
 #: differ between machines and is excluded from the payload fingerprint
 _SEMANTIC_KEYS = (
     "solutions", "iterations", "counterexamples", "exhausted", "timed_out",
-    "stop_reason", "certified_verdicts", "resumed", "cross_checks",
+    "stop_reason", "certified_verdicts", "resumed",
+    # no longer written (None in every new payload); kept so a stored
+    # payload that carries it still verifies and fingerprints stay put
+    "cross_checks",
     "falsification_attempts", "falsification_survivals",
 )
 
@@ -322,10 +324,6 @@ def encode_synthesis_result(result) -> dict:
         "stop_reason": result.stop_reason.value if result.stop_reason else None,
         "certified_verdicts": int(result.certified_verdicts),
         "resumed": bool(result.resumed),
-        "cross_checks": (
-            None if result.cross_checks is None
-            else [c.describe() for c in result.cross_checks]
-        ),
         "falsification_attempts": int(result.falsification_attempts),
         "falsification_survivals": int(result.falsification_survivals),
         # timing section: informative, excluded from the fingerprint
@@ -336,16 +334,6 @@ def encode_synthesis_result(result) -> dict:
     }
     payload["fingerprint"] = _payload_fingerprint(payload)
     return payload
-
-
-class _DecodedCrossCheck:
-    """Re-hydrated advisory cross-check: carries only its rendering."""
-
-    def __init__(self, text: str):
-        self._text = text
-
-    def describe(self) -> str:
-        return self._text
 
 
 def decode_synthesis_result(payload: dict):
@@ -363,7 +351,6 @@ def decode_synthesis_result(payload: dict):
             "refusing to decode a tampered or torn payload"
         )
     query = decode_query(payload["query"])
-    crosses = payload.get("cross_checks")
     return SynthesisResult(
         query=query,
         solutions=[decode_candidate(c) for c in payload["solutions"]],
@@ -379,10 +366,6 @@ def decode_synthesis_result(payload: dict):
         certified_verdicts=int(payload.get("certified_verdicts", 0)),
         resumed=bool(payload.get("resumed", False)),
         degradations=list(payload.get("degradations", ())),
-        cross_checks=(
-            None if crosses is None
-            else [_DecodedCrossCheck(t) for t in crosses]
-        ),
         falsification_attempts=int(payload.get("falsification_attempts", 0)),
         falsification_survivals=int(payload.get("falsification_survivals", 0)),
     )
@@ -590,16 +573,12 @@ def _execute_verify(spec, cache_dir: Optional[str] = None) -> dict:
         ]
     budget = int(spec.params.get("falsify") or 0)
     if budget and res.verified:
-        from ..ccas import TemplateCCA
-        from ..falsify import FalsifyBudget, falsify_cca
+        from ..falsify import falsify_verified
 
-        rep = falsify_cca(
-            lambda: TemplateCCA(cca, cwnd_min=cfg.cwnd_min),
-            cfg,
-            spec=spec.params["cca"],
-            budget=FalsifyBudget(evaluations=budget),
+        rep = falsify_verified(
+            cca, cfg, budget,
             seed=int(spec.params.get("falsify_seed") or 0),
-            verified=True,
+            spec=spec.params["cca"],
         )
         payload["falsify"] = rep.search.describe()
         payload["survived"] = bool(rep.survived)
@@ -614,7 +593,7 @@ def _execute_falsify(
 
     p = spec.params
     cfg = decode_config(p["cfg"])
-    factory, smt_verifiable = resolve_cca(p["cca"])
+    factory, smt_verifiable = resolve_cca(p["cca"], cfg)
     verified = False
     smt_verdict = None
     if smt_verifiable and not p.get("no_verify"):

@@ -34,8 +34,8 @@ def test_committed_demo_case_present():
     "case", CASES, ids=[c.name for c in CASES] or None
 )
 def test_replay(case):
-    factory, _ = resolve_cca(case.cca)
     cfg = case.model_config()
+    factory, _ = resolve_cca(case.cca, cfg)
     oracle = PropertyOracle(cfg, covered_only=case.covered_only)
     verdict = oracle.evaluate(factory(), case.trace_schedule())
 

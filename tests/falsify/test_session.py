@@ -84,10 +84,18 @@ class TestResolveCca:
             ("rocc", True), ("eq3", True), ("const:2", True),
             ("aimd", False), ("aimd:8", False), ("rocc-native", False),
         ):
-            factory, smt_ok = resolve_cca(spec)
+            factory, smt_ok = resolve_cca(spec, ModelConfig())
             assert smt_ok is verifiable
             assert factory() is not factory()  # fresh instance per call
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown CCA spec"):
-            resolve_cca("bbr")
+            resolve_cca("bbr", ModelConfig())
+
+    @pytest.mark.parametrize("spec", ["rocc", "eq3", "const:2"])
+    def test_template_cca_takes_the_cwnd_floor_of_cfg(self, spec):
+        """A template CCA runs under the floor its SMT verdict asserts,
+        not the executable class's default of 1/10."""
+        cfg = ModelConfig(T=5, cwnd_min=Fraction(1, 2))
+        factory, _ = resolve_cca(spec, cfg)
+        assert factory().cwnd_min == Fraction(1, 2)

@@ -234,6 +234,27 @@ class TestSynthesisCheckpointing:
         assert resumed.iterations == full.iterations
         assert resumed.stop_reason is full.stop_reason
 
+    def test_every_stat_survives_save_load_resume(self, tmp_path):
+        """Each CegisStats field, set to a distinct nonzero value, comes
+        back from a checkpoint into the resumed loop's stats."""
+        import dataclasses
+
+        from repro.cegis import CegisLoop, CegisStats
+
+        saved = CegisStats(**{
+            f.name: i + 1 if isinstance(f.default, int) else i + 1.25
+            for i, f in enumerate(dataclasses.fields(CegisStats))
+        })
+        store = CheckpointStore(str(tmp_path / "run.ckpt"), fingerprint="fp")
+        store.save(stats=saved, solutions=["s"], counterexamples=[],
+                   blocked=[], stop_reason="solution")
+        loaded = store.load().stats
+        assert loaded == dataclasses.asdict(saved)
+        # a finished run resumes without searching, with the saved stats
+        outcome = CegisLoop(None, None, checkpoint=store).run()
+        assert outcome.resumed
+        assert outcome.stats == saved
+
     def test_resume_under_different_query_refused(self, tmp_path, tiny_query):
         import dataclasses
 

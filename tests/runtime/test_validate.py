@@ -162,23 +162,6 @@ class TestValidateCounterexample:
         with pytest.raises(SoundnessError, match="candidate's rule"):
             validate_counterexample(trace, candidate=wrong)
 
-    def test_cross_validate_consistent_for_verified_cca(self):
-        from repro.runtime import cross_validate
-
-        cfg = ModelConfig(T=5)
-        report = cross_validate(rocc(), cfg, ticks=60)
-        assert report.ok
-        assert report.utilization > 0
-        assert "consistent" in report.describe()
-
-    def test_cross_check_option_attaches_reports(self, tiny_query):
-        from repro.runtime import RuntimeOptions, run_synthesis
-
-        result = run_synthesis(tiny_query, RuntimeOptions(cross_check=True))
-        assert result.found
-        assert len(result.cross_checks) == len(result.solutions)
-        assert all(c.ok for c in result.cross_checks)
-
     def test_falsify_option_adds_up_the_hunts(self, tiny_query):
         from repro.runtime import RuntimeOptions, run_synthesis
 

@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 
 from repro.ccac import ModelConfig
+from repro.cegis import StopReason
 from repro.core import SynthesisQuery, table1_spaces
 from repro.runtime import RuntimeOptions
 from repro.runtime.serialize import (
     decode_config,
     decode_query,
+    encode_candidate,
     encode_query,
     query_fingerprint,
 )
@@ -188,10 +190,30 @@ _T1_PAYLOAD_FINGERPRINT = (
     "8b36efd07be2e47f74c539059be762ec33c3d21b974ddcea5fa6f16a83162f3c"
 )
 
+#: the result payload of that spec with ``"cross_check": true``, as
+#: builds that still had the simulator cross-check wrote it
+_OLDER_BUILDS_CROSS_CHECKED_PAYLOAD = {
+    "query": _OLDER_BUILDS_SPEC["params"]["query"],
+    "solutions": [{"alphas": ["0", "0", "0"], "betas": ["0", "1", "-1"],
+                   "gamma": "1"}],
+    "iterations": 10, "counterexamples": 9, "exhausted": False,
+    "timed_out": False, "stop_reason": "solution", "certified_verdicts": 0,
+    "resumed": False,
+    "cross_checks": ["sim[ideal] util=1.000 max_queue=1.000 -> consistent"],
+    "falsification_attempts": 0, "falsification_survivals": 0,
+    "generator_time": 0.0024936359841376543,
+    "verifier_time": 0.18809444105136208,
+    "wall_time": 0.19129560599685647, "degradations": [],
+    "fingerprint": (
+        "b883b94154e22181ecb2f354c0f8c9cde756c422e742b39401690028561ba9eb"
+    ),
+}
+
 
 class TestOlderBuilds:
-    """Run descriptions written before ``max_solutions``, ``verbose`` and
-    ``retries`` were removed still decode, run and fingerprint alike."""
+    """Run descriptions written before ``max_solutions``, ``verbose``,
+    ``retries`` and ``cross_check`` were removed still decode, run and
+    fingerprint alike."""
 
     def _t1_query(self, worst_case: bool) -> SynthesisQuery:
         return SynthesisQuery(
@@ -222,6 +244,24 @@ class TestOlderBuilds:
     def test_worst_case_payload_unchanged(self):
         payload = execute_job(synthesis_spec(self._t1_query(True)))
         assert payload["fingerprint"] == _T1_PAYLOAD_FINGERPRINT
+
+    def test_cross_checked_spec_runs_to_the_same_payload(self):
+        wire = json.loads(json.dumps(_OLDER_BUILDS_SPEC))
+        wire["params"]["options"]["cross_check"] = True
+        payload = execute_job(JobSpec.from_json(wire))
+        assert payload["fingerprint"] == _T1_PAYLOAD_FINGERPRINT
+        assert "cross_checks" not in payload
+
+    def test_cross_checked_payload_still_decodes(self):
+        payload = _OLDER_BUILDS_CROSS_CHECKED_PAYLOAD
+        result = decode_synthesis_result(payload)  # fingerprint verified
+        assert result.stop_reason is StopReason.SOLUTION
+        assert [encode_candidate(c) for c in result.solutions] == (
+            payload["solutions"]
+        )
+        tampered = {**payload, "cross_checks": None}
+        with pytest.raises(JobSpecError, match="fingerprint"):
+            decode_synthesis_result(tampered)
 
 
 class TestEnvironmentJobs:

@@ -141,27 +141,52 @@ class TestCommands:
         assert "wastes at most" in out
 
 
-class TestCrossCheck:
-    def test_synthesize_cross_check_prints_sim_verdicts(self, capsys):
-        rc = main([
-            "synthesize", "--space", "no_cwnd_small", "--wce",
-            "--T", "5", "--time-budget", "300", "--cross-check",
-        ])
-        out = capsys.readouterr().out
-        if rc == 0:
-            assert "sim[" in out
+class TestCertifyCommand:
+    def test_certify_renders_each_verdict(self, capsys):
+        rc = main(["certify", "rocc", "const:0", "--T", "5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0  # a counterexample is conclusive: nothing failed
+        assert lines[0] == "rocc: cwnd(t) = ack(t-1) - ack(t-3) + 1"
+        assert lines[1].startswith("  CERTIFIED in ")
+        assert "; proof checked: " in lines[1]
+        assert lines[2] == "const:0: cwnd(t) = 0"
+        assert lines[3].startswith("  COUNTEREXAMPLE in ")
+        assert lines[3].endswith(
+            "(nothing to certify; trace independently validated)"
+        )
+        assert len(lines) == 4
 
-    def test_cross_check_without_solutions_says_so(self, capsys):
-        """One iteration of the bare small space cannot verify a
-        solution; --cross-check must announce the skip, not stay mute."""
-        rc = main([
-            "synthesize", "--space", "no_cwnd_small", "--T", "5",
-            "--max-iterations", "1", "--cross-check",
-        ])
+
+class TestOneFalsificationPath:
+    def test_synthesize_and_verify_run_the_same_hunt(
+        self, capsys, monkeypatch
+    ):
+        """``synthesize --falsify`` and ``verify --falsify`` both check a
+        verdict through ``falsify_verified``: the same rule, cfg and seed
+        give the same search."""
+        import repro.falsify as falsify
+
+        hunts = []
+        shared = falsify.falsify_verified
+
+        def spy(candidate, cfg, evaluations, **kw):
+            report = shared(candidate, cfg, evaluations, **kw)
+            hunts.append((candidate.pretty(), report.search.describe()))
+            return report
+
+        monkeypatch.setattr(falsify, "falsify_verified", spy)
+        common = ["--T", "5", "--falsify", "20", "--falsify-seed", "3"]
+        assert main([
+            "synthesize", "--space", "no_cwnd_small", "--all",
+            "--time-budget", "300", *common,
+        ]) == 0
+        synthesized = dict(hunts)
+        hunts.clear()
+        assert main(["verify", "rocc", *common]) == 0
         out = capsys.readouterr().out
-        assert rc == 1
-        assert "no solution found" in out
-        assert "cross-check: requested but no solutions to check" in out
+        [(rule, described)] = hunts
+        assert synthesized[rule] == described
+        assert f"falsify: {described}" in out
 
 
 @pytest.mark.falsify
